@@ -183,35 +183,17 @@ def run_scale_trial(spec: dict[str, Any]) -> dict[str, Any]:
     Wall times split dataset generation (topology + AR fit) from the
     clustering run so BENCH trends attribute regressions to the right
     layer.
-
-    ``spec["shards"]`` > 1 runs the same clustering on the multi-process
-    sharded engine (:class:`~repro.sim.shard.ShardedNetwork`, shard plan
-    along the dataset's quadtree) instead of the REPRO_ENGINE default —
-    the ``--shards`` BENCH ladder compares these rows against the
-    1-shard serial baseline.
     """
     n, seed = spec["n"], spec["seed"]
-    shards = spec.get("shards", 1)
     effective_delta = DELTA - 2 * SLACK
     start = time.perf_counter()
     dataset = generate_synthetic_dataset(n, seed=seed, readings=SCALE_READINGS)
     generated = time.perf_counter()
-    network = quadtree = None
-    if shards > 1:
-        from repro.geometry.quadtree import QuadTreeDecomposition
-        from repro.sim import Network
-
-        quadtree = QuadTreeDecomposition(dataset.topology)
-        network = Network(
-            dataset.topology.graph, engine="sharded", shards=shards, quadtree=quadtree
-        )
     result = run_elink(
         dataset.topology,
         dataset.features,
         dataset.metric(),
         ELinkConfig(delta=effective_delta),
-        quadtree=quadtree,
-        network=network,
     )
     clustered = time.perf_counter()
     elink_wall = clustered - generated
@@ -220,7 +202,7 @@ def run_scale_trial(spec: dict[str, Any]) -> dict[str, Any]:
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
     return {
         "n": n,
-        "engine": "sharded" if shards > 1 else default_engine(),
+        "engine": default_engine(),
         "clusters": result.num_clusters,
         "messages": result.total_messages,
         "gen_wall_s": round(generated - start, 3),
@@ -259,60 +241,6 @@ def run_scale(max_n: int, seed: int = 3) -> ExperimentTable:
     """Run the scale sweep up to *max_n* nodes (see :func:`run_scale_trial`)."""
     results = [run_scale_trial(spec) for spec in scale_trial_specs(max_n, seed)]
     return combine_scale_trials(results)
-
-
-# ----------------------------------------------------------------------
-# shard ladder (--shards): 1/2/4-shard wall time at one scale size
-# ----------------------------------------------------------------------
-def shard_trial_specs(n: int, max_shards: int, seed: int = 3) -> list[dict[str, Any]]:
-    """One spec per shard count on the doubling ladder 1, 2, 4, …, *max_shards*.
-
-    The 1-shard row runs the ordinary serial engine (REPRO_ENGINE) and is
-    the baseline the speedup column divides by.
-    """
-    if max_shards < 1:
-        raise ValueError(f"max_shards must be >= 1, got {max_shards}")
-    counts = [1]
-    while counts[-1] * 2 <= max_shards:
-        counts.append(counts[-1] * 2)
-    return [{"n": n, "seed": seed, "shards": count} for count in counts]
-
-
-def combine_shard_trials(results: list[dict[str, Any]]) -> ExperimentTable:
-    """Assemble shard-ladder rows (spec order, 1-shard first) into a table.
-
-    Each row's ``speedup`` is serial wall over that row's wall — the
-    sharded-engine acceptance number is speedup > 1 on the largest count.
-    """
-    table = ExperimentTable(
-        name="fig13_shards",
-        title="Fig 13 shard ladder: ELink wall time vs shard count at fixed N",
-        columns=("n", "shards", "engine", "clusters", "messages", "elink_wall_s", "speedup"),
-    )
-    baseline = results[0]["elink_wall_s"]
-    for index, row in enumerate(results):
-        shards = 1 if index == 0 else 2 ** index
-        wall = row["elink_wall_s"]
-        table.add_row(
-            n=row["n"],
-            shards=shards,
-            engine=row["engine"],
-            clusters=row["clusters"],
-            messages=row["messages"],
-            elink_wall_s=wall,
-            speedup=round(baseline / wall, 2) if wall else None,
-        )
-    table.notes.append(
-        "1-shard row = serial baseline engine; sharded rows run the "
-        "epoch-barrier multi-process engine over the quadtree shard plan"
-    )
-    return table
-
-
-def run_shards(n: int, max_shards: int, seed: int = 3) -> ExperimentTable:
-    """Run the shard ladder at size *n* (see :func:`shard_trial_specs`)."""
-    results = [run_scale_trial(spec) for spec in shard_trial_specs(n, max_shards, seed)]
-    return combine_shard_trials(results)
 
 
 def main() -> None:

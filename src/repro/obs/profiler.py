@@ -84,13 +84,6 @@ class KernelProfiler:
         """Events executed under profiling."""
         return sum(self.counts.values())
 
-    def merge(self, other: "KernelProfiler") -> None:
-        """Fold *other*'s accumulators into this profiler."""
-        for name, secs in other.seconds.items():
-            self.seconds[name] = self.seconds.get(name, 0.0) + secs
-        for name, count in other.counts.items():
-            self.counts[name] = self.counts.get(name, 0) + count
-
     def rows(self) -> list[tuple[str, int, float]]:
         """``(qualname, count, seconds)`` rows, most expensive first."""
         return sorted(

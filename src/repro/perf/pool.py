@@ -17,9 +17,7 @@ pool without any per-task plumbing.
 
 from __future__ import annotations
 
-import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable
 
 
 def warm_worker() -> None:
@@ -41,36 +39,3 @@ def create_pool(jobs: int) -> ProcessPoolExecutor:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return ProcessPoolExecutor(max_workers=jobs, initializer=warm_worker)
-
-
-def create_shard_executors(
-    count: int, *, initializer: Callable[[int], None]
-) -> list[ProcessPoolExecutor]:
-    """One single-worker **fork**-context executor per simulation shard.
-
-    The sharded engine (:mod:`repro.sim.shard`) needs two properties a
-    shared pool cannot give it: strict FIFO execution *per shard* (each
-    worker owns mutable shard state, so shard *i*'s batches must all run
-    in the same process, in order) and fork-style state inheritance (the
-    coordinator's pre-run handler graph is handed to children through
-    copy-on-write memory rather than pickling).  Hence K executors of one
-    worker each, fork context, with *initializer(shard_id)* run once in
-    each child.
-
-    Raises :class:`ValueError` where the platform lacks the fork start
-    method — callers fall back to the inline transport.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise ValueError("fork start method unavailable on this platform")
-    context = multiprocessing.get_context("fork")
-    return [
-        ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=context,
-            initializer=initializer,
-            initargs=(shard_id,),
-        )
-        for shard_id in range(count)
-    ]

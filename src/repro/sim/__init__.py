@@ -16,7 +16,6 @@ from repro.sim.messages import (
 )
 from repro.sim.network import ENGINE_ENV, Network, default_engine
 from repro.sim.node import ProtocolNode
-from repro.sim.shard import ShardedNetwork, ShardPlan
 from repro.sim.stats import MessageStats
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "MessageStats",
     "Network",
     "ProtocolNode",
-    "ShardPlan",
-    "ShardedNetwork",
     "TimerWheelKernel",
     "default_engine",
 ]

@@ -88,7 +88,7 @@ DEFAULT_PATH_CACHE_SIZE = 32768
 #: workers inherit it, so one flag steers every Network built in a suite.
 ENGINE_ENV = "REPRO_ENGINE"
 
-_ENGINES = ("object", "array", "sharded")
+_ENGINES = ("object", "array")
 
 
 def default_engine() -> str:
@@ -137,13 +137,11 @@ class Network:
         Bound on the shortest-path LRU (number of cached paths).
     engine:
         ``"object"`` (this reference implementation), ``"array"`` (the
-        struct-of-arrays fast engine, :class:`repro.sim.engine.ArrayNetwork`),
-        ``"sharded"`` (the multi-process epoch-barrier engine,
-        :class:`repro.sim.shard.ShardedNetwork`) or ``None`` to follow
-        :func:`default_engine` / the ``REPRO_ENGINE`` environment variable.
-        ``Network(graph, engine="array")`` returns an ``ArrayNetwork``
-        instance; every engine produces byte-identical protocol results at
-        fixed seeds (see DESIGN.md §8).
+        struct-of-arrays fast engine, :class:`repro.sim.engine.ArrayNetwork`)
+        or ``None`` to follow :func:`default_engine` / the ``REPRO_ENGINE``
+        environment variable.  ``Network(graph, engine="array")`` returns an
+        ``ArrayNetwork`` instance; both engines produce byte-identical
+        protocol results at fixed seeds (see DESIGN.md §8).
     tracer:
         Optional :class:`repro.obs.trace.Tracer`.  When attached, the
         delivery layer emits ``msg.send`` / ``msg.route`` /
@@ -170,10 +168,6 @@ class Network:
                 from repro.sim.engine import ArrayNetwork
 
                 return super().__new__(ArrayNetwork)
-            if requested == "sharded":
-                from repro.sim.shard import ShardedNetwork
-
-                return super().__new__(ShardedNetwork)
             if requested not in _ENGINES:
                 raise ValueError(f"engine must be one of {_ENGINES}, got {requested!r}")
         return super().__new__(cls)

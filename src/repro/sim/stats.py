@@ -137,25 +137,6 @@ class MessageStats:
             _total_values=self._total_values,
         )
 
-    def merge(self, other: "MessageStats") -> None:
-        """Fold *other*'s counters into this accumulator, exactly.
-
-        Counter addition is integer arithmetic — associative and
-        commutative with no rounding — so per-shard partial stats merged
-        in any order reproduce the serial totals bit-for-bit.  The
-        sharded engine relies on this to gather worker stats at epoch
-        barriers; ``tests/test_stats_merge.py`` proves the contract
-        property-based over random op interleavings.
-        """
-        self.packets_by_kind.update(other.packets_by_kind)
-        self.values_by_kind.update(other.values_by_kind)
-        self.packets_by_category.update(other.packets_by_category)
-        self.values_by_category.update(other.values_by_category)
-        self.drops_by_kind.update(other.drops_by_kind)
-        self.drops_by_reason.update(other.drops_by_reason)
-        self._total_packets += other._total_packets
-        self._total_values += other._total_values
-
     def diff(self, earlier: "MessageStats") -> "MessageStats":
         """Return the costs incurred since *earlier* (a prior snapshot).
 

@@ -9,9 +9,9 @@ Three pillars, built on the PR 3 observability layer:
    and δ-legality of the assembled clustering.
 2. **Determinism replay differ** (:mod:`repro.verify.replay`) — run a
    seed-fixed chaos scenario twice and byte-diff the traces; exposed as
-   ``python -m repro verify --replay``.  The same differ certifies the
-   multi-process sharded engine against the serial baseline
-   (``--replay --sharded``).
+   ``python -m repro verify --replay``.  The same differ pins the array
+   engine to the object engine (:func:`diff_traces` over two runs whose
+   :class:`ScenarioSpec` differs only in ``engine``).
 3. **Property-based fuzzing** (:mod:`repro.verify.fuzz`) — Hypothesis
    sweeps of random topologies, δ values, and fault plans, each executed
    fully verified.
@@ -38,11 +38,9 @@ from repro.verify.invariants import (
 )
 from repro.verify.replay import (
     ReplayReport,
-    ShardedReplayReport,
     TraceDivergence,
     diff_traces,
     replay_check,
-    replay_sharded_check,
 )
 from repro.verify.serve_check import SnapshotDiff, diff_snapshot_files, diff_snapshots
 from repro.verify.runtime import (
@@ -67,7 +65,6 @@ __all__ = [
     "ReplayReport",
     "RunVerifier",
     "ScenarioSpec",
-    "ShardedReplayReport",
     "SnapshotDiff",
     "TimerOwnershipMonitor",
     "TraceDivergence",
@@ -79,7 +76,6 @@ __all__ = [
     "diff_snapshots",
     "diff_traces",
     "replay_check",
-    "replay_sharded_check",
     "run_scenario",
     "runtime_verifier",
     "set_verification_level",

@@ -81,9 +81,16 @@ def test_selector_follows_environment(small_grid, monkeypatch):
     monkeypatch.setenv(ENGINE_ENV, "array")
     assert default_engine() == "array"
     assert isinstance(Network(small_grid.graph), ArrayNetwork)
-    monkeypatch.setenv(ENGINE_ENV, "warp")
-    with pytest.raises(ValueError, match="must be one of"):
-        default_engine()
+    remaining = r"must be one of \('object', 'array'\)"
+    for stale in ("warp", "sharded"):
+        monkeypatch.setenv(ENGINE_ENV, stale)
+        with pytest.raises(ValueError, match=remaining):
+            default_engine()
+        with pytest.raises(ValueError, match=remaining):
+            Network(small_grid.graph)
+    monkeypatch.delenv(ENGINE_ENV)
+    with pytest.raises(ValueError, match=remaining):
+        Network(small_grid.graph, engine="sharded")
 
 
 def test_explicit_kernel_overrides_engine_default(small_grid):

@@ -14,7 +14,6 @@ from repro.obs import (
     Counter,
     Gauge,
     Histogram,
-    KernelProfiler,
     MetricsRegistry,
     TimeSeries,
     Tracer,
@@ -170,16 +169,6 @@ def test_profiler_records_kernel_callbacks():
     assert events == 2 and "append" in name
     report = profiler.report()
     assert "append" in report
-
-
-def test_profiler_merge():
-    a, b = KernelProfiler(), KernelProfiler()
-    a.record(len, 0.5)
-    b.record(len, 0.25)
-    b.record(max, 1.0)
-    a.merge(b)
-    assert a.total_events == 3
-    assert a.total_seconds == pytest.approx(1.75)
 
 
 # ----------------------------------------------------------------------

@@ -253,7 +253,9 @@ def test_diff_traces_identical_and_divergent():
     assert shorter is not None and shorter.second is None
 
 
-def test_replay_check_is_deterministic():
-    report = replay_check(ScenarioSpec(side=5, seed=4, crash_fraction=0.1))
+@pytest.mark.parametrize("topology", ["grid", "geometric"])
+def test_replay_check_is_deterministic(topology):
+    spec = ScenarioSpec(side=5, seed=4, crash_fraction=0.1, topology=topology)
+    report = replay_check(spec, level="full")
     assert report.identical, str(report)
     assert report.events > 0
