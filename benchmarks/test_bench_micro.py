@@ -12,7 +12,7 @@ from repro.features import EuclideanMetric
 from repro.geometry import grid_topology
 from repro.index import build_backbone, build_mtree
 from repro.queries import RangeQueryEngine
-from repro.sim import EventKernel, Message, Network, ProtocolNode, TimerWheelKernel
+from repro.sim import EventKernel, Message, Network, ProtocolNode
 from repro.sim.radio import LossyLinkModel
 
 
@@ -160,22 +160,20 @@ def test_range_query_latency(benchmark):
 
 
 # ----------------------------------------------------------------------
-# kernel scheduling: binary heap vs timer wheel
+# kernel scheduling: timestamp buckets
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("pending", [1_000, 10_000, 100_000])
-@pytest.mark.parametrize("kernel_cls", [EventKernel, TimerWheelKernel],
-                         ids=["heap", "wheel"])
-def test_kernel_post_fire_throughput(benchmark, kernel_cls, pending):
+def test_kernel_post_fire_throughput(benchmark, pending):
     """Post `pending` fire-and-forget events over 64 distinct timestamps
     (the simulator's repeated-timestamp regime), then drain them.
 
-    The wheel's O(1) bucket append vs the heap's O(log n) sift is the gap
-    this pins; both kernels execute the identical (time, seq) order.
+    Each post is an O(1) append to an existing timestamp bucket; the three
+    sizes should scale linearly.
     """
     sink = _noop
 
     def post_and_fire():
-        kernel = kernel_cls()
+        kernel = EventKernel()
         post = kernel.post
         for i in range(pending):
             post(float(i & 63), sink)
@@ -203,7 +201,7 @@ def test_churn_mutation_cost(benchmark, side):
     and the three curves should sit on top of each other.
     """
     topology = grid_topology(side, side)
-    network = Network(topology.graph, engine="object")
+    network = Network(topology.graph)
     edges = list(network.graph.edges)[:500]
 
     def flap():
@@ -216,20 +214,18 @@ def test_churn_mutation_cost(benchmark, side):
 
 
 # ----------------------------------------------------------------------
-# engine flood: object vs array on the jitter=0 fast path
+# flood: batched broadcasts on the jitter=0 fast path
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["object", "array"])
-def test_engine_flood_throughput(benchmark, engine):
+def test_flood_throughput(benchmark):
     """Broadcast storm on a 2500-node geometric graph: every node emits 16
     waves before the kernel drains, matching the in-flight population of a
-    10⁵-node expand wave.  The array/object ratio here is the engine
-    speedup number recorded in BENCH (`runner --micro`)."""
+    10⁵-node expand wave (arena rows, delivery cohorts)."""
     from repro.geometry import random_geometric_topology
 
     topology = random_geometric_topology(2500, seed=3)
 
     def storm():
-        network = Network(topology.graph, engine=engine)
+        network = Network(topology.graph)
         sinks = {v: _Sink(v, network) for v in network.graph.nodes}
         nodes = list(network.graph.nodes)
         for _ in range(16):

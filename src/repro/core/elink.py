@@ -144,12 +144,11 @@ class ELinkConfig:
         round, before force-completing/forgiving.
     vectorized:
         Select the batched round processor (DESIGN.md §8.2).  ``True``
-        engages it whenever the scenario is eligible (jitter-free,
-        loss-free, untraced, fault-free implicit/explicit runs over 1-d
-        features); ``False`` forces the per-message handler path; ``None``
-        (default) engages it on the array engine only.  Ineligible
-        scenarios always fall back to the handler path — results are
-        certified identical either way.
+        (default) engages it whenever the scenario is eligible
+        (jitter-free, loss-free, untraced, fault-free implicit/explicit
+        runs over 1-d features); ``False`` forces the per-message handler
+        path.  Ineligible scenarios always fall back to the handler path —
+        results are certified identical either way.
     """
 
     delta: float
@@ -160,7 +159,7 @@ class ELinkConfig:
     ack_window: float = 2.5
     failure_detection: bool = False
     ack_retries: int = 3
-    vectorized: bool | None = None
+    vectorized: bool = True
 
     def __post_init__(self) -> None:
         require_positive(self.delta, "delta")
@@ -178,6 +177,8 @@ class ELinkConfig:
             raise ValueError(f"ack_window must exceed 2 hop delays, got {self.ack_window}")
         if self.ack_retries < 1:
             raise ValueError(f"ack_retries must be >= 1, got {self.ack_retries}")
+        if not isinstance(self.vectorized, bool):
+            raise TypeError(f"vectorized must be a bool, got {self.vectorized!r}")
 
     @property
     def switch_threshold(self) -> float:
@@ -966,7 +967,7 @@ def run_elink(
     if injector is not None:
         injector.arm()
 
-    if config.vectorized is not False and injector is None:
+    if config.vectorized and injector is None:
         # Batched round processor (DESIGN.md §8.2).  Declines — returning
         # None with nothing consumed — whenever the scenario needs
         # per-message handlers (jitter, loss, faults, tracing, unordered

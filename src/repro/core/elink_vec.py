@@ -18,8 +18,8 @@ timestamp:
   the cohort's broadcaster rows.  A new broadcast merges into an existing
   batch only while that batch is still the **tail entry at its
   timestamp** (nothing else was pushed to that time since), which keeps
-  the global ``(time, seq)`` sequence identical to the serial engines —
-  the same sealing argument the array engine's delivery cohorts use.
+  the global ``(time, seq)`` sequence identical to the handler engine —
+  the same sealing argument the network's delivery cohorts use.
 - ``ack1``/``ack2``/``phase1``/``phase2``/``start`` deliveries and
   episode leaf timers stay individual kernel entries, one per serial
   push, so no commutativity argument is ever needed for them.
@@ -36,11 +36,11 @@ no failure detection, no fault injector, no tracer (a tracer needs
 per-message events — traced "vectorized" runs *are* handler runs), no
 jitter/loss/energy model, an unmutated network with no dead nodes, plain
 Euclidean 1-d features, and an idle kernel.  ``ELinkConfig.vectorized``
-selects the path explicitly; when left ``None`` the batch path engages on
-the array engine (``REPRO_ENGINE=array``) and stays off elsewhere.
+(default ``True``) lets the batch path engage whenever the gate passes;
+``False`` forces the handler path.
 
 Certification: the engine-equivalence suite diffs clusterings, parents,
-``MessageStats`` and timing against the handler engines; traced runs take
+``MessageStats`` and timing against the handler engine; traced runs take
 the handler path by construction, so trace byte-identity is the identity
 of that fallback.
 """
@@ -55,7 +55,6 @@ from repro.core.delta import clustering_from_assignment
 from repro.features.metrics import EuclideanMetric, Metric
 from repro.geometry.quadtree import QuadTreeDecomposition
 from repro.geometry.topology import Topology
-from repro.sim.engine import ArrayNetwork
 from repro.sim.messages import CATEGORY_CLUSTERING, CATEGORY_SYNC
 from repro.sim.network import Network
 from repro.sim.stats import MessageStats
@@ -91,14 +90,11 @@ class _ExpandBatch:
 
 def _eligible(config: "ELinkConfig", network: Network, metric: Metric) -> bool:
     """Static legality of the batch path (feature shapes checked later)."""
-    if config.vectorized is False:
-        return False
-    if config.vectorized is None and not isinstance(network, ArrayNetwork):
-        return False
     return (
-        config.signalling in ("implicit", "explicit")
+        config.vectorized
+        and config.signalling in ("implicit", "explicit")
         and not config.failure_detection
-        and type(network) in (Network, ArrayNetwork)
+        and type(network) is Network
         and network._fast
         and network.energy is None
         and network._tracer is None
@@ -157,27 +153,12 @@ class _VectorRun:
         self.hd = network.hop_delay
         self.explicit = config.signalling == "explicit"
 
-        graph = topology.graph
-        nodes = getattr(network, "_node_list", None)
-        if nodes is None:
-            nodes = list(graph.nodes)
-            index = {v: i for i, v in enumerate(nodes)}
-            indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-            indices = np.empty(2 * graph.number_of_edges(), dtype=np.int64)
-            pos = 0
-            for i, (_, nbrs) in enumerate(graph.adj.items()):
-                for w in nbrs:
-                    indices[pos] = index[w]
-                    pos += 1
-                indptr[i + 1] = pos
-        else:
-            index = network._node_index
-            indptr = network._indptr
-            indices = network._indices
-        self.nodes = nodes
-        self.index = index
-        self.indptr = indptr
-        self.indices = indices
+        # The network's CSR adjacency: rows in node-index order, neighbours
+        # in ``graph.adj`` order (the handler engine's delivery order).
+        self.nodes = nodes = network._node_list
+        self.index = index = network._node_index
+        self.indptr = network._indptr
+        self.indices = network._indices
         self.n = len(nodes)
 
         lvl_of = quadtree.level_of

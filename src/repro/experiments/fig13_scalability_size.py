@@ -38,7 +38,6 @@ from repro.core import (
 )
 from repro.datasets import generate_synthetic_dataset, stream_measurements
 from repro.experiments.common import ExperimentTable, check_profile
-from repro.sim import default_engine
 
 DELTA = 0.08
 SLACK = 0.015
@@ -48,8 +47,8 @@ SIZES_FULL = (100, 200, 400, 600, 800)
 SIZES_QUICK = (60, 120)
 
 #: Size ladder for the ``--max-n`` scale mode (trimmed/extended to max_n).
-#: The 4·10⁵/10⁶ rungs need the vectorised round processor (REPRO_ENGINE=array
-#: engages it by default) to finish in reasonable wall time.
+#: The 4·10⁵/10⁶ rungs need the vectorised round processor (engaged by
+#: default) to finish in reasonable wall time.
 SCALE_SIZES = (2500, 10_000, 40_000, 100_000, 400_000, 1_000_000)
 #: AR-fit readings for scale runs: the fit converges long before 2000 and
 #: the scale mode measures clustering cost, not estimator quality.
@@ -163,7 +162,7 @@ def run(profile: str = "full", seed: int = 3) -> ExperimentTable:
 
 
 # ----------------------------------------------------------------------
-# scale mode (--max-n): 10⁴–10⁵+ nodes on the array engine
+# scale mode (--max-n): 10⁴–10⁶ nodes on the vectorised round processor
 # ----------------------------------------------------------------------
 def scale_trial_specs(max_n: int, seed: int = 3) -> list[dict[str, Any]]:
     """One picklable spec per scale-ladder size, ending exactly at *max_n*."""
@@ -202,7 +201,6 @@ def run_scale_trial(spec: dict[str, Any]) -> dict[str, Any]:
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
     return {
         "n": n,
-        "engine": default_engine(),
         "clusters": result.num_clusters,
         "messages": result.total_messages,
         "gen_wall_s": round(generated - start, 3),
@@ -219,7 +217,6 @@ def combine_scale_trials(results: list[dict[str, Any]]) -> ExperimentTable:
         title="Fig 13 scale mode: ELink implicit clustering cost at 10⁴–10⁶ nodes",
         columns=(
             "n",
-            "engine",
             "clusters",
             "messages",
             "gen_wall_s",
@@ -232,7 +229,7 @@ def combine_scale_trials(results: list[dict[str, Any]]) -> ExperimentTable:
         table.add_row(**row)
     table.notes.append(
         f"delta = {DELTA - 2 * SLACK}, implicit signalling, "
-        f"{SCALE_READINGS} AR-fit readings; engine follows REPRO_ENGINE / runner --engine"
+        f"{SCALE_READINGS} AR-fit readings"
     )
     return table
 
@@ -255,19 +252,7 @@ def main() -> None:
         metavar="N",
         help="run the scale sweep up to N nodes instead of the paper's figure",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("object", "array"),
-        default=None,
-        help="simulation engine for all runs (exported as REPRO_ENGINE)",
-    )
     args = parser.parse_args()
-    if args.engine is not None:
-        import os
-
-        from repro.sim import ENGINE_ENV
-
-        os.environ[ENGINE_ENV] = args.engine
     if args.max_n is not None:
         run_scale(args.max_n).print()
     else:

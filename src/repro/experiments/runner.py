@@ -162,114 +162,6 @@ def _run_parallel(
     return results
 
 
-def _noop() -> None:
-    return None
-
-
-def _run_micro() -> dict:
-    """Kernel + engine micro timings for the BENCH ``micro`` block.
-
-    Three entries: heap-vs-wheel post/fire wall time at 10³/10⁴/10⁵ pending
-    events (64 distinct timestamps — the repeated-timestamp regime), the
-    object-vs-array broadcast-storm speedup at N=2500 on the jitter=0
-    fast path (the engine acceptance number), and the arena-vs-object
-    message allocation bench (columnar rows + lazy materialization against
-    eager ``Message`` construction for the same broadcast blocks).  The
-    block also records throughput (messages/sec) and the process peak RSS.
-    """
-    import resource
-
-    from repro.geometry import random_geometric_topology
-    from repro.sim import EventKernel, Network, TimerWheelKernel
-    from repro.sim.messages import Message, MessageArena
-
-    kernels: dict[str, dict] = {}
-    for pending in (1_000, 10_000, 100_000):
-        row = {}
-        for label, kernel_cls in (("heap", EventKernel), ("wheel", TimerWheelKernel)):
-            kernel = kernel_cls()
-            post = kernel.post
-            start = time.perf_counter()
-            for i in range(pending):
-                post(float(i & 63), _noop)
-            posted = time.perf_counter()
-            kernel.run()
-            fired = time.perf_counter()
-            row[label] = {
-                "post_s": round(posted - start, 4),
-                "fire_s": round(fired - posted, 4),
-            }
-        kernels[str(pending)] = row
-
-    class _Sink:
-        __slots__ = ("count",)
-
-        def __init__(self):
-            self.count = 0
-
-        def handle_message(self, message):
-            self.count += 1
-
-    topology = random_geometric_topology(2500, seed=3)
-    flood: dict[str, float] = {}
-    for engine in ("object", "array"):
-        network = Network(topology.graph, engine=engine)
-        sink = _Sink()
-        for node in network.graph.nodes:
-            network.register(node, sink)
-        nodes = list(network.graph.nodes)
-        start = time.perf_counter()
-        for _ in range(16):
-            for node in nodes:
-                network.broadcast_values(node, "feature")
-        network.run()
-        flood[f"{engine}_s"] = round(time.perf_counter() - start, 4)
-    flood["messages"] = 16 * 2 * topology.graph.number_of_edges()
-    flood["speedup"] = (
-        round(flood["object_s"] / flood["array_s"], 2) if flood["array_s"] else None
-    )
-    flood["msgs_per_s"] = (
-        round(flood["messages"] / flood["array_s"]) if flood["array_s"] else None
-    )
-
-    # Arena-vs-object allocation: the same 2000 × 32-destination broadcast
-    # blocks as eager Message objects and as arena rows.  append_s is the
-    # fast-path cost (vectorised rounds never materialize); arena_s adds a
-    # full materialize pass — the worst case, every row consumed by an
-    # object handler — so both regimes are tracked run over run.
-    blocks, fanout = 2_000, 32
-    dsts = list(range(fanout))
-    start = time.perf_counter()
-    for src in range(blocks):
-        Message.batch("feature", src, dsts, None, 1, "data")
-    object_s = time.perf_counter() - start
-    arena = MessageArena()
-    start = time.perf_counter()
-    kind = arena.kind_id("feature", "data")
-    for src in range(blocks):
-        arena.append_block(kind, src, dsts, arena.payload_ref(None), 1)
-    append_s = time.perf_counter() - start
-    start = time.perf_counter()
-    for row in range(len(arena)):
-        arena.materialize(row)
-    materialize_s = time.perf_counter() - start
-    alloc = {
-        "rows": blocks * fanout,
-        "object_s": round(object_s, 4),
-        "append_s": round(append_s, 4),
-        "materialize_s": round(materialize_s, 4),
-        "arena_s": round(append_s + materialize_s, 4),
-        "speedup": round(object_s / append_s, 2) if append_s else None,
-    }
-
-    return {
-        "kernel_post_fire": kernels,
-        "engine_flood_n2500": flood,
-        "arena_alloc": alloc,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024,
-    }
-
-
 def _bench_payload(
     results: list[tuple[str, ExperimentTable, float, float]],
     profile: str,
@@ -279,14 +171,11 @@ def _bench_payload(
     from repro.perf import get_cache
     from repro.perf.meta import environment_metadata
 
-    from repro.sim import default_engine
-
     serial_wall = sum(wall for _name, _table, wall, _elapsed in results)
     payload = {
         "schema": 5,
         "profile": profile,
         "jobs": jobs,
-        "engine": default_engine(),
         "environment": environment_metadata(),
         "total_wall_s": round(total_wall, 3),
         "serial_wall_s": round(serial_wall, 3),
@@ -333,14 +222,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-bench", action="store_true", help="skip writing the benchmark artifact"
     )
     parser.add_argument(
-        "--engine",
-        choices=("object", "array"),
-        default=None,
-        help="simulation engine for every run (exported as REPRO_ENGINE so "
-        "--jobs workers inherit it; default: object, or the caller's "
-        "REPRO_ENGINE)",
-    )
-    parser.add_argument(
         "--max-n",
         type=int,
         default=None,
@@ -348,12 +229,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also run the fig13 scale sweep up to N nodes and record it as "
         "the BENCH scale block; given without --only, the scale sweep "
         "replaces the regular experiment list",
-    )
-    parser.add_argument(
-        "--micro",
-        action="store_true",
-        help="also time kernel heap-vs-wheel scheduling and the object-vs-"
-        "array engine flood, recorded as the BENCH micro block",
     )
     parser.add_argument(
         "--cache",
@@ -399,15 +274,6 @@ def main(argv: list[str] | None = None) -> int:
         os.environ[CACHE_ENV] = args.cache
     if os.environ.get(CACHE_ENV):
         print(f"[artifact cache: {os.environ[CACHE_ENV]}]")
-    # Engine policy: --engine exports REPRO_ENGINE before any pool forks,
-    # so this process and every --jobs worker resolve the same engine; an
-    # explicit REPRO_ENGINE in the caller's environment also works.
-    from repro.sim import ENGINE_ENV, default_engine
-
-    if args.engine is not None:
-        os.environ[ENGINE_ENV] = args.engine
-    if default_engine() != "object":
-        print(f"[engine: {default_engine()}]")
     # Verification policy: --verify arms the full oracle; --quick defaults
     # to the cheap end-of-run checks (they cost one clustering validation
     # per run and never alter a table).  The level travels through the
@@ -461,14 +327,6 @@ def main(argv: list[str] | None = None) -> int:
         for name, table, wall, _elapsed in results:
             table.print()
             print(f"[{name} finished in {wall:.1f}s]\n")
-    micro = None
-    if args.micro:
-        micro = _run_micro()
-        flood = micro["engine_flood_n2500"]
-        print(
-            f"[micro: engine flood n=2500 — object {flood['object_s']}s, "
-            f"array {flood['array_s']}s, speedup {flood['speedup']}x]\n"
-        )
     scale_table = scale_wall = None
     if args.max_n is not None:
         scale_table, scale_wall = _run_scale(args.max_n, args.jobs)
@@ -484,8 +342,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.no_bench:
         payload = _bench_payload(results, profile, args.jobs, total_wall)
-        if micro is not None:
-            payload["micro"] = micro
         if scale_table is not None:
             payload["scale"] = {
                 "max_n": args.max_n,

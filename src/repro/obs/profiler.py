@@ -4,7 +4,7 @@ The event kernel is the chokepoint every simulated action flows through —
 message deliveries, protocol timers, fault injections — which makes it the
 one place a profiler can attribute wall time to *protocol behaviour*
 rather than Python call stacks.  :class:`KernelProfiler` accumulates
-``(count, seconds)`` per callback qualname (``Network._deliver``,
+``(count, seconds)`` per callback qualname (``Network._deliver_cohort``,
 ``ELinkNode._episode_timeout``, ``FaultInjector._apply``, ...), and
 :meth:`KernelProfiler.report` renders a flame-style summary: one bar per
 event type, widest first.

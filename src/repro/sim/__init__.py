@@ -1,9 +1,8 @@
 """Discrete-event sensor-network simulation substrate."""
 
 from repro.sim.energy import EnergyModel
-from repro.sim.engine import ArrayNetwork
 from repro.sim.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.sim.kernel import Event, EventKernel, TimerWheelKernel
+from repro.sim.kernel import Event, EventKernel
 from repro.sim.radio import LossyLinkModel
 from repro.sim.messages import (
     CATEGORY_CLUSTERING,
@@ -14,13 +13,11 @@ from repro.sim.messages import (
     CATEGORY_UPDATE,
     Message,
 )
-from repro.sim.network import ENGINE_ENV, Network, default_engine
+from repro.sim.network import Network
 from repro.sim.node import ProtocolNode
 from repro.sim.stats import MessageStats
 
 __all__ = [
-    "ArrayNetwork",
-    "ENGINE_ENV",
     "CATEGORY_CLUSTERING",
     "CATEGORY_DATA",
     "CATEGORY_QUERY",
@@ -38,6 +35,4 @@ __all__ = [
     "MessageStats",
     "Network",
     "ProtocolNode",
-    "TimerWheelKernel",
-    "default_engine",
 ]

@@ -1,22 +1,29 @@
 """Discrete-event simulation kernel.
 
-A minimal, deterministic event-heap scheduler in the spirit of SimPy's core
-(SimPy itself is not available offline).  Everything in the sensor-network
-substrate — message delivery, protocol timers, the implicit-signalling
-schedule of ELink — runs as callbacks on one :class:`EventKernel`.
+A minimal, deterministic calendar-queue scheduler in the spirit of SimPy's
+core (SimPy itself is not available offline).  Everything in the
+sensor-network substrate — message delivery, protocol timers, the
+implicit-signalling schedule of ELink — runs as callbacks on one
+:class:`EventKernel`.
 
-Determinism: events firing at the same timestamp run in scheduling order
-(FIFO), enforced by a monotonically increasing sequence number used as the
-heap tie-breaker.  This makes every protocol run reproducible.
+Determinism: events run in ``(time, seq)`` order — by timestamp, and at
+one timestamp in scheduling order (FIFO).  The simulator's dominant
+workload is many events sharing few distinct timestamps (the jitter-free
+fast path delivers every hop at ``now + hop_delay``, and the implicit
+ELink schedule starts whole sentinel levels at the same instant), so
+entries live in append-only per-timestamp buckets and a heap orders only
+the distinct timestamps.  Draining a bucket front to back *is* sequence
+order: no tie-breaker, no comparisons.  This makes every protocol run
+reproducible.
 
-Two scheduling entry points share the heap (and the sequence counter, so
-FIFO ordering holds across both):
+Two scheduling entry points share the buckets (so FIFO ordering holds
+across both):
 
 - :meth:`EventKernel.schedule` — allocates an :class:`Event` handle that
   supports :meth:`Event.cancel`.  Used for protocol timers.
 - :meth:`EventKernel.post` — the allocation-slim fast path for
   fire-and-forget callbacks (the network layer's message deliveries, which
-  are never cancelled).  Pushes a bare heap tuple and returns nothing.
+  are never cancelled).  Pushes a bare tuple and returns nothing.
 
 Observability (DESIGN.md §10): the kernel carries two optional observers,
 both ``None`` by default so the run loop pays one predicate per event and
@@ -36,7 +43,6 @@ nothing else:
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from time import perf_counter
 from typing import Any, Callable
@@ -49,7 +55,7 @@ class Event:
     """A scheduled callback.  Returned by :meth:`EventKernel.schedule`.
 
     The only supported mutation is :meth:`cancel`, which marks the event so
-    the kernel skips it when it reaches the head of the heap (lazy deletion).
+    the kernel skips it when it reaches the head of the queue (lazy deletion).
     """
 
     __slots__ = ("time", "callback", "args", "cancelled", "fired", "owner")
@@ -83,7 +89,7 @@ class Event:
 
 
 class EventKernel:
-    """Deterministic event-heap scheduler.
+    """Deterministic calendar-queue scheduler.
 
     Usage::
 
@@ -91,18 +97,28 @@ class EventKernel:
         kernel.schedule(5.0, handler, arg1, arg2)
         kernel.run()          # drain all events
         kernel.now            # time of the last executed event
-    """
 
-    # Heap entries are (time, seq, event_or_None, callback, args).  The seq
-    # tie-breaker is unique, so the comparison never reaches element 2 and
-    # Event objects need no ordering.  ``event_or_None`` is None for
-    # fire-and-forget entries pushed via :meth:`post`.
+    Pushing into an existing timestamp bucket is O(1), and popping usually
+    hits the current bucket without touching the times-heap; far-future or
+    irregular timestamps land in singleton buckets, degrading gracefully
+    to plain heap behaviour.
+
+    Invariant: a timestamp is in ``_times`` iff it has a (possibly empty)
+    bucket in ``_buckets``; empty buckets are reaped lazily when they reach
+    the head of the times-heap.
+    """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event | None, Callable[..., Any], tuple]] = []
-        self._sequence = itertools.count()
+        self._buckets: dict[float, deque] = {}
+        self._times: list[float] = []
+        self._pending = 0
         self._events_executed = 0
+        #: Monotone count of pushes; the network's cohort batcher reads
+        #: this to detect whether any entry was queued since it last
+        #: appended to an open cohort (the sealing rule that keeps batched
+        #: delivery in exact (time, seq) order).
+        self.pushes = 0
         #: Optional :class:`repro.obs.trace.Tracer` for timer events; the
         #: network attaches its own tracer here so one trace covers both.
         self.tracer = None
@@ -118,7 +134,17 @@ class EventKernel:
     @property
     def pending(self) -> int:
         """Number of events still queued (including cancelled ones)."""
-        return len(self._heap)
+        return self._pending
+
+    def _push(self, time: float, event: Event | None, callback: Callable[..., Any], args: tuple) -> None:
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = deque()
+            self._buckets[time] = bucket
+            heapq.heappush(self._times, time)
+        bucket.append((event, callback, args))
+        self._pending += 1
+        self.pushes += 1
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule *callback(*args)* to run ``delay`` time units from now.
@@ -128,18 +154,18 @@ class EventKernel:
         """
         require_non_negative(delay, "delay")
         event = Event(self.now + delay, callback, args)
-        heapq.heappush(self._heap, (event.time, next(self._sequence), event, callback, args))
+        self._push(event.time, event, callback, args)
         return event
 
     def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Fast path: schedule a fire-and-forget callback (not cancellable).
 
         Identical ordering semantics to :meth:`schedule` (same clock, same
-        FIFO sequence counter) without allocating an :class:`Event`.
+        FIFO buckets) without allocating an :class:`Event`.
         """
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        heapq.heappush(self._heap, (self.now + delay, next(self._sequence), None, callback, args))
+        self._push(self.now + delay, None, callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule *callback(*args)* at absolute time ``time`` (>= now)."""
@@ -158,171 +184,18 @@ class EventKernel:
         """
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < now={self.now}")
-        heapq.heappush(self._heap, (time, next(self._sequence), None, callback, args))
+        self._push(time, None, callback, args)
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Execute events in time order.
 
-        Stops when the heap is empty, when the next event is later than
+        Stops when the queue is empty, when the next event is later than
         ``until``, or after ``max_events`` events (a runaway-protocol
         guard).  The guard is checked *before* the next event is popped, so
         on :class:`RuntimeError` the offending event is still queued and the
         kernel can be resumed with a larger budget.  Returns the kernel time
         afterwards.
         """
-        heap = self._heap
-        executed = 0
-        tracer = self.tracer
-        profiler = self.profiler
-        while heap:
-            entry = heap[0]
-            if until is not None and entry[0] > until:
-                self.now = until
-                return self.now
-            event = entry[2]
-            if event is not None and event.cancelled:
-                heapq.heappop(heap)
-                if tracer is not None:
-                    tracer.emit(
-                        entry[0], "timer.skip", event.owner, callback=_callback_name(entry[3])
-                    )
-                continue
-            if max_events is not None and executed >= max_events:
-                raise RuntimeError(
-                    f"kernel exceeded max_events={max_events}; "
-                    "a protocol is probably not terminating"
-                )
-            heapq.heappop(heap)
-            self.now = entry[0]
-            if event is not None:
-                event.fired = True
-                if tracer is not None:
-                    tracer.emit(
-                        self.now, "timer.fire", event.owner, callback=_callback_name(entry[3])
-                    )
-            if profiler is None:
-                entry[3](*entry[4])
-            else:
-                started = perf_counter()
-                entry[3](*entry[4])
-                profiler.record(entry[3], perf_counter() - started)
-            executed += 1
-            self._events_executed += 1
-        if until is not None and until > self.now:
-            self.now = until
-        return self.now
-
-    def step(self) -> bool:
-        """Execute the single next pending event.  Returns False if none."""
-        tracer = self.tracer
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            event = entry[2]
-            if event is not None and event.cancelled:
-                if tracer is not None:
-                    tracer.emit(
-                        entry[0], "timer.skip", event.owner, callback=_callback_name(entry[3])
-                    )
-                continue
-            self.now = entry[0]
-            if event is not None:
-                event.fired = True
-                if tracer is not None:
-                    tracer.emit(
-                        self.now, "timer.fire", event.owner, callback=_callback_name(entry[3])
-                    )
-            if self.profiler is None:
-                entry[3](*entry[4])
-            else:
-                started = perf_counter()
-                entry[3](*entry[4])
-                self.profiler.record(entry[3], perf_counter() - started)
-            self._events_executed += 1
-            return True
-        return False
-
-    def __repr__(self) -> str:
-        return f"EventKernel(now={self.now:.3f}, pending={self.pending})"
-
-
-class TimerWheelKernel(EventKernel):
-    """Calendar-queue scheduler: exact-timestamp buckets over a small heap.
-
-    Drop-in replacement for :class:`EventKernel` tuned for the simulator's
-    dominant workload: many events sharing few distinct timestamps (the
-    jitter=0 fast path delivers every hop at ``now + hop_delay``, and the
-    implicit ELink schedule starts whole sentinel levels at the same
-    instant).  Entries live in per-timestamp FIFO buckets
-    (``dict[float, deque]``); a heap orders only the *distinct* timestamps.
-    Pushing an event into an existing bucket is O(1) instead of
-    O(log pending), and popping usually hits the current bucket without
-    touching the heap.
-
-    Determinism contract: identical observable ordering to
-    :class:`EventKernel`.  The heap engine orders by ``(time, seq)``;
-    here the times-heap provides the ``time`` ordering, and because each
-    bucket is append-only FIFO, draining a bucket front-to-back *is* seq
-    order — no sorting, no comparisons.  Far-future or irregular
-    timestamps simply land in singleton buckets, degrading gracefully to
-    heap behaviour.
-
-    ``run``/``step``/``until``/``max_events`` semantics are inherited
-    unchanged, including the resumability guarantee: the ``max_events``
-    guard is checked *before* the head entry is popped.
-
-    Invariant: a timestamp is in ``_times`` iff it has a (possibly empty)
-    bucket in ``_buckets``; empty buckets are reaped lazily when they reach
-    the head of the times-heap.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()  # keeps the (unused) base heap empty but valid
-        self._buckets: dict[float, deque] = {}
-        self._times: list[float] = []
-        self._pending = 0
-        #: Monotone count of pushes; the array engine's cohort batcher reads
-        #: this to detect whether any entry was queued since it last
-        #: appended to an open cohort (the sealing rule that keeps batched
-        #: delivery in exact (time, seq) order).
-        self.pushes = 0
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return self._pending
-
-    def _push(self, time: float, event: Event | None, callback: Callable[..., Any], args: tuple) -> None:
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            bucket = deque()
-            self._buckets[time] = bucket
-            heapq.heappush(self._times, time)
-        bucket.append((event, callback, args))
-        self._pending += 1
-        self.pushes += 1
-
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule *callback(*args)* ``delay`` from now; returns an Event."""
-        require_non_negative(delay, "delay")
-        event = Event(self.now + delay, callback, args)
-        self._push(event.time, event, callback, args)
-        return event
-
-    def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Fast path: fire-and-forget callback, O(1) for repeated timestamps."""
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay}")
-        self._push(self.now + delay, None, callback, args)
-
-    def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget at absolute time ``time``; O(1) for repeated
-        timestamps (same bucket discipline as :meth:`post`)."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < now={self.now}")
-        self._push(time, None, callback, args)
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> float:
-        """Execute events in time order; semantics match :class:`EventKernel`."""
         times = self._times
         buckets = self._buckets
         executed = 0
@@ -406,7 +279,7 @@ class TimerWheelKernel(EventKernel):
         return False
 
     def __repr__(self) -> str:
-        return f"TimerWheelKernel(now={self.now:.3f}, pending={self.pending})"
+        return f"EventKernel(now={self.now:.3f}, pending={self.pending})"
 
 
 def _callback_name(callback: Callable[..., Any]) -> str:

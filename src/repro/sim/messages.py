@@ -65,15 +65,14 @@ _DEFAULT_CATEGORIES = {
 class MessageArena:
     """Columnar store of fast-path messages: int rows + a payload-ref column.
 
-    The array engine's delivery cohorts and the ``--micro`` allocation
-    bench keep in-flight broadcast traffic as *rows* — parallel columns of
-    small ints (``kind_col``/``src_col``/``dst_col``/``values_col``, node
-    ids as indices into a caller-supplied ``node_list``) plus a
-    ``payload_col`` of references into a per-round payload arena — instead
-    of one :class:`Message` object per copy.  A :class:`Message` is
+    The network's delivery cohorts keep in-flight broadcast traffic as
+    *rows* — parallel columns of small ints
+    (``kind_col``/``src_col``/``dst_col``/``values_col``, node ids as
+    indices into a caller-supplied ``node_list``) plus a ``payload_col`` of
+    references into a per-round payload arena — instead of one
+    :class:`Message` object per copy.  A :class:`Message` is
     :meth:`materialize`-d lazily, only when a consumer genuinely needs the
-    object: a tracer, a fault-plan drop record, or an object-engine
-    handler.  Rows that never reach such a consumer (vectorised protocol
+    object: a tracer, a fault-plan drop record, or a protocol handler.  Rows that never reach such a consumer (vectorised protocol
     rounds, deliveries to dead nodes short-circuited by the caller) never
     allocate.
 
@@ -152,7 +151,8 @@ class MessageArena:
 
     def materialize(self, row: int) -> Message:
         """Build the :class:`Message` object for *row* (field-identical to
-        eager construction; skips ``__init__`` like :meth:`Message.batch`)."""
+        eager construction; the fields were validated when the block was
+        appended, so ``__init__`` is skipped)."""
         kid = self.kind_col[row]
         node_list = self.node_list
         message = object.__new__(Message)
@@ -226,45 +226,3 @@ class Message:
             raise ValueError(f"message must carry at least one value, got {self.values}")
         if not self.category:
             self.category = _DEFAULT_CATEGORIES.get(self.kind, CATEGORY_DATA)
-
-    @classmethod
-    def batch(
-        cls,
-        kind: str,
-        src: Hashable,
-        dsts: Any,
-        payload: Any,
-        values: int,
-        category: str,
-        out: "list | None" = None,
-    ) -> "list[Message]":
-        """One identical message per destination, allocation-slim.
-
-        Fast path for homogeneous broadcasts (the array engine's batched
-        delivery): the caller validates ``values`` and resolves
-        ``category`` once, so per-message ``__init__``/``__post_init__``
-        work is skipped.  Field-for-field identical to constructing each
-        message with ``Message(kind, src, dst, payload, values, category)``.
-
-        When *out* is given the messages are appended to it (the array
-        engine passes an open delivery cohort, skipping an intermediate
-        list); a fresh list is returned otherwise.
-        """
-        if values < 1:
-            raise ValueError(f"message must carry at least one value, got {values}")
-        if not category:
-            category = _DEFAULT_CATEGORIES.get(kind, CATEGORY_DATA)
-        new = object.__new__
-        if out is None:
-            out = []
-        append = out.append
-        for dst in dsts:
-            message = new(cls)
-            message.kind = kind
-            message.src = src
-            message.dst = dst
-            message.payload = payload
-            message.values = values
-            message.category = category
-            append(message)
-        return out

@@ -31,19 +31,46 @@ detection keys off.  Genuine programming errors (sending over an edge that
 never existed, routing in a graph that was disconnected from the start)
 still raise, so the fault path cannot mask bugs in fault-free runs.
 
-Performance notes (see DESIGN.md, "Fast-path simulation engine"):
+Performance notes (see DESIGN.md §8):
 
-- Adjacency sets and neighbour tuples are precomputed at construction, so
-  the per-message path never touches ``graph.has_edge``/``graph.neighbors``.
-  Topology changes go through the mutators :meth:`remove_node` /
-  :meth:`restore_node` / :meth:`remove_edge` / :meth:`restore_edge`, which
-  clear the path cache and patch the affected adjacency rows in place
-  (O(local degree) per fault event); hand-mutating ``self.graph``
-  requires a manual :meth:`invalidate_paths` (full rebuild).
+- **CSR adjacency.**  Construction builds compressed-sparse-row arrays
+  (``indptr``/``indices`` over a node index) in ``graph.adj`` insertion
+  order — the order BFS tie-breaking depends on.  Neighbour tuples and
+  sets are *materialized lazily* from the CSR rows the first time a
+  node's row is touched (``_CSRRows``), so constructing a million-node
+  network allocates two numpy arrays and one index dict, not 2N Python
+  collections.  Topology changes go through the mutators
+  :meth:`remove_node` / :meth:`restore_node` / :meth:`remove_edge` /
+  :meth:`restore_edge`, which clear the path cache and patch the affected
+  rows in place (O(local degree) per fault event); unpatched rows remain
+  valid snapshots of the construction-time topology.  Hand-mutating
+  ``self.graph`` requires a manual :meth:`invalidate_paths` (full
+  rebuild).
 - When ``jitter == 0 and loss is None`` (the paper's synchronous reliable
   model, and the default) deliveries take a zero-overhead fast path:
-  constant hop delay, no RNG call, no per-attempt loop, and a single
-  allocation-slim :meth:`~repro.sim.kernel.EventKernel.post`.
+  constant hop delay, no RNG call, no per-attempt loop.
+- **Cohort-batched delivery.**  On that fast path every hop arrives at
+  ``now + hop_delay``, so consecutive sends target the same timestamp.
+  ``_post_delivery`` groups them into one *cohort*: a single kernel event
+  that drains the whole same-timestamp message list in one callback.  A
+  cohort accepts appends only while the kernel has seen **no push of any
+  kind** since the cohort's own event was queued (tracked via
+  :attr:`EventKernel.pushes <repro.sim.kernel.EventKernel>`).  Any
+  intervening push — a timer, a delivery at another timestamp — seals the
+  cohort, and the next same-timestamp send starts a fresh one.  Sealing
+  on *every* push is conservative (only same-timestamp pushes could
+  actually interleave) but makes the ordering argument airtight: cohort
+  members are contiguous in ``(time, seq)`` order with no kernel entry
+  between them, exactly as per-message posts would run.  The only
+  observable difference is ``kernel.events_executed`` — a cohort is one
+  kernel event for k messages.
+- **Batched broadcast.**  :meth:`broadcast_values` appends a
+  neighbourhood's identical messages to a
+  :class:`~repro.sim.messages.MessageArena` as index rows and charges the
+  stats once; :class:`~repro.sim.messages.Message` objects are
+  materialized only at delivery.  It falls back to per-message
+  :meth:`broadcast` whenever a per-message observer could tell the
+  difference (mutated topology, tracer, energy model, jitter or loss).
 - Jitter samples are pre-drawn in chunks when enabled; numpy consumes the
   same bit stream either way, so jittery runs are byte-identical to the
   per-call sampling they replace.
@@ -59,7 +86,6 @@ Performance notes (see DESIGN.md, "Fast-path simulation engine"):
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Protocol, Sequence
 
@@ -69,10 +95,16 @@ if TYPE_CHECKING:  # import-light: the tracer is only ever held, never built her
 import networkx as nx
 import numpy as np
 
-from repro._validation import require_positive
+from repro._validation import require_non_negative, require_positive
 from repro.sim.energy import EnergyModel
 from repro.sim.kernel import Event, EventKernel
-from repro.sim.messages import Message
+from repro.sim.messages import (
+    _DEFAULT_CATEGORIES,
+    CATEGORY_DATA,
+    ArenaSpan,
+    Message,
+    MessageArena,
+)
 from repro.sim.radio import LossyLinkModel
 from repro.sim.stats import MessageStats
 
@@ -82,29 +114,6 @@ _JITTER_CHUNK = 256
 #: Default bound on the (src, dst) -> path LRU cache.
 DEFAULT_PATH_CACHE_SIZE = 32768
 
-#: Environment variable selecting the default simulation engine.  Follows
-#: the same worker-inheritance pattern as ``REPRO_CACHE``: the experiment
-#: runner's ``--engine`` flag sets it in the parent, and spawned trial
-#: workers inherit it, so one flag steers every Network built in a suite.
-ENGINE_ENV = "REPRO_ENGINE"
-
-_ENGINES = ("object", "array")
-
-
-def default_engine() -> str:
-    """The engine :class:`Network` builds when none is requested explicitly.
-
-    ``"object"`` (the reference engine) unless ``REPRO_ENGINE`` selects
-    ``"array"`` — the struct-of-arrays fast engine in
-    :mod:`repro.sim.engine`.
-    """
-    value = os.environ.get(ENGINE_ENV, "").strip().lower()
-    if not value:
-        return "object"
-    if value not in _ENGINES:
-        raise ValueError(f"{ENGINE_ENV} must be one of {_ENGINES}, got {value!r}")
-    return value
-
 
 class MessageHandler(Protocol):
     """Anything that can receive messages from the network."""
@@ -112,6 +121,38 @@ class MessageHandler(Protocol):
     def handle_message(self, message: Message) -> None:
         """Deliver *message* to this endpoint."""
         ...
+
+
+class _CSRRows(dict):
+    """``node -> row`` mapping materialized on demand from CSR storage.
+
+    Behaves like an eagerly precomputed dict: item access and
+    ``in``/``get`` consult the owning network's CSR index for rows not yet
+    materialized.  Mutated rows are stored directly (dict assignment),
+    shadowing the CSR snapshot from then on.
+    """
+
+    __slots__ = ("_net", "_cast")
+
+    def __init__(self, net: "Network", cast):
+        super().__init__()
+        self._net = net
+        self._cast = cast
+
+    def __missing__(self, key):
+        row = self._cast(self._net._csr_row(key))
+        self[key] = row
+        return row
+
+    def __contains__(self, key):
+        return dict.__contains__(self, key) or self._net._csr_has_row(key)
+
+    def get(self, key, default=None):
+        if dict.__contains__(self, key):
+            return dict.__getitem__(self, key)
+        if self._net._csr_has_row(key):
+            return self[key]
+        return default
 
 
 class Network:
@@ -135,13 +176,6 @@ class Network:
         transmissions are retransmitted (ARQ), inflating cost and delay.
     path_cache_size:
         Bound on the shortest-path LRU (number of cached paths).
-    engine:
-        ``"object"`` (this reference implementation), ``"array"`` (the
-        struct-of-arrays fast engine, :class:`repro.sim.engine.ArrayNetwork`)
-        or ``None`` to follow :func:`default_engine` / the ``REPRO_ENGINE``
-        environment variable.  ``Network(graph, engine="array")`` returns an
-        ``ArrayNetwork`` instance; both engines produce byte-identical
-        protocol results at fixed seeds (see DESIGN.md §8).
     tracer:
         Optional :class:`repro.obs.trace.Tracer`.  When attached, the
         delivery layer emits ``msg.send`` / ``msg.route`` /
@@ -154,24 +188,6 @@ class Network:
         byte-identical with or without the hooks compiled in.
     """
 
-    #: Engine name this class implements; the ``engine=`` constructor
-    #: argument dispatches between subclasses on this.
-    engine = "object"
-
-    def __new__(cls, *args, **kwargs):
-        # Engine selector: ``Network(graph, engine="array")`` (or
-        # REPRO_ENGINE=array) transparently builds the fast engine.
-        # Subclasses instantiated directly bypass the dispatch.
-        if cls is Network:
-            requested = kwargs.get("engine") or default_engine()
-            if requested == "array":
-                from repro.sim.engine import ArrayNetwork
-
-                return super().__new__(ArrayNetwork)
-            if requested not in _ENGINES:
-                raise ValueError(f"engine must be one of {_ENGINES}, got {requested!r}")
-        return super().__new__(cls)
-
     def __init__(
         self,
         graph: nx.Graph,
@@ -183,27 +199,19 @@ class Network:
         energy: "EnergyModel | None" = None,
         loss: "LossyLinkModel | None" = None,
         path_cache_size: int = DEFAULT_PATH_CACHE_SIZE,
-        engine: str | None = None,
         tracer: "Tracer | None" = None,
     ):
-        if engine is not None and engine != self.engine:
-            raise ValueError(
-                f"requested engine {engine!r} but {type(self).__name__} implements "
-                f"{self.engine!r}"
-            )
         if graph.number_of_nodes() == 0:
             raise ValueError("communication graph must have at least one node")
         if path_cache_size < 1:
             raise ValueError(f"path_cache_size must be >= 1, got {path_cache_size}")
         self.graph = graph
-        self.kernel = kernel if kernel is not None else self._default_kernel()
+        self.kernel = kernel if kernel is not None else EventKernel()
         self.hop_delay = require_positive(hop_delay, "hop_delay")
-        if jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {jitter}")
         #: Asynchrony: each hop takes hop_delay * (1 + U(0, jitter)).  The
         #: paper's implicit timers absorb jitter only up to the stretch
         #: factor γ; explicit signalling is correct for any jitter.
-        self.jitter = jitter
+        self.jitter = require_non_negative(jitter, "jitter")
         self._jitter_rng = np.random.default_rng(jitter_seed)
         self._jitter_buffer: np.ndarray | None = None
         self._jitter_cursor = 0
@@ -214,6 +222,9 @@ class Network:
         #: unit-delay, reliable links — the paper's cost model).
         self._fast = jitter == 0.0 and loss is None
         self._handlers: dict[Hashable, MessageHandler] = {}
+        #: node -> bound ``handle_message``, so the cohort drain skips one
+        #: attribute lookup per delivered message.
+        self._dispatch: dict[Hashable, Callable[[Message], None]] = {}
         #: Nodes removed by :meth:`remove_node` (fail-stop crashes).
         self.dead_nodes: set[Hashable] = set()
         #: Currently-severed links (frozenset endpoints) from :meth:`remove_edge`.
@@ -232,26 +243,64 @@ class Network:
         self._tracer = tracer
         if tracer is not None:
             self.kernel.tracer = tracer
+        #: Folded guard for the batched broadcast: everything static that
+        #: forces the per-message path (jitter/loss, tracer, energy model).
+        #: ``_mutated`` stays a separate per-call check since faults flip
+        #: it mid-run.
+        self._bcast_ok = self._fast and tracer is None and energy is None
         self._path_cache_size = path_cache_size
         self._path_cache: OrderedDict[tuple[Hashable, Hashable], tuple[Hashable, ...]] = (
             OrderedDict()
         )
+        #: Open delivery cohorts: time -> (message list, kernel.pushes at
+        #: the moment the cohort's kernel event was queued).
+        self._cohorts: dict[float, tuple[list, int]] = {}
         self._rebuild_adjacency()
 
-    @staticmethod
-    def _default_kernel() -> EventKernel:
-        """Kernel built when the constructor is not handed one."""
-        return EventKernel()
-
+    # ------------------------------------------------------------------
+    # CSR adjacency
+    # ------------------------------------------------------------------
     def _rebuild_adjacency(self) -> None:
-        # Neighbour tuples preserve graph.adj iteration order (BFS
-        # tie-breaking depends on it); sets give O(1) edge checks.
-        self._adj: dict[Hashable, tuple[Hashable, ...]] = {
-            v: tuple(nbrs) for v, nbrs in self.graph.adj.items()
-        }
-        self._adj_sets: dict[Hashable, frozenset] = {
-            v: frozenset(nbrs) for v, nbrs in self._adj.items()
-        }
+        graph = self.graph
+        nodes = list(graph.nodes)
+        index = {v: i for i, v in enumerate(nodes)}
+        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+        indices = np.empty(2 * graph.number_of_edges(), dtype=np.int64)
+        pos = 0
+        for i, (_, nbrs) in enumerate(graph.adj.items()):
+            for w in nbrs:
+                indices[pos] = index[w]
+                pos += 1
+            indptr[i + 1] = pos
+        self._node_list = nodes
+        self._node_index = index
+        self._indptr = indptr
+        self._indices = indices
+        #: Crashed nodes whose CSR row must not be materialized again.
+        self._removed_rows: set[Hashable] = set()
+        # Neighbour tuples (BFS order) and frozensets (O(1) edge checks).
+        self._adj: dict[Hashable, tuple[Hashable, ...]] = _CSRRows(self, tuple)
+        self._adj_sets: dict[Hashable, frozenset] = _CSRRows(self, frozenset)
+        #: Index-based message rows for in-flight broadcasts; ``Message``
+        #: objects are materialized lazily at delivery (or for a tracer /
+        #: structured drop), never for rows a vectorised consumer drains as
+        #: arrays.  Reference-counted by open spans so the arena can be
+        #: recycled between delivery rounds.  A rebuild renumbers the CSR
+        #: index space, so it starts a fresh arena; spans still in flight
+        #: keep materializing against the one they were built on.
+        self._arena = MessageArena(nodes)
+        self._arena_refs = 0
+
+    def _csr_row(self, key) -> tuple:
+        """Materialize *key*'s neighbour tuple from the CSR snapshot."""
+        i = self._node_index[key]  # KeyError for unknown nodes, as eager dicts give
+        if key in self._removed_rows:
+            raise KeyError(key)
+        start, end = self._indptr[i], self._indptr[i + 1]
+        return tuple(map(self._node_list.__getitem__, self._indices[start:end].tolist()))
+
+    def _csr_has_row(self, key) -> bool:
+        return key in self._node_index and key not in self._removed_rows
 
     # ------------------------------------------------------------------
     # incremental adjacency patches (fault mutators)
@@ -263,21 +312,26 @@ class Network:
     # ``self.graph`` would give: networkx adjacency views iterate in edge
     # insertion order, removals preserve the order of survivors, and
     # re-adds append — so filtering/appending tuples matches a rebuild
-    # element for element (the equivalence is pinned in tests).
+    # element for element (the equivalence is pinned in tests).  Patched
+    # rows are materialized and stored, shadowing the CSR snapshot.
     # ------------------------------------------------------------------
     def _adjacency_drop_node(self, node_id: Hashable, neighbours: Iterable[Hashable]) -> None:
         """Patch adjacency after *node_id* left ``self.graph``."""
+        self._removed_rows.add(node_id)
         adj = self._adj
         adj_sets = self._adj_sets
         for nbr in neighbours:
             row = tuple(x for x in adj[nbr] if x != node_id)
             adj[nbr] = row
             adj_sets[nbr] = frozenset(row)
-        del adj[node_id]
-        del adj_sets[node_id]
+        # Drop any materialized copies; the _removed_rows mark stops the
+        # CSR snapshot from resurrecting the row on later access.
+        adj.pop(node_id, None)
+        adj_sets.pop(node_id, None)
 
     def _adjacency_add_node(self, node_id: Hashable) -> None:
         """Patch adjacency after *node_id* (re)joined ``self.graph``."""
+        self._removed_rows.discard(node_id)
         adj = self._adj
         adj_sets = self._adj_sets
         row = tuple(self.graph.adj[node_id])
@@ -325,6 +379,7 @@ class Network:
         """
         self._tracer = tracer
         self.kernel.tracer = tracer
+        self._bcast_ok = self._fast and tracer is None and self.energy is None
 
     @property
     def max_hop_delay(self) -> float:
@@ -367,6 +422,7 @@ class Network:
         if node_id not in self._adj:
             raise KeyError(f"node {node_id!r} is not in the communication graph")
         self._handlers[node_id] = handler
+        self._dispatch[node_id] = handler.handle_message
 
     def handler(self, node_id: Hashable) -> MessageHandler:
         """The registered handler for *node_id*."""
@@ -423,14 +479,26 @@ class Network:
         self._post_delivery(delay, message)
         return True
 
-    def _post_delivery(self, delay: float, message: Message) -> None:
-        """Schedule *message* to arrive ``delay`` from now.
+    def _post_delivery(self, delay: float, message: "Message | ArenaSpan") -> None:
+        """Schedule *message* (or a span of arena rows) to arrive ``delay``
+        from now.
 
-        Single override point for the delivery queue: the array engine
-        replaces it with a cohort-batched path that groups same-timestamp
-        deliveries into one kernel event.
+        On the fast path it joins the open delivery cohort at its arrival
+        time when no kernel push has happened since that cohort was queued
+        (module docstring); otherwise it starts a new cohort.
         """
-        self.kernel.post(delay, self._deliver, message)
+        kernel = self.kernel
+        if not self._fast:
+            kernel.post(delay, self._deliver, message)
+            return
+        time = kernel.now + delay
+        entry = self._cohorts.get(time)
+        if entry is not None and entry[1] == kernel.pushes:
+            entry[0].append(message)
+            return
+        batch = [message]
+        kernel.post(delay, self._deliver_cohort, time, batch)
+        self._cohorts[time] = (batch, kernel.pushes)
 
     def _trace_send(self, message: Message, attempts: int = 1) -> None:
         """Emit ``msg.send`` (single-hop unicast scheduled)."""
@@ -469,15 +537,53 @@ class Network:
         """Broadcast one homogeneous *kind* message to every neighbour.
 
         Equivalent to :meth:`broadcast` with a ``Message(kind, src, nbr,
-        payload, values)`` factory — the common case for protocol
-        neighbourhood floods.  Exists as its own entry point so the array
-        engine can override it with a batched path (shared cost charging,
-        one delivery cohort) while this reference implementation keeps the
-        per-message semantics.
+        payload, values, category)`` factory — the common case for protocol
+        neighbourhood floods — but batched: the copies become one
+        :class:`~repro.sim.messages.MessageArena` block in one delivery
+        cohort, charged to the stats once.  Falls back to the per-message
+        path whenever any per-message observer could tell the difference
+        (mutated topology, tracer, energy model, jitter or loss).
         """
-        return self.broadcast(
-            src, lambda neighbor: Message(kind, src, neighbor, payload, values, category)
+        if self._mutated or not self._bcast_ok:
+            return self.broadcast(
+                src, lambda neighbor: Message(kind, src, neighbor, payload, values, category)
+            )
+        # Neighbour indices straight from the CSR snapshot (legal while
+        # unmutated): no node-id tuple is ever materialized on this path.
+        i = self._node_index[src]
+        indptr = self._indptr
+        start, end = indptr[i], indptr[i + 1]
+        count = int(end - start)
+        if count == 0:
+            return 0
+        if values < 1:
+            raise ValueError(f"message must carry at least one value, got {values}")
+        if not category:
+            category = _DEFAULT_CATEGORIES.get(kind, CATEGORY_DATA)
+        # Inlined MessageStats.charge_batch (count/values validated above)
+        # — the call itself is measurable at this call rate.
+        stats = self.stats
+        total = count * values
+        stats.packets_by_kind[kind] += count
+        stats.values_by_kind[kind] += total
+        stats.packets_by_category[category] += count
+        stats.values_by_category[category] += total
+        stats._total_packets += count
+        stats._total_values += total
+        arena = self._arena
+        span = ArenaSpan(
+            arena,
+            *arena.append_block(
+                arena.kind_id(kind, category),
+                i,
+                self._indices[start:end].tolist(),
+                arena.payload_ref(payload),
+                values,
+            ),
         )
+        self._arena_refs += 1
+        self._post_delivery(self.hop_delay, span)
+        return count
 
     def route(self, message: Message) -> int:
         """Deliver *message* along a shortest path; returns the hop count.
@@ -576,6 +682,65 @@ class Network:
                 self.kernel.now, "msg.deliver", message.dst, src=message.src, kind=message.kind
             )
         self.handler(message.dst).handle_message(message)
+
+    def _deliver_cohort(self, time: float, batch: list) -> None:
+        entry = self._cohorts.get(time)
+        if entry is not None and entry[0] is batch:
+            del self._cohorts[time]
+        if self._tracer is not None:
+            deliver = self._deliver
+            for item in batch:
+                if type(item) is ArenaSpan:
+                    arena = item.arena
+                    for row in range(item.start, item.stop):
+                        deliver(arena.materialize(row))
+                    self._span_drained(item)
+                else:
+                    deliver(item)
+            return
+        dispatch = self._dispatch
+        dead = self.dead_nodes
+        for item in batch:
+            if type(item) is ArenaSpan:
+                arena = item.arena
+                node_list = arena.node_list
+                dst_col = arena.dst_col
+                materialize = arena.materialize
+                for row in range(item.start, item.stop):
+                    dst = node_list[dst_col[row]]
+                    if dead and dst in dead:
+                        # Only a structured drop needs the object; live
+                        # recipients get theirs materialized one handler
+                        # call away, dead ones here for the drop record.
+                        self._drop(materialize(row), "dead_destination")
+                        continue
+                    try:
+                        handle = dispatch[dst]
+                    except KeyError:
+                        handle = self.handler(dst).handle_message  # canonical error
+                    handle(materialize(row))
+                self._span_drained(item)
+                continue
+            message = item
+            # dead_nodes is re-checked per message: a handler running
+            # earlier in this cohort may have crashed a later recipient,
+            # which per-event delivery would also have seen.
+            if dead and message.dst in dead:
+                self._drop(message, "dead_destination")
+                continue
+            try:
+                handle = dispatch[message.dst]
+            except KeyError:
+                handle = self.handler(message.dst).handle_message  # canonical error
+            handle(message)
+
+    def _span_drained(self, span: ArenaSpan) -> None:
+        """Release *span*'s arena reference; recycle the arena when idle."""
+        if span.arena is not self._arena:
+            return  # superseded by a CSR rebuild; freed with its last span
+        self._arena_refs -= 1
+        if self._arena_refs == 0:
+            self._arena.clear()
 
     # ------------------------------------------------------------------
     # faults: structured failures, topology mutators, owned timers

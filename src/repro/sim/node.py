@@ -65,8 +65,8 @@ class ProtocolNode:
     def broadcast(self, kind: str, payload: Any = None, *, values: int = 1) -> int:
         """Send a copy to every neighbour; returns the number of copies.
 
-        Routed through :meth:`Network.broadcast_values` so the array
-        engine's batched broadcast applies to every protocol node.
+        Routed through :meth:`Network.broadcast_values` so the network's
+        batched broadcast applies to every protocol node.
         """
         return self.network.broadcast_values(self.node_id, kind, payload, values)
 

@@ -76,8 +76,9 @@ class MessageStats:
 
         One counter update per family instead of *count*; the totals are
         exactly what *count* :meth:`charge` calls with ``hops=1`` would
-        accumulate.  Used by the array engine's batched broadcast, where a
-        whole neighbourhood receives the same-shaped message.
+        accumulate.  Used by the vectorised ELink rounds (and inlined in
+        :meth:`Network.broadcast_values <repro.sim.network.Network.broadcast_values>`),
+        where a whole neighbourhood receives the same-shaped message.
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")

@@ -9,9 +9,7 @@ Three pillars, built on the PR 3 observability layer:
    and δ-legality of the assembled clustering.
 2. **Determinism replay differ** (:mod:`repro.verify.replay`) — run a
    seed-fixed chaos scenario twice and byte-diff the traces; exposed as
-   ``python -m repro verify --replay``.  The same differ pins the array
-   engine to the object engine (:func:`diff_traces` over two runs whose
-   :class:`ScenarioSpec` differs only in ``engine``).
+   ``python -m repro verify --replay``.
 3. **Property-based fuzzing** (:mod:`repro.verify.fuzz`) — Hypothesis
    sweeps of random topologies, δ values, and fault plans, each executed
    fully verified.

@@ -14,9 +14,8 @@ Three modes:
   run against an uninterrupted one) and exit 1 with the first divergent
   state entries if their digests differ.
 
-In the first two modes ``--engine`` picks the simulation engine (object
-or array) and ``--topology`` the scenario family (grid or random
-geometric).  ``--n`` is a target node count; the harness uses the
+In the first two modes ``--topology`` picks the scenario family (grid or
+random geometric).  ``--n`` is a target node count; the harness uses the
 nearest square number of nodes.
 Examples::
 
@@ -72,12 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--churn", type=int, default=0, help="link-flap events during the run (default 0)"
     )
-    parser.add_argument(
-        "--engine",
-        choices=("object", "array"),
-        default="object",
-        help="simulation engine under test (default object)",
-    )
     return parser
 
 
@@ -90,7 +83,6 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
         delta=args.delta,
         crash_fraction=args.crash,
         churn_events=args.churn,
-        engine=args.engine,
         topology=args.topology,
     )
 
@@ -111,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     label = (
         f"{spec.side * spec.side} nodes, {spec.topology}, delta={spec.delta:g}, "
         f"crash={spec.crash_fraction:g}, churn={spec.churn_events}, "
-        f"seed={spec.seed}, engine={spec.engine}"
+        f"seed={spec.seed}"
     )
     if args.replay:
         report = replay_check(spec)

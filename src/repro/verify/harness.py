@@ -47,10 +47,6 @@ class ScenarioSpec:
     churn_events: int = 0
     #: ELink signalling mode; explicit exercises the episode machinery.
     signalling: str = "explicit"
-    #: Simulation engine ("object" | "array"); None follows REPRO_ENGINE.
-    #: Cross-engine byte-identity is checked by diffing traces from two
-    #: specs differing only in this field.
-    engine: str | None = None
     #: Topology family: "grid" (the default chaos shape) or "geometric"
     #: (uniform-random placement with radio-range links, paper §8.1).
     topology: str = "grid"
@@ -60,8 +56,6 @@ class ScenarioSpec:
             raise ValueError(f"side must be >= 2, got {self.side}")
         if not 0.0 <= self.crash_fraction <= 1.0:
             raise ValueError(f"crash_fraction must be in [0, 1], got {self.crash_fraction}")
-        if self.engine not in (None, "object", "array"):
-            raise ValueError(f"engine must be 'object' or 'array', got {self.engine!r}")
         if self.topology not in ("grid", "geometric"):
             raise ValueError(
                 f"topology must be 'grid' or 'geometric', got {self.topology!r}"
@@ -91,7 +85,7 @@ def build_scenario(
     )
     quadtree = QuadTreeDecomposition(topology)
     kappa = compute_kappa(topology.num_nodes, config.gamma)
-    network = Network(graph, engine=spec.engine)
+    network = Network(graph)
     # The quadtree root is protected: it anchors the explicit round cascade
     # and result collection, same as the runner's --crash path.
     plan = FaultPlan.random(

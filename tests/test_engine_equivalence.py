@@ -1,12 +1,15 @@
-"""Fast-vs-object engine equivalence (DESIGN.md §8 determinism contract).
+"""Simulation-engine certificates (DESIGN.md §8 determinism contract).
 
-The array engine must be byte-identical to the reference object engine at
-a fixed seed: same clusterings, same stats totals, same trace streams —
-including fault-injected runs, where cohort batching and CSR patching are
-under the most pressure.  These tests pin that contract.
+Golden trace digests pin the network's delivery order, stats totals and
+trace streams — fault-injected runs included, where cohort batching and
+CSR patching are under the most pressure — to the bytes the per-message
+reference engine produced before it was folded into :class:`Network`.
+The vectorised round processor is diffed against the per-message
+handlers, and chaos and traced runs must fall back to those handlers.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,16 +19,9 @@ from repro.core import ELinkConfig, run_elink
 from repro.features import EuclideanMetric
 from repro.geometry import Topology, grid_topology, random_geometric_topology
 from repro.obs.trace import Tracer
-from repro.sim import (
-    ENGINE_ENV,
-    ArrayNetwork,
-    EventKernel,
-    Network,
-    TimerWheelKernel,
-    default_engine,
-)
+from repro.sim import Message, Network
 from repro.verify.harness import ScenarioSpec, build_scenario, run_scenario
-from repro.verify.replay import diff_traces, replay_check
+from repro.verify.replay import replay_check
 
 
 def _topology(kind: str) -> Topology:
@@ -41,10 +37,51 @@ def _features(topology: Topology) -> dict:
     }
 
 
-def _run(topology, engine: str, signalling: str):
-    tracer = Tracer()
-    network = Network(topology.graph.copy(), engine=engine)
-    result = run_elink(
+# ----------------------------------------------------------------------
+# golden traces: clean runs (δ=0.6) and two chaos scenarios
+# ----------------------------------------------------------------------
+#: scenario -> (sha256 of the ``Tracer.export_jsonl`` bytes, events,
+#: clusters, messages).  Recorded on the per-message dict-adjacency engine
+#: with a binary-heap kernel; any change to delivery order, stats or
+#: trace content shows up here.
+GOLDEN_TRACES = {
+    "grid-implicit": (
+        "1be0983f63471887cddc79cc9f6b56e66f895bda785dd9fe6fe8abaed6658215", 313, 7, 120,
+    ),
+    "grid-explicit": (
+        "46b6955ce04d5bf992f7785a90317d871be0ef467c59a173dc79f28420ce2f48", 794, 7, 356,
+    ),
+    "geometric-implicit": (
+        "bac6ee0f7f304896081baf00b741d1763de01f024b7081c071234c87019404da", 734, 29, 286,
+    ),
+    "geometric-explicit": (
+        "99149dfdb5432a33e71c89c92e09a440795f70a6bf30240fcf4c2cbdd75b87da", 2031, 29, 1275,
+    ),
+    "crash5-churn2-explicit": (
+        "916c636e6a7bd9f80a745d236022f3dd4edf22f35410993019b19e90f2780062", 1667, 3, 582,
+    ),
+    "crash10-implicit": (
+        "86c0c7f9ba840ae0d032b466564ada1b8b1dfa82bc06539717f651a1a7fb9c13", 429, 5, 156,
+    ),
+}
+
+_CHAOS_SPECS = {
+    "crash5-churn2-explicit": ScenarioSpec(
+        crash_fraction=0.05, churn_events=2, signalling="explicit"
+    ),
+    "crash10-implicit": ScenarioSpec(
+        crash_fraction=0.1, churn_events=0, signalling="implicit"
+    ),
+}
+
+
+def _golden_run(scenario: str, tracer: Tracer):
+    if scenario in _CHAOS_SPECS:
+        return run_scenario(_CHAOS_SPECS[scenario], tracer=tracer)
+    kind, signalling = scenario.split("-")
+    topology = _topology(kind)
+    network = Network(topology.graph.copy())
+    return run_elink(
         Topology(network.graph, dict(topology.positions)),
         _features(topology),
         EuclideanMetric(),
@@ -52,103 +89,22 @@ def _run(topology, engine: str, signalling: str):
         network=network,
         tracer=tracer,
     )
-    return result, tracer
 
 
-# ----------------------------------------------------------------------
-# engine selector
-# ----------------------------------------------------------------------
-def test_selector_dispatches_to_array_engine(small_grid):
-    network = Network(small_grid.graph, engine="array")
-    assert isinstance(network, ArrayNetwork)
-    assert network.engine == "array"
-    assert isinstance(network.kernel, TimerWheelKernel)
-
-
-def test_selector_defaults_to_object_engine(small_grid):
-    network = Network(small_grid.graph)
-    assert type(network) is Network
-    assert network.engine == "object"
-    assert type(network.kernel) is EventKernel
-
-
-def test_selector_rejects_unknown_engine(small_grid):
-    with pytest.raises(ValueError, match="must be one of"):
-        Network(small_grid.graph, engine="vectorized")
-
-
-def test_selector_follows_environment(small_grid, monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV, "array")
-    assert default_engine() == "array"
-    assert isinstance(Network(small_grid.graph), ArrayNetwork)
-    remaining = r"must be one of \('object', 'array'\)"
-    for stale in ("warp", "sharded"):
-        monkeypatch.setenv(ENGINE_ENV, stale)
-        with pytest.raises(ValueError, match=remaining):
-            default_engine()
-        with pytest.raises(ValueError, match=remaining):
-            Network(small_grid.graph)
-    monkeypatch.delenv(ENGINE_ENV)
-    with pytest.raises(ValueError, match=remaining):
-        Network(small_grid.graph, engine="sharded")
-
-
-def test_explicit_kernel_overrides_engine_default(small_grid):
-    kernel = EventKernel()
-    network = Network(small_grid.graph, kernel, engine="array")
-    assert network.kernel is kernel
-    assert isinstance(network, ArrayNetwork)
-
-
-# ----------------------------------------------------------------------
-# byte-identity on clean runs
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("topology_kind", ["grid", "geometric"])
-@pytest.mark.parametrize("signalling", ["implicit", "explicit"])
-def test_engines_byte_identical_traces(topology_kind, signalling):
-    topology = _topology(topology_kind)
-    obj_result, obj_tracer = _run(topology, "object", signalling)
-    arr_result, arr_tracer = _run(topology, "array", signalling)
-
-    assert diff_traces(obj_tracer.events(), arr_tracer.events()) is None
-    assert obj_result.clustering.assignment == arr_result.clustering.assignment
-    assert obj_result.clustering.parent == arr_result.clustering.parent
-    assert obj_result.stats.snapshot() == arr_result.stats.snapshot()
-    assert obj_result.completion_time == arr_result.completion_time
-    assert obj_result.protocol_time == arr_result.protocol_time
-    assert obj_result.total_messages == arr_result.total_messages
-
-
-# ----------------------------------------------------------------------
-# byte-identity under faults (chaos scenario through the replay differ)
-# ----------------------------------------------------------------------
-def _chaos_trace(spec: ScenarioSpec) -> tuple:
+@pytest.mark.parametrize("scenario", list(GOLDEN_TRACES))
+def test_trace_matches_golden_digest(scenario, tmp_path):
     tracer = Tracer()
-    result = run_scenario(spec, tracer=tracer)
-    return result, tracer
-
-
-@pytest.mark.parametrize(
-    "spec_kwargs",
-    [
-        {"crash_fraction": 0.05, "churn_events": 2, "signalling": "explicit"},
-        {"crash_fraction": 0.1, "churn_events": 0, "signalling": "implicit"},
-    ],
-)
-def test_engines_byte_identical_under_faults(spec_kwargs):
-    obj_result, obj_tracer = _chaos_trace(ScenarioSpec(engine="object", **spec_kwargs))
-    arr_result, arr_tracer = _chaos_trace(ScenarioSpec(engine="array", **spec_kwargs))
-    divergence = diff_traces(obj_tracer.events(), arr_tracer.events())
-    assert divergence is None, str(divergence)
-    assert obj_result.clustering.assignment == arr_result.clustering.assignment
-    assert obj_result.clustering.parent == arr_result.clustering.parent
-    assert obj_result.stats.snapshot() == arr_result.stats.snapshot()
+    result = _golden_run(scenario, tracer)
+    path = tmp_path / "trace.jsonl"
+    events = tracer.export_jsonl(str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert (digest, events, result.num_clusters, result.total_messages) == (
+        GOLDEN_TRACES[scenario]
+    )
 
 
 def test_array_engine_replay_deterministic():
-    report = replay_check(
-        ScenarioSpec(engine="array", crash_fraction=0.05, churn_events=2)
-    )
+    report = replay_check(ScenarioSpec(crash_fraction=0.05, churn_events=2))
     assert report.identical, str(report)
     assert report.events > 0
 
@@ -157,6 +113,9 @@ def test_array_engine_replay_deterministic():
 # cohort batching must not change stats or delivery to crashed nodes
 # ----------------------------------------------------------------------
 def test_batched_broadcast_matches_reference_stats(small_grid):
+    """``broadcast_values`` (arena rows, one stats charge) delivers and
+    charges exactly what per-message ``broadcast`` does."""
+
     class Recorder:
         def __init__(self):
             self.seen = []
@@ -164,21 +123,55 @@ def test_batched_broadcast_matches_reference_stats(small_grid):
         def handle_message(self, message):
             self.seen.append((message.kind, message.src, message.dst, message.values))
 
-    nets = {}
-    for engine in ("object", "array"):
-        network = Network(small_grid.graph.copy(), engine=engine)
-        recorder = Recorder()
-        for node in network.graph.nodes:
-            network.register(node, recorder)
+    network = Network(small_grid.graph.copy())
+    recorder = Recorder()
+    for node in network.graph.nodes:
+        network.register(node, recorder)
+    runs = []
+    for batched in (True, False):
+        start = network.stats.snapshot()
         for node in sorted(network.graph.nodes):
-            network.broadcast_values(node, "feature", payload=None, values=3)
+            if batched:
+                network.broadcast_values(node, "feature", payload=None, values=3)
+            else:
+                network.broadcast(
+                    node, lambda nbr, node=node: Message("feature", node, nbr, None, 3)
+                )
+        assert (len(network._arena) > 0) == batched  # the batched path really ran
         network.run()
-        nets[engine] = (network, recorder)
+        cost = network.stats.diff(start)
+        runs.append((recorder.seen, cost, cost.total_packets, cost.total_values))
+        recorder.seen = []
+    assert runs[0] == runs[1]
 
-    obj_net, obj_rec = nets["object"]
-    arr_net, arr_rec = nets["array"]
-    assert obj_rec.seen == arr_rec.seen
-    assert obj_net.stats.snapshot() == arr_net.stats.snapshot()
+
+def test_cohort_recheck_of_crashed_recipients(small_grid):
+    """A handler crashing a later cohort member must suppress its delivery."""
+
+    class Crasher:
+        def __init__(self, network, victim):
+            self.network = network
+            self.victim = victim
+            self.delivered = []
+
+        def handle_message(self, message):
+            self.delivered.append(message.dst)
+            if message.dst != self.victim and self.network.is_alive(self.victim):
+                self.network.remove_node(self.victim)
+
+    network = Network(small_grid.graph.copy())
+    neighbours = list(network.neighbors(0))
+    victim = neighbours[-1]
+    handler = Crasher(network, victim)
+    for node in network.graph.nodes:
+        network.register(node, handler)
+    network.broadcast_values(0, "feature")
+    network.run()
+    # The first recipient crashes the victim; every other copy lands, and
+    # the victim's copy (already charged at send) becomes a drop.
+    assert handler.delivered == neighbours[:-1]
+    assert network.stats.total_packets == len(neighbours)
+    assert network.stats.drops_by_reason == {"dead_destination": 1}
 
 
 # ----------------------------------------------------------------------
@@ -196,8 +189,8 @@ def _vec_summary(result):
     )
 
 
-def _vec_run(topology, engine, signalling, vectorized):
-    network = Network(topology.graph.copy(), engine=engine)
+def _vec_run(topology, signalling, vectorized):
+    network = Network(topology.graph.copy())
     return run_elink(
         Topology(network.graph, dict(topology.positions)),
         _features(topology),
@@ -223,14 +216,11 @@ def _spy_vectorizer(monkeypatch):
 
 @pytest.mark.parametrize("topology_kind", ["grid", "geometric"])
 @pytest.mark.parametrize("signalling", ["implicit", "explicit"])
-@pytest.mark.parametrize("engine", ["object", "array"])
-def test_vectorized_rounds_identical_to_handlers(
-    topology_kind, signalling, engine, monkeypatch
-):
+def test_vectorized_rounds_identical_to_handlers(topology_kind, signalling, monkeypatch):
     engaged = _spy_vectorizer(monkeypatch)
     topology = _topology(topology_kind)
-    handler = _vec_run(topology, engine, signalling, vectorized=False)
-    batched = _vec_run(topology, engine, signalling, vectorized=True)
+    handler = _vec_run(topology, signalling, vectorized=False)
+    batched = _vec_run(topology, signalling, vectorized=True)
     assert engaged == [True]  # the batch path really ran, not a fallback
     assert _vec_summary(handler) == _vec_summary(batched)
 
@@ -241,7 +231,7 @@ def test_chaos_falls_back_to_handler_path_identically(monkeypatch):
     engaged = _spy_vectorizer(monkeypatch)
     summaries = []
     for vectorized in (False, True):
-        spec = ScenarioSpec(crash_fraction=0.05, engine="array")
+        spec = ScenarioSpec(crash_fraction=0.05)
         topology, features, metric, config, quadtree, network, injector = (
             build_scenario(spec)
         )
@@ -256,12 +246,12 @@ def test_chaos_falls_back_to_handler_path_identically(monkeypatch):
 
 
 def test_traced_runs_stay_on_handler_path(monkeypatch):
-    """A tracer forces the per-message handlers (so traced streams stay
-    byte-identical across engines); the batch path must decline."""
+    """A tracer forces the per-message handlers (so traced streams carry
+    every message event); the batch path must decline."""
     engaged = _spy_vectorizer(monkeypatch)
     topology = _topology("grid")
     tracer = Tracer()
-    network = Network(topology.graph.copy(), engine="array")
+    network = Network(topology.graph.copy())
     run_elink(
         Topology(network.graph, dict(topology.positions)),
         _features(topology),
@@ -272,32 +262,3 @@ def test_traced_runs_stay_on_handler_path(monkeypatch):
     )
     assert engaged == [False]
     assert sum(1 for _ in tracer.events()) > 0
-
-
-def test_cohort_recheck_of_crashed_recipients(small_grid):
-    """A handler crashing a later cohort member must suppress its delivery."""
-
-    class Crasher:
-        def __init__(self, network, victim):
-            self.network = network
-            self.victim = victim
-            self.delivered = []
-
-        def handle_message(self, message):
-            self.delivered.append(message.dst)
-            if message.dst != self.victim and self.network.is_alive(self.victim):
-                self.network.remove_node(self.victim)
-
-    results = {}
-    for engine in ("object", "array"):
-        network = Network(small_grid.graph.copy(), engine=engine)
-        neighbours = list(network.neighbors(0))
-        victim = neighbours[-1]
-        handler = Crasher(network, victim)
-        for node in network.graph.nodes:
-            network.register(node, handler)
-        network.broadcast_values(0, "feature")
-        network.run()
-        results[engine] = (tuple(handler.delivered), network.stats.snapshot())
-    assert results["object"] == results["array"]
-    assert results["object"][0]  # someone was delivered before the crash

@@ -1,8 +1,11 @@
 """Tests for the discrete-event kernel."""
 
+import heapq
+import itertools
+
 import pytest
 
-from repro.sim import EventKernel, TimerWheelKernel
+from repro.sim import Event, EventKernel
 
 
 def test_events_run_in_time_order():
@@ -215,15 +218,10 @@ def test_kernel_resumes_across_fault_events():
 
 
 # ----------------------------------------------------------------------
-# TimerWheelKernel: identical observable semantics to the heap kernel
+# timestamp buckets: (time, seq) order across schedule, post and cancel
 # ----------------------------------------------------------------------
-@pytest.fixture(params=[EventKernel, TimerWheelKernel])
-def any_kernel(request):
-    return request.param()
-
-
-def test_wheel_time_order_and_fifo(any_kernel):
-    kernel = any_kernel
+def test_wheel_time_order_and_fifo():
+    kernel = EventKernel()
     seen = []
     kernel.schedule(3.0, seen.append, "c")
     kernel.schedule(1.0, seen.append, "a1")
@@ -236,8 +234,8 @@ def test_wheel_time_order_and_fifo(any_kernel):
     assert kernel.pending == 0
 
 
-def test_wheel_interleaved_schedule_and_post_share_fifo(any_kernel):
-    kernel = any_kernel
+def test_wheel_interleaved_schedule_and_post_share_fifo():
+    kernel = EventKernel()
     seen = []
 
     def reschedule(label):
@@ -252,8 +250,8 @@ def test_wheel_interleaved_schedule_and_post_share_fifo(any_kernel):
     assert seen == ["x", "y", "nested"]
 
 
-def test_wheel_cancellation_and_pending(any_kernel):
-    kernel = any_kernel
+def test_wheel_cancellation_and_pending():
+    kernel = EventKernel()
     seen = []
     event = kernel.schedule(1.0, seen.append, "dead")
     kernel.schedule(1.0, seen.append, "live")
@@ -265,8 +263,8 @@ def test_wheel_cancellation_and_pending(any_kernel):
     assert kernel.pending == 0
 
 
-def test_wheel_until_stops_before_later_events(any_kernel):
-    kernel = any_kernel
+def test_wheel_until_stops_before_later_events():
+    kernel = EventKernel()
     seen = []
     kernel.schedule(1.0, seen.append, "a")
     kernel.schedule(5.0, seen.append, "b")
@@ -277,10 +275,10 @@ def test_wheel_until_stops_before_later_events(any_kernel):
     assert seen == ["a", "b"]
 
 
-def test_wheel_max_events_resumable(any_kernel):
+def test_wheel_max_events_resumable():
     """max_events is checked before the pop: the offending event stays
     queued and the kernel resumes cleanly with a larger budget."""
-    kernel = any_kernel
+    kernel = EventKernel()
     seen = []
     for label in "abcde":
         kernel.schedule(1.0, seen.append, label)
@@ -293,8 +291,8 @@ def test_wheel_max_events_resumable(any_kernel):
     assert kernel.events_executed == 5
 
 
-def test_wheel_step_semantics(any_kernel):
-    kernel = any_kernel
+def test_wheel_step_semantics():
+    kernel = EventKernel()
     seen = []
     kernel.schedule(1.0, seen.append, "a").cancel()
     kernel.schedule(2.0, seen.append, "b")
@@ -303,9 +301,34 @@ def test_wheel_step_semantics(any_kernel):
     assert kernel.step() is False
 
 
+class _HeapReference:
+    """The ordering contract spelled out: one heap of ``(time, seq)``
+    entries, cancelled entries skipped when they reach the head."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._seq = itertools.count()
+
+    def schedule(self, delay, callback, *args):
+        event = Event(self.now + delay, callback, args)
+        heapq.heappush(self._heap, (event.time, next(self._seq), event))
+        return event
+
+    post = schedule
+
+    def run(self):
+        while self._heap:
+            time, _seq, event = heapq.heappop(self._heap)
+            if not event.cancelled:
+                self.now = time
+                event.callback(*event.args)
+
+
 def test_wheel_matches_heap_on_random_workload():
-    """Same pseudo-random schedule/post/cancel workload, same execution
-    order on both kernels — the (time, seq) contract end to end."""
+    """A pseudo-random schedule/post/cancel workload executes in the same
+    order on the bucket kernel as on the heap reference — the (time, seq)
+    contract end to end."""
     import random
 
     def drive(kernel):
@@ -329,11 +352,11 @@ def test_wheel_matches_heap_on_random_workload():
         kernel.run()
         return seen
 
-    assert drive(EventKernel()) == drive(TimerWheelKernel())
+    assert drive(EventKernel()) == drive(_HeapReference())
 
 
 def test_wheel_pushes_counter_monotone():
-    kernel = TimerWheelKernel()
+    kernel = EventKernel()
     assert kernel.pushes == 0
     kernel.post(1.0, lambda: None)
     kernel.schedule(1.0, lambda: None)

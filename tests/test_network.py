@@ -125,6 +125,10 @@ def test_empty_graph_rejected():
 def test_hop_delay_must_be_positive():
     with pytest.raises(ValueError):
         Network(nx.path_graph(2), EventKernel(), hop_delay=0.0)
+    # Non-finite jitter would make every sampled hop delay nan/inf.
+    for jitter in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="jitter must be finite"):
+            Network(nx.path_graph(2), EventKernel(), jitter=jitter)
 
 
 class Echo(ProtocolNode):
@@ -315,17 +319,16 @@ def test_invalidate_paths_after_topology_change():
 
 
 # ----------------------------------------------------------------------
-# incremental adjacency patching (both engines)
+# incremental adjacency patching
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["object", "array"])
-def test_adjacency_patching_matches_full_rebuild(engine):
+def test_adjacency_patching_matches_full_rebuild():
     """Random crash/restore/link-flap sequences: the patched adjacency must
     equal a from-scratch rebuild over the mutated graph, row for row."""
     import random
 
     rng = random.Random(99)
     base = grid_topology(6, 6).graph
-    network = Network(base.copy(), engine=engine)
+    network = Network(base.copy())
     removed_nodes = {}
     removed_edges = set()
 
@@ -357,7 +360,7 @@ def test_adjacency_patching_matches_full_rebuild(engine):
     # Rebuild over the *same* graph object: nx .copy() normalizes adjacency
     # order (it re-adds edges lowest-node-first), so a copy is not the
     # reference — the mutated graph's own insertion order is.
-    fresh = Network(network.graph, engine=engine)
+    fresh = Network(network.graph)
     assert set(network.graph.nodes) == set(fresh.graph.nodes)
     for node in network.graph.nodes:
         assert network._adj[node] == fresh._adj[node], node
@@ -367,9 +370,8 @@ def test_adjacency_patching_matches_full_rebuild(engine):
         assert network._adj.get(gone) is None
 
 
-@pytest.mark.parametrize("engine", ["object", "array"])
-def test_adjacency_patch_preserves_neighbour_order(engine):
-    network = Network(grid_topology(4, 4).graph.copy(), engine=engine)
+def test_adjacency_patch_preserves_neighbour_order():
+    network = Network(grid_topology(4, 4).graph.copy())
     before = network._adj[5]
     assert network.remove_edge(5, 6)
     after = network._adj[5]
@@ -378,5 +380,5 @@ def test_adjacency_patch_preserves_neighbour_order(engine):
     network.restore_edge(5, 6)
     # restoration appends, matching graph.adj insertion order
     assert network._adj[5] == after + (6,)
-    fresh = Network(network.graph.copy(), engine=engine)
+    fresh = Network(network.graph.copy())
     assert network._adj[5] == fresh._adj[5]

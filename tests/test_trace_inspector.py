@@ -2,6 +2,7 @@
 crash -> detection -> repair report, CLI plumbing, and a smoke test over
 the checked-in chaos fixture (``tests/data/chaos_small.jsonl``)."""
 
+import importlib.util
 import pathlib
 
 import numpy as np
@@ -164,6 +165,19 @@ def test_fixture_has_full_repair_chain():
     assert all(
         r["detect_time"] <= r["repair_time"] for r in repaired
     )
+
+
+def test_fixture_is_reproducible(tmp_path):
+    """``tools/make_chaos_trace.py`` regenerates the fixture byte for byte,
+    so a change that alters the trace fails here until it is refreshed."""
+    script = pathlib.Path(__file__).parent.parent / "tools" / "make_chaos_trace.py"
+    spec = importlib.util.spec_from_file_location("make_chaos_trace", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer, _summary = module.build_trace()
+    out = tmp_path / "chaos_small.jsonl"
+    tracer.export_jsonl(str(out))
+    assert out.read_bytes() == FIXTURE.read_bytes()
 
 
 def test_cli_dispatches_trace_subcommand(capsys):

@@ -5,8 +5,9 @@ produce byte-identical runs.  The classic way to break it silently is
 ``for x in some_set:`` on a code path whose iteration order reaches the
 event schedule — Python sets iterate in hash order, which varies with
 insertion history (and, for str keys, with ``PYTHONHASHSEED``).  This
-lint walks the AST of the schedule-adjacent modules (``core/elink.py``
-and ``sim/faults.py`` by default) and flags ``for`` loops and
+lint walks the AST of the schedule-adjacent modules (``core/elink.py``,
+``core/elink_vec.py``, ``sim/faults.py``, ``sim/kernel.py`` and
+``sim/network.py`` by default) and flags ``for`` loops and
 comprehensions whose iterable is:
 
 - a ``set``/``frozenset`` literal, constructor call, or comprehension;
@@ -15,8 +16,8 @@ comprehensions whose iterable is:
 - a local name bound to one of the above (or annotated ``set[...]``)
   earlier in the same file;
 - an attribute known to hold a set in this codebase (``dead_nodes``,
-  ``_removed_edges``, ``_taken_over``, ``_phase1_forwarded``,
-  ``_phase2_acted``, ``crashed``).
+  ``_removed_edges``, ``_removed_rows``, ``_taken_over``,
+  ``_phase1_forwarded``, ``_phase2_acted``, ``crashed``).
 
 Wrapping the iterable in ``sorted(...)`` (or ``list(sorted(...))``) is
 the sanctioned fix and is never flagged.  A genuinely order-free loop can
@@ -40,6 +41,7 @@ KNOWN_SET_ATTRS = frozenset(
     {
         "dead_nodes",
         "_removed_edges",
+        "_removed_rows",
         "_taken_over",
         "_phase1_forwarded",
         "_phase2_acted",
@@ -53,7 +55,13 @@ SET_RETURNING_METHODS = frozenset(
 )
 
 #: Files checked when none are given on the command line.
-DEFAULT_TARGETS = ("src/repro/core/elink.py", "src/repro/sim/faults.py")
+DEFAULT_TARGETS = (
+    "src/repro/core/elink.py",
+    "src/repro/core/elink_vec.py",
+    "src/repro/sim/faults.py",
+    "src/repro/sim/kernel.py",
+    "src/repro/sim/network.py",
+)
 
 
 def _is_set_annotation(annotation: ast.expr | None) -> bool:
