@@ -1,7 +1,8 @@
 """Micro-benchmarks for the core operations (true repeated-timing benches).
 
 These complement the one-shot figure benches with per-operation timings:
-ELink clustering throughput, M-tree construction, and per-query costs.
+ELink clustering throughput, M-tree and backbone construction, and per-query
+costs.
 """
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from repro.core import ELinkConfig, run_elink
 from repro.features import EuclideanMetric
-from repro.geometry import grid_topology
+from repro.geometry import grid_topology, random_geometric_topology
 from repro.index import build_backbone, build_mtree
 from repro.queries import RangeQueryEngine
 from repro.sim import EventKernel, Message, Network, ProtocolNode
@@ -145,6 +146,19 @@ def test_route_throughput(benchmark, model):
 
     benchmark(burst)
     assert sum(n.count for n in nodes.values()) > 0
+
+
+def test_backbone_build(benchmark):
+    # Spatial-hash generation (N >= 4096) keeps the setup under a second.
+    topology = random_geometric_topology(5_000, seed=3)
+    features = {
+        v: np.array([x + 0.5 * y]) for v, (x, y) in topology.positions.items()
+    }
+    clustering = run_elink(
+        topology, features, EuclideanMetric(), ELinkConfig(delta=0.4)
+    ).clustering
+    backbone = benchmark(build_backbone, topology.graph, clustering)
+    assert backbone.tree.number_of_edges() == clustering.num_clusters - 1
 
 
 def test_range_query_latency(benchmark):

@@ -8,6 +8,11 @@ each adjacency by the leader-to-leader hop distance in the communication
 graph, and we remember the concrete hop path for every backbone edge so
 query routing can be charged exactly.
 
+The tree is the one ``nx.minimum_spanning_tree`` (Kruskal, with its
+tie-break) picks over that weighted graph, but the graph is never built:
+roots that are graph neighbours are one hop apart, and only the other
+root pairs that can still join the tree are searched for their hop path.
+
 The paper accounts the backbone construction cost to ELink; the cost here
 is one handshake (2 control values) per hop of every backbone edge.
 """
@@ -18,9 +23,10 @@ from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro.core.delta import Clustering
-from repro.sim.messages import Message
+from repro.sim.messages import CATEGORY_DATA, Message
 from repro.sim.stats import MessageStats
 
 
@@ -41,7 +47,8 @@ class BackboneTree:
 
     def edge_hops(self, a: Hashable, b: Hashable) -> int:
         """Hop length of backbone edge (a, b)."""
-        return len(self.path(a, b)) - 1
+        path = self.paths[(a, b)] if (a, b) in self.paths else self.paths[(b, a)]
+        return len(path) - 1
 
     def neighbors(self, root: Hashable):
         """Neighbours in the underlying structure."""
@@ -88,39 +95,116 @@ class BackboneTree:
 
 
 def build_backbone(graph: nx.Graph, clustering: Clustering) -> BackboneTree:
-    """Build the leader backbone tree (see module docstring)."""
+    """Build the leader backbone tree (see module docstring).
+
+    The tree, its node and neighbour order, every path and the stats equal
+    what ``nx.minimum_spanning_tree`` gives over the cluster adjacency
+    graph with ``nx.shortest_path_length`` weights, routed by
+    ``nx.shortest_path``; that formulation is kept in the tests as the
+    oracle this build is checked against.  Raises :class:`ValueError` when
+    the cluster adjacency graph is disconnected.
+    """
     roots = clustering.roots
     stats = MessageStats()
     if len(roots) == 1:
         return BackboneTree(_single(roots[0]), {}, 0, stats)
 
-    adjacency = nx.Graph()
-    adjacency.add_nodes_from(roots)
-    assignment = clustering.assignment
-    for a, b in graph.edges:
-        ra, rb = assignment[a], assignment[b]
-        if ra != rb:
-            adjacency.add_edge(ra, rb)
-    if not nx.is_connected(adjacency):
+    lo, hi, adjacent = _root_pairs(graph, clustering.assignment, roots)
+    # Kruskal with networkx's tie-break: pairs stably sorted by hop
+    # weight.  Roots that are graph neighbours weigh 1, so their pairs
+    # come first, in pair order.
+    parent = list(range(len(roots)))
+    chosen = _join(parent, lo, hi, np.flatnonzero(adjacent).tolist())
+    # A pair whose roots those 1-hop pairs already joined can never enter
+    # the tree, so only the others are searched for their hop path.
+    detours: dict[int, list[Hashable]] = {}
+    for k in np.flatnonzero(~adjacent).tolist():
+        if _find(parent, lo[k]) != _find(parent, hi[k]):
+            detours[k] = nx.bidirectional_shortest_path(graph, roots[lo[k]], roots[hi[k]])
+    chosen += _join(parent, lo, hi, sorted(detours, key=lambda k: len(detours[k])))
+    if len(chosen) != len(roots) - 1:
         # The communication graph is connected, so cluster adjacency must
         # be too; a disconnect indicates a broken clustering.
         raise ValueError("cluster adjacency graph is disconnected")
 
-    for ra, rb in adjacency.edges:
-        adjacency[ra][rb]["weight"] = nx.shortest_path_length(graph, ra, rb)
-    mst = nx.minimum_spanning_tree(adjacency, weight="weight")
-
+    # ``nx.Graph.edges`` lists a tree edge under its earlier root, and a
+    # root's edges in the order Kruskal added them.
+    chosen.sort(key=lo.__getitem__)
     paths: dict[tuple[Hashable, Hashable], Sequence[Hashable]] = {}
-    for ra, rb in mst.edges:
-        path = nx.shortest_path(graph, ra, rb)
-        paths[(ra, rb)] = path
-        # Handshake: 2 control values per hop of the backbone edge.
-        stats.record(Message("feature", ra, rb, values=2), hops=len(path) - 1)
-
+    for k in chosen:
+        edge = (roots[lo[k]], roots[hi[k]])
+        paths[edge] = detours[k] if k in detours else list(edge)
     tree = nx.Graph()
     tree.add_nodes_from(roots)
-    tree.add_edges_from(mst.edges)
+    tree.add_edges_from(paths)
+    # Handshake: 2 control values per hop of every backbone edge.
+    stats.charge("feature", CATEGORY_DATA, 2, hops=sum(len(p) - 1 for p in paths.values()))
     return BackboneTree(tree, paths, stats.total_values, stats)
+
+
+def _root_pairs(
+    graph: nx.Graph, assignment: Mapping[Hashable, Hashable], roots: list[Hashable]
+) -> tuple[list[int], list[int], np.ndarray]:
+    """The cluster adjacency graph's edges, as positions in *roots*.
+
+    Returns ``(lo, hi, adjacent)``: pair ``k`` joins ``roots[lo[k]]`` and
+    ``roots[hi[k]]`` (``lo[k] < hi[k]``), one pair per two clusters that a
+    communication edge joins, listed as ``nx.Graph.edges`` lists a graph
+    whose nodes are *roots* and whose edges were added in ``graph.edges``
+    order: by earlier root, then by the first communication edge between
+    the two clusters.  ``adjacent[k]`` is true when the two roots are
+    themselves graph neighbours.
+    """
+    position = {root: k for k, root in enumerate(roots)}
+    index = {node: i for i, node in enumerate(graph.adj)}
+    # Only nodes with an edge need a cluster: graph.edges is all that is read.
+    cluster = np.fromiter(
+        (position[assignment[node]] if nbrs else -1 for node, nbrs in graph.adjacency()),
+        dtype=np.int64,
+        count=len(index),
+    )
+    degree = np.fromiter(
+        (len(nbrs) for _, nbrs in graph.adjacency()), dtype=np.int64, count=len(index)
+    )
+    heads = np.fromiter(
+        (index[other] for _, nbrs in graph.adjacency() for other in nbrs),
+        dtype=np.int64,
+        count=int(degree.sum()),
+    )
+    tails = np.repeat(np.arange(len(index)), degree)
+    # graph.edges lists each edge once, from its earlier node, in
+    # adjacency order: the forward half-edges, in this order (a self-loop
+    # never joins two clusters).
+    forward = heads > tails
+    tails, heads = tails[forward], heads[forward]
+    a, b = cluster[tails], cluster[heads]
+    cross = a != b
+    tails, heads, a, b = tails[cross], heads[cross], a[cross], b[cross]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    key = lo * len(roots) + hi
+    root_node = np.array([index.get(root, -1) for root in roots], dtype=np.int64)
+    between_roots = key[(root_node[a] == tails) & (root_node[b] == heads)]
+    _, first = np.unique(key, return_index=True)  # first edge of each pair
+    first = first[np.lexsort((first, lo[first]))]
+    return lo[first].tolist(), hi[first].tolist(), np.isin(key[first], between_roots)
+
+
+def _join(parent: list[int], lo: list[int], hi: list[int], order: list[int]) -> list[int]:
+    """Union the pairs in *order*; return those that joined two components."""
+    joined = []
+    for k in order:
+        p, q = _find(parent, lo[k]), _find(parent, hi[k])
+        if p != q:
+            parent[p] = q
+            joined.append(k)
+    return joined
+
+
+def _find(parent: list[int], p: int) -> int:
+    """Component of *p* in the union-find forest *parent*, halving its path."""
+    while parent[p] != p:
+        parent[p] = p = parent[parent[p]]
+    return p
 
 
 def _single(root: Hashable) -> nx.Graph:
