@@ -1,8 +1,8 @@
 """Micro-benchmarks for the core operations (true repeated-timing benches).
 
 These complement the one-shot figure benches with per-operation timings:
-ELink clustering throughput, M-tree and backbone construction, and per-query
-costs.
+ELink clustering throughput, quadtree, M-tree and backbone construction,
+and per-query costs.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import ELinkConfig, run_elink
 from repro.features import EuclideanMetric
-from repro.geometry import grid_topology, random_geometric_topology
+from repro.geometry import QuadTreeDecomposition, grid_topology, random_geometric_topology
 from repro.index import build_backbone, build_mtree
 from repro.queries import RangeQueryEngine
 from repro.sim import EventKernel, Message, Network, ProtocolNode
@@ -146,6 +146,15 @@ def test_route_throughput(benchmark, model):
 
     benchmark(burst)
     assert sum(n.count for n in nodes.values()) > 0
+
+
+@pytest.mark.parametrize("n", [1_000, 10_000])
+def test_quadtree_build(benchmark, n):
+    """The columnar sentinel-hierarchy build, at a chaos-sized and a
+    scale-sized geometric network."""
+    topology = random_geometric_topology(n, seed=3)
+    decomposition = benchmark(QuadTreeDecomposition, topology)
+    assert sum(map(len, decomposition.sentinel_sets)) == n
 
 
 def test_backbone_build(benchmark):

@@ -986,16 +986,9 @@ def run_elink(
         if vec_result is not None:
             return vec_result
 
-    # Subtree max levels for the phase1 expectation counts, filled deepest
-    # level first so children are ready before their parents.
-    subtree_max: dict[Hashable, int] = {}
-    order = sorted(quadtree.level_of, key=lambda v: -quadtree.level_of[v])
-    for node in order:
-        level = quadtree.level_of[node]
-        best = level
-        for child in quadtree.quad_children.get(node, []):
-            best = max(best, subtree_max[child])
-        subtree_max[node] = best
+    # Subtree max levels for the phase1 expectation counts (a fresh dict:
+    # sentinel takeovers write into it).
+    subtree_max = quadtree.subtree_max_levels()
 
     depth = quadtree.depth
     nodes: dict[Hashable, ELinkNode] = {}
@@ -1026,21 +1019,7 @@ def run_elink(
         # the quadtree role maps a replacement needs to adopt a dead
         # sentinel's cell, and a round-watchdog patience of ~2.5κ (one
         # worst-case round is 2κ).
-        positions = topology.positions
-        cell_fallbacks: dict[Hashable, tuple] = {}
-        for cells in quadtree._cells_by_level:
-            for cell in cells:
-                if cell.leader is None:
-                    continue
-                cx, cy = cell.centroid
-                members = [v for v in cell.members if v != cell.leader]
-                members.sort(
-                    key=lambda v: (
-                        (positions[v][0] - cx) ** 2 + (positions[v][1] - cy) ** 2,
-                        repr(v),
-                    )
-                )
-                cell_fallbacks[cell.leader] = tuple(members)
+        cell_fallbacks = quadtree.takeover_orders()
         patience = max(
             3.0 * config.ack_window * network.max_hop_delay,
             2.5 * compute_kappa(n, config.gamma, network.hop_delay),

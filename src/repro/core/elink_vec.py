@@ -196,15 +196,7 @@ class _VectorRun:
             self.quad_children_idx = [
                 [index[c] for c in quadtree.quad_children.get(v, [])] for v in nodes
             ]
-            # Subtree max levels, deepest level first (same recurrence and
-            # iteration order as the handler runner).
-            subtree_max: dict[Hashable, int] = {}
-            order = sorted(lvl_of, key=lambda v: -lvl_of[v])
-            for node in order:
-                best = lvl_of[node]
-                for child in quadtree.quad_children.get(node, []):
-                    best = max(best, subtree_max[child])
-                subtree_max[node] = best
+            subtree_max = quadtree.subtree_max_levels()
             self.subtree_max = [subtree_max[v] for v in nodes]
             self.root_i = index[quadtree.root]
 

@@ -1,6 +1,6 @@
 """Topologies, bounding boxes and the quadtree sentinel hierarchy."""
 
-from repro.geometry.quadtree import QuadCell, QuadTreeDecomposition
+from repro.geometry.quadtree import QuadTreeDecomposition
 from repro.geometry.topology import (
     BoundingBox,
     Topology,
@@ -11,7 +11,6 @@ from repro.geometry.topology import (
 
 __all__ = [
     "BoundingBox",
-    "QuadCell",
     "QuadTreeDecomposition",
     "Topology",
     "grid_topology",

@@ -16,58 +16,43 @@ For irregular placements the depth can exceed the grid-case
 ``log4(3N+1) - 1`` by a small constant (footnote 2); a depth cap guards
 against pathological co-located points, flushing any remaining unelected
 nodes into the deepest level.
+
+The build is columnar and works for any hashable node ids: nodes are
+indexed in ``graph.nodes`` order, each level is one array of member
+indices grouped by cell, and election and subdivision are array
+expressions.  Exact centroid-distance ties and the depth-cap flush are
+ordered by ``repr`` of the node id, so the outputs, including every dict
+insertion order, depend only on the ids and positions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterator
 
 import numpy as np
 
-from repro.geometry.topology import BoundingBox, Topology
-
-#: Below this size the reference per-cell build runs (same outputs; the
-#: columnar build's setup costs only pay off at scale).
-FAST_MIN_N = 4096
+from repro.geometry.topology import Topology
 
 
 @dataclass
-class _LevelCols:
-    """Columnar snapshot of one quadtree level (fast build).
+class _Level:
+    """Columnar snapshot of one quadtree level.
 
-    Holds everything needed to lazily materialize the level's
-    :class:`QuadCell` objects: member order grouped by cell, group
-    offsets, per-cell bounds, each cell's parent index in the previous
-    level, and the elected leader (−1 where the cell elected none).
+    ``order`` holds member indices grouped by cell (cells in build order,
+    members in ``graph.nodes`` order within a cell), ``starts`` each
+    cell's offset into it, ``cx``/``cy`` the cell centroids and
+    ``leaders`` each cell's elected member index (−1 where the cell
+    elected none).
     """
 
     order: np.ndarray
     starts: np.ndarray
-    xmin: np.ndarray
-    ymin: np.ndarray
-    xmax: np.ndarray
-    ymax: np.ndarray
-    parent_idx: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
     leaders: np.ndarray
-
-
-@dataclass
-class QuadCell:
-    """One cell of the quadtree."""
-
-    level: int
-    bounds: BoundingBox
-    members: list[Hashable]
-    leader: Hashable | None = None
-    parent: "QuadCell | None" = field(default=None, repr=False)
-    children: list["QuadCell"] = field(default_factory=list, repr=False)
-
-    @property
-    def centroid(self) -> tuple[float, float]:
-        """Geometric centre of the cell."""
-        return self.bounds.center
 
 
 class QuadTreeDecomposition:
@@ -90,122 +75,34 @@ class QuadTreeDecomposition:
     #: Hard depth cap; co-located nodes would otherwise split forever.
     MAX_DEPTH = 32
 
-    def __init__(self, topology: Topology, *, fast: bool | None = None):
+    def __init__(self, topology: Topology):
         self.topology = topology
-        self.root_cell = QuadCell(0, topology.bounds, list(topology.graph.nodes))
         self.sentinel_sets: list[list[Hashable]] = []
         self.level_of: dict[Hashable, int] = {}
         self.quad_parent: dict[Hashable, Hashable] = {}
         self.quad_children: dict[Hashable, list[Hashable]] = {}
-        #: Eager cell storage (filled by the reference build, or lazily by
-        #: :meth:`_materialize_cells` after a fast build).
-        self._cells_eager: list[list[QuadCell]] | None = None
-        #: Columnar level snapshots from the fast build (levels >= 1).
-        self._fast_levels: list[_LevelCols] = []
-        if fast is None:
-            fast = topology.num_nodes >= FAST_MIN_N
-        if fast and self._fast_eligible():
-            self._build_fast()
-        else:
-            self._cells_eager = [[self.root_cell]]
-            self._build()
-
-    @property
-    def _cells_by_level(self) -> list[list[QuadCell]]:
-        """Per-level :class:`QuadCell` lists (lazy after a fast build)."""
-        if self._cells_eager is None:
-            self._materialize_cells()
-        return self._cells_eager
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        positions = self.topology.positions
-        assigned: set[Hashable] = set()
-        level = 0
-        current = [self.root_cell]
-        while current:
-            leaders: list[Hashable] = []
-            for cell in current:
-                unelected = [v for v in cell.members if v not in assigned]
-                if not unelected:
-                    continue
-                if level >= self.MAX_DEPTH:
-                    # Depth cap: flush every remaining node as a sentinel of
-                    # this final level (footnote 2's "+k" tolerance).
-                    for node in sorted(unelected, key=repr):
-                        leaders.append(node)
-                        assigned.add(node)
-                        self.level_of[node] = level
-                        self._attach_parent(node, cell)
-                    continue
-                leader = self._closest_to(cell.centroid, unelected, positions)
-                cell.leader = leader
-                leaders.append(leader)
-                assigned.add(leader)
-                self.level_of[leader] = level
-                self._attach_parent(leader, cell)
-            if leaders:
-                self.sentinel_sets.append(leaders)
-            if len(assigned) == len(positions) or level >= self.MAX_DEPTH:
-                break
-            current = self._subdivide(current)
-            if current:
-                self._cells_by_level.append(current)
-            level += 1
-        # Sanity: every node must have been elected at some level.
-        if len(assigned) != len(positions):
-            missing = set(positions) - assigned
-            raise RuntimeError(f"quadtree failed to assign nodes: {sorted(missing, key=repr)[:5]}")
-
-    # ------------------------------------------------------------------
-    # columnar construction (identical outputs, no per-message Python)
-    # ------------------------------------------------------------------
-    def _fast_eligible(self) -> bool:
-        """The columnar build requires node ids that are exactly the ints
-        ``0..n-1`` in ascending graph order (true for the generated grid and
-        geometric topologies); anything else runs the reference build."""
-        nodes = self.root_cell.members
+        #: Node ids in ``graph.nodes`` order; the arrays hold indices into it.
+        self._nodes = nodes = list(topology.graph.nodes)
+        #: One snapshot per electing level, for :meth:`takeover_orders`.
+        self._levels: list[_Level] = []
         n = len(nodes)
         if n == 0:
-            return False
-        if nodes[0] != 0 or nodes[-1] != n - 1:
-            return False
-        return all(type(v) is int for v in nodes) and all(
-            v == i for i, v in enumerate(nodes)
-        )
+            raise ValueError("cannot decompose an empty topology")
+        node_at = nodes.__getitem__
+        pos = np.fromiter(
+            chain.from_iterable(map(topology.positions.__getitem__, nodes)), dtype=np.float64
+        ).reshape(n, 2)
+        self._xs = xs = np.ascontiguousarray(pos[:, 0])
+        self._ys = ys = np.ascontiguousarray(pos[:, 1])
 
-    def _build_fast(self) -> None:
-        """Vectorised replica of :meth:`_build`.
-
-        Per level, members live in one int array grouped by cell (groups in
-        the reference build's cell order, ascending ids within — the
-        order bucketed subdivision preserves).  Election, subdivision and
-        bounds all become array expressions over the same float recurrences
-        as the scalar code, so every output — sentinel sets, levels,
-        parent/child maps, cell geometry, and all dict insertion orders —
-        is identical.  Exact centroid-distance ties (real on grids) are
-        resolved scalar with the reference ``repr`` key.  Cell *objects*
-        are not built here; :meth:`_materialize_cells` reconstructs them on
-        first ``_cells_by_level`` access from the level snapshots.
-        """
-        n = len(self.root_cell.members)
-        positions = self.topology.positions
-        pos = np.array([positions[v] for v in range(n)], dtype=np.float64)
-        xs = np.ascontiguousarray(pos[:, 0])
-        ys = np.ascontiguousarray(pos[:, 1])
-
+        b = topology.bounds
         order = np.arange(n, dtype=np.int64)
         starts = np.zeros(1, dtype=np.int64)
-        b = self.root_cell.bounds
         xmin = np.array([b.xmin])
         ymin = np.array([b.ymin])
         xmax = np.array([b.xmax])
         ymax = np.array([b.ymax])
         anc = np.full(1, -1, dtype=np.int64)  # nearest elected ancestor leader
-        level_leaders: np.ndarray | None = None  # this level's snapshot target
-
         assigned = np.zeros(n, dtype=bool)
         assigned_count = 0
         level = 0
@@ -215,101 +112,91 @@ class QuadTreeDecomposition:
 
         while True:
             num_cells = starts.size
-            ends = np.append(starts[1:], order.size)
-            cell_of = np.repeat(np.arange(num_cells, dtype=np.int64), ends - starts)
+            cell_of = np.repeat(
+                np.arange(num_cells, dtype=np.int64), np.diff(np.append(starts, n))
+            )
             unelected = ~assigned[order]
-            leaders_level: list[Hashable] = []
-
-            if level >= self.MAX_DEPTH:
-                # Depth-cap flush (reference semantics: every remaining node
-                # becomes a sentinel of this level, cell leaders stay None).
-                starts_l = starts.tolist()
-                ends_l = ends.tolist()
-                anc_l = anc.tolist()
-                for c in range(num_cells):
-                    seg = order[starts_l[c] : ends_l[c]]
-                    rem = seg[unelected[starts_l[c] : ends_l[c]]]
-                    if not rem.size:
-                        continue
-                    ancestor = anc_l[c]
-                    for node in sorted(rem.tolist(), key=repr):
-                        leaders_level.append(node)
-                        level_of[node] = level
-                        parent = ancestor if ancestor >= 0 else node
-                        quad_parent[node] = parent
-                        if parent != node:
-                            quad_children.setdefault(parent, []).append(node)
-                        quad_children.setdefault(node, [])
-                assigned_count = n
-                if leaders_level:
-                    self.sentinel_sets.append(leaders_level)
-                break
-
-            # Election: per-cell argmin of squared centroid distance over
-            # the still-unelected members (same float expression as
-            # _closest_to; ``inf`` masks elected members and empty votes).
             cx = (xmin + xmax) / 2.0
             cy = (ymin + ymax) / 2.0
-            d2 = (xs[order] - cx[cell_of]) ** 2 + (ys[order] - cy[cell_of]) ** 2
+
+            if level >= self.MAX_DEPTH:
+                # Depth-cap flush (footnote 2's "+k" tolerance): every
+                # remaining node becomes a sentinel of this level, in repr
+                # order per cell, under the cell's nearest elected ancestor.
+                flushed: list[Hashable] = []
+                offsets = np.append(starts, n).tolist()
+                for c, ancestor in enumerate(anc.tolist()):
+                    lo, hi = offsets[c], offsets[c + 1]
+                    remaining = order[lo:hi][unelected[lo:hi]].tolist()
+                    if not remaining:
+                        continue
+                    parent = node_at(ancestor)
+                    for node in sorted(map(node_at, remaining), key=repr):
+                        flushed.append(node)
+                        level_of[node] = level
+                        quad_parent[node] = parent
+                        quad_children[parent].append(node)
+                        quad_children[node] = []
+                self.sentinel_sets.append(flushed)
+                break
+
+            # Election: per-cell argmin of the squared centroid distance
+            # over the still-unelected members (``inf`` masks the elected).
+            xo = xs[order]
+            yo = ys[order]
+            cxo = cx[cell_of]
+            cyo = cy[cell_of]
+            d2 = (xo - cxo) ** 2 + (yo - cyo) ** 2
             d2[~unelected] = np.inf
             best = np.minimum.reduceat(d2, starts)
-            is_best = (d2 == best[cell_of]) & unelected
-            cand_idx = np.flatnonzero(is_best)
-            cand_cell = cell_of[cand_idx]
-            cand_counts = np.bincount(cand_cell, minlength=num_cells)
-            leader_per_cell = np.full(num_cells, -1, dtype=np.int64)
-            single = cand_counts[cand_cell] == 1
-            leader_per_cell[cand_cell[single]] = order[cand_idx[single]]
-            if (cand_counts > 1).any():
-                # Exact-distance ties: reference tie-break is min repr.
+            cand = np.flatnonzero((d2 == best[cell_of]) & unelected)
+            cand_cell = cell_of[cand]
+            single = np.bincount(cand_cell, minlength=num_cells)[cand_cell] == 1
+            leaders = np.full(num_cells, -1, dtype=np.int64)
+            leaders[cand_cell[single]] = order[cand[single]]
+            if not single.all():
+                # Exact-distance ties (real on grids): the smallest repr of
+                # the node id wins, the first in cell order among equals.
                 tied: dict[int, list[int]] = {}
-                for i, c in zip(cand_idx.tolist(), cand_cell.tolist()):
-                    if cand_counts[c] > 1:
-                        tied.setdefault(c, []).append(int(order[i]))
+                for i, c in zip(order[cand[~single]].tolist(), cand_cell[~single].tolist()):
+                    tied.setdefault(c, []).append(i)
                 for c, members in tied.items():
-                    leader_per_cell[c] = min(members, key=repr)
-            if level_leaders is not None:
-                level_leaders[:] = leader_per_cell
-            else:
-                self._root_leader = int(leader_per_cell[0])
+                    leaders[c] = min(members, key=lambda i: repr(node_at(i)))
+            self._levels.append(_Level(order, starts, cx, cy, leaders))
 
-            elected_cells = np.flatnonzero(leader_per_cell >= 0)
-            leaders_arr = leader_per_cell[elected_cells]
-            assigned[leaders_arr] = True
-            assigned_count += leaders_arr.size
-            for leader, ancestor in zip(
-                leaders_arr.tolist(), anc[elected_cells].tolist()
-            ):
-                leaders_level.append(leader)
-                level_of[leader] = level
-                parent = ancestor if ancestor >= 0 else leader
-                quad_parent[leader] = parent
-                if parent != leader:
-                    quad_children.setdefault(parent, []).append(leader)
-                quad_children.setdefault(leader, [])
-            if leaders_level:
-                self.sentinel_sets.append(leaders_level)
+            elected = np.flatnonzero(leaders >= 0)
+            won = leaders[elected]
+            assigned[won] = True
+            assigned_count += won.size
+            leader_ids = list(map(node_at, won.tolist()))
+            if level:
+                parent_ids = map(node_at, anc[elected].tolist())
+                for leader, parent in zip(leader_ids, parent_ids):
+                    level_of[leader] = level
+                    quad_parent[leader] = parent
+                    quad_children[parent].append(leader)
+                    quad_children[leader] = []
+            else:  # the root is its own quadtree parent
+                (root,) = leader_ids
+                level_of[root] = 0
+                quad_parent[root] = root
+                quad_children[root] = []
+            self.sentinel_sets.append(leader_ids)
             if assigned_count == n:
                 break
 
-            # Subdivision: stable sort by (cell, quadrant) keeps members
-            # ascending within each child and children in the reference
-            # k = 0..3 append order; boundary points go left/bottom.
-            kq = np.where(
-                xs[order] <= cx[cell_of],
-                np.where(ys[order] <= cy[cell_of], 0, 2),
-                np.where(ys[order] <= cy[cell_of], 1, 3),
-            )
-            key = cell_of * 4 + kq
+            # Subdivision: a stable sort by (cell, quadrant) keeps members
+            # in graph order within each child and children in quadrant
+            # order 0..3; points on a splitting line go left/bottom.
+            key = cell_of * 4 + np.where(xo <= cxo, 0, 1) + np.where(yo <= cyo, 0, 2)
             perm = np.argsort(key, kind="stable")
             order = order[perm]
             skey = key[perm]
             starts = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
             group_key = skey[starts]
             parent_cell = group_key >> 2
-            child_k = group_key & 3
-            left = (child_k & 1) == 0
-            bottom = (child_k & 2) == 0
+            left = (group_key & 1) == 0
+            bottom = (group_key & 2) == 0
             pmx = cx[parent_cell]
             pmy = cy[parent_cell]
             xmin, xmax = (
@@ -320,101 +207,62 @@ class QuadTreeDecomposition:
                 np.where(bottom, ymin[parent_cell], pmy),
                 np.where(bottom, pmy, ymax[parent_cell]),
             )
-            anc = np.where(leader_per_cell >= 0, leader_per_cell, anc)[parent_cell]
-            level_leaders = np.full(starts.size, -1, dtype=np.int64)
-            self._fast_levels.append(
-                _LevelCols(order, starts, xmin, ymin, xmax, ymax, parent_cell, level_leaders)
-            )
+            anc = np.where(leaders >= 0, leaders, anc)[parent_cell]
             level += 1
 
-        if assigned_count != n:
-            missing = np.flatnonzero(~assigned).tolist()
-            raise RuntimeError(
-                f"quadtree failed to assign nodes: {sorted(missing, key=repr)[:5]}"
-            )
+    # ------------------------------------------------------------------
+    # derived orders (computed on call; callers may mutate the result)
+    # ------------------------------------------------------------------
+    def subtree_max_levels(self) -> dict[Hashable, int]:
+        """Sentinel -> deepest level in its quadtree subtree (itself
+        included), the reach of the explicit signalling's phase waves.
 
-    def _materialize_cells(self) -> None:
-        """Rebuild the :class:`QuadCell` tree from the fast build's level
-        snapshots (first ``_cells_by_level`` access only; the scale path
-        never needs the objects)."""
-        self.root_cell.leader = getattr(self, "_root_leader", None)
-        cells_by_level = [[self.root_cell]]
-        previous = [self.root_cell]
-        for depth_index, snap in enumerate(self._fast_levels, start=1):
-            members = snap.order.tolist()
-            starts = snap.starts.tolist()
-            ends = starts[1:] + [len(members)]
-            xmin = snap.xmin.tolist()
-            ymin = snap.ymin.tolist()
-            xmax = snap.xmax.tolist()
-            ymax = snap.ymax.tolist()
-            parent_idx = snap.parent_idx.tolist()
-            leaders = snap.leaders.tolist()
-            cells = []
-            for g in range(len(starts)):
-                parent = previous[parent_idx[g]]
-                cell = QuadCell(
-                    depth_index,
-                    BoundingBox(xmin[g], ymin[g], xmax[g], ymax[g]),
-                    members[starts[g] : ends[g]],
-                    parent=parent,
-                )
-                if leaders[g] >= 0:
-                    cell.leader = leaders[g]
-                parent.children.append(cell)
-                cells.append(cell)
-            cells_by_level.append(cells)
-            previous = cells
-        self._cells_eager = cells_by_level
+        Filled deepest level first, so children precede their parents.
+        Each call returns a fresh dict: ELink's sentinel takeover writes
+        into it.
+        """
+        subtree_max: dict[Hashable, int] = {}
+        children = self.quad_children
+        for level in range(self.depth, -1, -1):
+            for node in self.sentinel_sets[level]:
+                best = level
+                for child in children[node]:
+                    best = max(best, subtree_max[child])
+                subtree_max[node] = best
+        return subtree_max
 
-    def _attach_parent(self, leader: Hashable, cell: QuadCell) -> None:
-        parent_cell = cell.parent
-        while parent_cell is not None and parent_cell.leader is None:
-            parent_cell = parent_cell.parent
-        parent = parent_cell.leader if parent_cell is not None else leader
-        self.quad_parent[leader] = parent
-        if parent != leader:
-            self.quad_children.setdefault(parent, []).append(leader)
-        self.quad_children.setdefault(leader, [])
+    def takeover_orders(self) -> dict[Hashable, tuple]:
+        """Cell leader -> the other members of its cell, in takeover order.
 
-    @staticmethod
-    def _closest_to(centroid, candidates, positions) -> Hashable:
-        cx, cy = centroid
-        return min(
-            candidates,
-            key=lambda v: ((positions[v][0] - cx) ** 2 + (positions[v][1] - cy) ** 2, repr(v)),
-        )
-
-    def _subdivide(self, cells: list[QuadCell]) -> list[QuadCell]:
-        positions = self.topology.positions
-        out: list[QuadCell] = []
-        for cell in cells:
-            if not cell.members:
-                continue
-            b = cell.bounds
-            mx, my = b.center
-            quads = [
-                BoundingBox(b.xmin, b.ymin, mx, my),
-                BoundingBox(mx, b.ymin, b.xmax, my),
-                BoundingBox(b.xmin, my, mx, b.ymax),
-                BoundingBox(mx, my, b.xmax, b.ymax),
-            ]
-            buckets: list[list[Hashable]] = [[] for _ in quads]
-            # Each member goes to exactly one quadrant: points on the
-            # splitting lines go to the left/bottom quadrant.
-            for v in cell.members:
-                x, y = positions[v]
-                if x <= mx:
-                    k = 0 if y <= my else 2
-                else:
-                    k = 1 if y <= my else 3
-                buckets[k].append(v)
-            for k, q in enumerate(quads):
-                if buckets[k]:
-                    child = QuadCell(cell.level + 1, q, buckets[k], parent=cell)
-                    cell.children.append(child)
-                    out.append(child)
-        return out
+        The order is the election's own key: nearest the cell centroid
+        first, exact ties on ``repr`` of the node id, then cell order.
+        ELink's failure detection walks it to pick the member that adopts
+        a dead sentinel's role.  Keys follow election order; depth-cap
+        flush nodes lead no cell and have none.  Each call returns a
+        fresh dict.
+        """
+        node_at = self._nodes.__getitem__
+        xs, ys = self._xs, self._ys
+        reprs = list(map(repr, self._nodes))
+        rank_of = {r: i for i, r in enumerate(sorted(set(reprs)))}
+        repr_rank = np.array([rank_of[r] for r in reprs], dtype=np.int64)
+        orders: dict[Hashable, tuple] = {}
+        for lv in self._levels:
+            sizes = np.diff(np.append(lv.starts, lv.order.size))
+            cell_of = np.repeat(np.arange(lv.starts.size, dtype=np.int64), sizes)
+            leader_of = lv.leaders[cell_of]
+            keep = (leader_of >= 0) & (lv.order != leader_of)
+            members = lv.order[keep]
+            cells = cell_of[keep]
+            d2 = (xs[members] - lv.cx[cells]) ** 2 + (ys[members] - lv.cy[cells]) ** 2
+            ids = list(map(node_at, members[np.lexsort((repr_rank[members], d2, cells))].tolist()))
+            elected = np.flatnonzero(lv.leaders >= 0)
+            ends = np.cumsum(sizes[elected] - 1).tolist()
+            lo = 0
+            for leader, hi in zip(map(node_at, lv.leaders[elected].tolist()), ends):
+                orders[leader] = tuple(ids[lo:hi])
+                lo = hi
+        return orders
 
     # ------------------------------------------------------------------
     # queries

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Hashable, Mapping
 
 import networkx as nx
@@ -85,6 +86,13 @@ class Topology:
         missing = set(self.graph.nodes) - set(self.positions)
         if missing:
             raise ValueError(f"positions missing for nodes: {sorted(missing, key=repr)[:5]}")
+        # One array pass over every coordinate; the scan that names the
+        # offending node runs only when that pass finds NaN or ±inf.
+        coords = np.fromiter(chain.from_iterable(self.positions.values()), dtype=np.float64)
+        if not np.isfinite(coords).all():
+            for node, position in self.positions.items():
+                if not all(map(math.isfinite, position)):
+                    raise ValueError(f"position of node {node!r} must be finite, got {position!r}")
 
     @property
     def num_nodes(self) -> int:

@@ -100,6 +100,21 @@ def test_unsupported_node_id_rejected(tmp_path):
         save_state(tmp_path / "bad.json", topology=topology, features={frozenset({1}): np.zeros(1)})
 
 
+def test_non_finite_position_rejected(tmp_path):
+    # Python's json reads NaN and Infinity; the topology must refuse them.
+    path = tmp_path / "nan.json"
+    topology = grid_topology(4, 4)
+    save_state(path, topology=topology, features={v: np.zeros(1) for v in topology.graph.nodes})
+    document = json.loads(path.read_text())
+    for node, xy in document["topology"]["positions"]:
+        if node == 5:
+            xy[0] = float("nan")
+    path.write_text(json.dumps(document))
+    assert "NaN" in path.read_text()
+    with pytest.raises(ValueError, match=r"position of node 5 must be finite, got \(nan, "):
+        load_state(path)
+
+
 def test_bad_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

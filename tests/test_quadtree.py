@@ -1,16 +1,28 @@
 """Tests for the quadtree decomposition and sentinel sets (paper §3.2)."""
 
+import functools
 import math
+import random
 
+import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ELinkConfig, run_elink
+from repro.core.elink import compute_kappa
+from repro.datasets.death_valley import generate_death_valley_dataset
+from repro.features import EuclideanMetric
 from repro.geometry import (
     QuadTreeDecomposition,
+    Topology,
     grid_topology,
     random_geometric_topology,
 )
+from repro.io import topology_from_dict, topology_to_dict
+from repro.sim import FaultInjector, FaultPlan, Network
+from tests import quadtree_oracle
 
 
 def test_every_node_in_exactly_one_sentinel_set(small_grid):
@@ -105,10 +117,6 @@ def test_partition_property_random_topologies(n, seed):
 
 
 def test_coincident_points_hit_depth_cap_gracefully():
-    import networkx as nx
-
-    from repro.geometry.topology import Topology
-
     graph = nx.complete_graph(5)
     positions = {i: (1.0, 1.0) for i in range(5)}  # all nodes co-located
     decomposition = QuadTreeDecomposition(Topology(graph, positions))
@@ -117,77 +125,173 @@ def test_coincident_points_hit_depth_cap_gracefully():
 
 
 # ----------------------------------------------------------------------
-# columnar fast build vs reference build (byte-identical outputs)
+# the columnar build (the fast one) vs the per-cell reference build kept
+# in tests/quadtree_oracle.py
 # ----------------------------------------------------------------------
-def _fingerprint(decomposition):
-    """Everything a consumer can observe, including dict insertion order."""
-    cells = []
-    for level, level_cells in enumerate(decomposition._cells_by_level):
-        for cell in level_cells:
-            bounds = cell.bounds
-            cells.append(
-                (
-                    level,
-                    (bounds.xmin, bounds.ymin, bounds.xmax, bounds.ymax),
-                    tuple(cell.members),
-                    cell.leader,
-                    len(cell.children),
-                )
-            )
-    return (
-        decomposition.sentinel_sets,
-        list(decomposition.level_of.items()),
-        list(decomposition.quad_parent.items()),
-        [(k, list(v)) for k, v in decomposition.quad_children.items()],
-        decomposition.root,
-        decomposition.depth,
-        cells,
+def assert_same_quadtree(new, old):
+    """Maps (with insertion order), subtree levels and takeover orders of
+    *new* equal the oracle build *old*'s exactly."""
+    assert new.sentinel_sets == old.sentinel_sets
+    assert list(new.level_of.items()) == list(old.level_of.items())
+    assert list(new.quad_parent.items()) == list(old.quad_parent.items())
+    assert list(new.quad_children.items()) == list(old.quad_children.items())
+    assert new.root == old.root
+    assert new.depth == old.depth
+    assert list(new.subtree_max_levels().items()) == list(
+        quadtree_oracle.subtree_max_levels(old).items()
+    )
+    assert list(new.takeover_orders().items()) == list(
+        quadtree_oracle.takeover_orders(old).items()
     )
 
 
-@pytest.mark.parametrize(
-    "topology",
-    [
-        grid_topology(6, 6),
-        grid_topology(17, 9),
-        random_geometric_topology(80, seed=11),
-        random_geometric_topology(300, seed=4),
-    ],
-    ids=["grid6", "grid17x9", "geom80", "geom300"],
-)
-def test_fast_build_identical_to_reference(topology):
-    reference = QuadTreeDecomposition(topology, fast=False)
-    fast = QuadTreeDecomposition(topology, fast=True)
-    assert _fingerprint(fast) == _fingerprint(reference)
+def assert_matches_oracle(topology):
+    new = QuadTreeDecomposition(topology)
+    assert_same_quadtree(new, quadtree_oracle.QuadTreeDecomposition(topology))
+    return new
+
+
+def _co_located(n):
+    return Topology(nx.complete_graph(n), {i: (1.0, 1.0) for i in range(n)})
+
+
+def _abcd():
+    graph = nx.relabel_nodes(nx.path_graph(4), dict(enumerate("abcd")))
+    return Topology(graph, {v: (float(i), 0.0) for i, v in enumerate("abcd")})
+
+
+_BASES = {
+    "grid1x1": lambda: grid_topology(1, 1),
+    "grid6": lambda: grid_topology(6, 6),
+    "grid6x9": lambda: grid_topology(6, 9),
+    "grid16": lambda: grid_topology(16, 16),
+    "grid17x9": lambda: grid_topology(17, 9),
+    "geom80": lambda: random_geometric_topology(80, seed=3),
+    "geom300": lambda: random_geometric_topology(300, seed=3),
+    "geom1000": lambda: random_geometric_topology(1000, seed=3),
+    "death_valley600": lambda: generate_death_valley_dataset(num_sensors=600).topology,
+    "abcd": _abcd,
+    # 40 co-located nodes drive subdivision to MAX_DEPTH and the flush.
+    "depth_cap40": lambda: _co_located(40),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _base(name):
+    return _BASES[name]()
+
+
+def _relabel(topology, mapping):
+    """*topology* with node ids renamed; graph order is kept."""
+    graph = nx.relabel_nodes(topology.graph, mapping)
+    positions = {mapping[v]: p for v, p in topology.positions.items()}
+    return Topology(graph, positions)
+
+
+def _ids(topology, kind):
+    nodes = list(topology.graph.nodes)
+    if kind == "str":
+        labels = [f"v{i}" for i in range(len(nodes))]
+    elif kind == "tuple":
+        labels = [(i % 3, -i) for i in range(len(nodes))]
+    else:  # shuffled ints: a seeded permutation of 0..n-1
+        labels = list(range(len(nodes)))
+        random.Random(7).shuffle(labels)
+    return dict(zip(nodes, labels))
+
+
+@pytest.mark.parametrize("name", [name for name in _BASES if name != "depth_cap40"])
+def test_fast_build_identical_to_reference(name):
+    assert_matches_oracle(_base(name))
 
 
 def test_fast_build_identical_at_depth_cap():
-    import networkx as nx
-
-    from repro.geometry.topology import Topology
-
-    # 40 co-located nodes drive subdivision to MAX_DEPTH and through the
-    # scalar flush branch of the fast build.
-    graph = nx.complete_graph(40)
-    positions = {i: (1.0, 1.0) for i in range(40)}
-    topology = Topology(graph, positions)
-    reference = QuadTreeDecomposition(topology, fast=False)
-    fast = QuadTreeDecomposition(topology, fast=True)
-    assert fast.depth == QuadTreeDecomposition.MAX_DEPTH
-    assert _fingerprint(fast) == _fingerprint(reference)
+    decomposition = assert_matches_oracle(_base("depth_cap40"))
+    assert decomposition.depth == QuadTreeDecomposition.MAX_DEPTH
 
 
-def test_fast_build_declines_non_contiguous_ids():
-    import networkx as nx
+@pytest.mark.parametrize("ids", ["str", "tuple", "shuffled"])
+@pytest.mark.parametrize("name", list(_BASES))
+def test_relabelled_build_identical_to_reference(name, ids):
+    topology = _base(name)
+    assert_matches_oracle(_relabel(topology, _ids(topology, ids)))
 
-    from repro.geometry.topology import Topology
 
-    graph = nx.path_graph(4)
-    graph = nx.relabel_nodes(graph, {0: "a", 1: "b", 2: "c", 3: "d"})
-    positions = {v: (float(i), 0.0) for i, v in enumerate("abcd")}
-    topology = Topology(graph, positions)
-    decomposition = QuadTreeDecomposition(topology, fast=True)
-    assert not decomposition._fast_eligible()
-    assert decomposition._fast_levels == []  # reference build ran
-    seen = [s for level in decomposition.sentinel_sets for s in level]
-    assert sorted(seen) == ["a", "b", "c", "d"]
+def test_round_tripped_topology_matches_oracle():
+    # topology_from_dict rebuilds the graph with its nodes in repr order.
+    topology = topology_from_dict(topology_to_dict(_base("geom300")))
+    assert list(topology.graph.nodes) == sorted(topology.graph.nodes, key=repr)
+    assert list(topology.graph.nodes) != sorted(topology.graph.nodes)
+    assert_matches_oracle(topology)
+
+
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=20),
+    st.sampled_from(["str", "tuple", "shuffled"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_property_matches_oracle_under_relabelling(n, seed, ids):
+    topology = random_geometric_topology(n, seed=seed)
+    assert_matches_oracle(_relabel(topology, _ids(topology, ids)))
+
+
+def test_derived_orders_are_fresh_dicts(small_grid):
+    decomposition = QuadTreeDecomposition(small_grid)
+    subtree = decomposition.subtree_max_levels()
+    subtree[decomposition.root] = -1
+    assert decomposition.subtree_max_levels()[decomposition.root] == decomposition.depth
+    assert decomposition.takeover_orders() is not decomposition.takeover_orders()
+
+
+def test_empty_topology_rejected():
+    with pytest.raises(ValueError, match="empty topology"):
+        QuadTreeDecomposition(Topology(nx.Graph(), {}))
+
+
+def _snapshot(decomposition):
+    return (
+        [list(level) for level in decomposition.sentinel_sets],
+        list(decomposition.level_of.items()),
+        list(decomposition.quad_parent.items()),
+        [(node, list(children)) for node, children in decomposition.quad_children.items()],
+        list(decomposition.subtree_max_levels().items()),
+        list(decomposition.takeover_orders().items()),
+    )
+
+
+def test_sentinel_takeover_leaves_quadtree_unchanged():
+    # The chaos-trace scenario (tools/make_chaos_trace.py): an 8x8 grid,
+    # explicit signalling with failure detection, and a mid-level sentinel
+    # crash that forces a cell takeover, run twice on one quadtree.
+    topology = grid_topology(8, 8)
+    features = {v: np.array([(x + y) / 10.0]) for v, (x, y) in topology.positions.items()}
+    config = ELinkConfig(delta=1.0, signalling="explicit", failure_detection=True)
+    kappa = compute_kappa(topology.num_nodes, config.gamma)
+    quadtree = QuadTreeDecomposition(topology)
+    sentinels = sorted(
+        (v for level in quadtree.sentinel_sets[1:] for v in level if v != quadtree.root),
+        key=repr,
+    )
+    leaves = sorted(
+        (v for v in topology.graph.nodes if quadtree.level_of[v] == quadtree.depth), key=repr
+    )
+    before = _snapshot(quadtree)
+    results = []
+    for _ in range(2):
+        graph = topology.graph.copy()
+        plan = FaultPlan()
+        plan.crash(0.40 * kappa, sentinels[len(sentinels) // 2])
+        plan.crash(0.15 * kappa, leaves[len(leaves) // 3])
+        network = Network(graph)
+        result = run_elink(
+            Topology(graph, dict(topology.positions)), features, EuclideanMetric(), config,
+            quadtree=quadtree, network=network, injector=FaultInjector(network, plan),
+        )
+        assert result.stats.packets_by_kind["takeover"] >= 1
+        results.append(result)
+    first, second = results
+    assert list(first.clustering.assignment.items()) == list(second.clustering.assignment.items())
+    assert list(first.clustering.parent.items()) == list(second.clustering.parent.items())
+    assert first.stats == second.stats
+    assert _snapshot(quadtree) == before

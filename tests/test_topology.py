@@ -110,6 +110,14 @@ def test_topology_requires_positions_for_all_nodes():
         Topology(graph, {0: (0.0, 0.0), 1: (1.0, 0.0)})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_topology_rejects_non_finite_positions(bad):
+    graph = nx.path_graph(3)
+    positions = {0: (0.0, 0.0), 1: (1.0, bad), 2: (2.0, 0.0)}
+    with pytest.raises(ValueError, match=r"position of node 1 must be finite, got \(1\.0, "):
+        Topology(graph, positions)
+
+
 def test_average_degree():
     topology = grid_topology(2, 2)
     assert topology.average_degree() == pytest.approx(2.0)
