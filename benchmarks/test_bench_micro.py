@@ -54,6 +54,18 @@ def test_elink_explicit_clustering(benchmark):
     assert result.num_clusters >= 1
 
 
+def test_explicit_elink_grid(benchmark):
+    """Explicit signalling on a 50x50 grid (δ = 0.5): every sentinel
+    message is charged by hop count, so the vectorised rounds lean on
+    ``Network.hop_distance``'s distance trees."""
+    topology, features = _gradient_instance(50)
+    config = ELinkConfig(delta=0.5, signalling="explicit")
+    result = benchmark.pedantic(
+        run_elink, args=(topology, features, EuclideanMetric(), config), rounds=3, iterations=1
+    )
+    assert result.total_messages == 34_690
+
+
 def test_mtree_build(benchmark):
     topology, features = _gradient_instance(15)
     metric = EuclideanMetric()
@@ -133,7 +145,8 @@ def test_send_throughput_traced(benchmark):
 
 @pytest.mark.parametrize("model", ["fast", "jittery", "lossy"])
 def test_route_throughput(benchmark, model):
-    """Multi-hop routing throughput (shortest-path cache + per-hop model)."""
+    """Multi-hop routing throughput (hop counts from distance trees +
+    per-hop model)."""
     network, nodes = _delivery_network(model)
     corners = [0, 11, 132, 143]
 

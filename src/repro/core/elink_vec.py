@@ -411,11 +411,10 @@ class _VectorRun:
             self._send_phase1(owner, self.level[owner])
 
     def _route(self, src: int, dst: int, kind: str, fire, *args) -> None:
-        """Mirror ``Network.route`` on the fast path: shortest-path charge,
+        """Mirror ``Network.route`` on the fast path: hop-count charge,
         one delivery push at ``hops × hop_delay`` (self-routes are free and
         land after one processing delay)."""
-        path = self.network.shortest_path(self.nodes[src], self.nodes[dst])
-        hops = len(path) - 1
+        hops = self.network.hop_distance(self.nodes[src], self.nodes[dst])
         if hops == 0:
             self._push_scalar(self.kernel.now + self.hd, fire, *args)
             return

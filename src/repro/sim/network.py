@@ -29,7 +29,9 @@ of raising mid-simulation.  Failures are synchronous at the sender (the
 link layer knows its ack never came), which is what protocol-level failure
 detection keys off.  Genuine programming errors (sending over an edge that
 never existed, routing in a graph that was disconnected from the start)
-still raise, so the fault path cannot mask bugs in fault-free runs.
+still raise, so the fault path cannot mask bugs in fault-free runs; routing
+to or from an id that is neither a live nor a crashed node raises
+:class:`networkx.NodeNotFound` in every mode.
 
 Performance notes (see DESIGN.md §8):
 
@@ -41,7 +43,7 @@ Performance notes (see DESIGN.md §8):
   network allocates two numpy arrays and one index dict, not 2N Python
   collections.  Topology changes go through the mutators
   :meth:`remove_node` / :meth:`restore_node` / :meth:`remove_edge` /
-  :meth:`restore_edge`, which clear the path cache and patch the affected
+  :meth:`restore_edge`, which clear the distance trees and patch the affected
   rows in place (O(local degree) per fault event); unpatched rows remain
   valid snapshots of the construction-time topology.  Hand-mutating
   ``self.graph`` requires a manual :meth:`invalidate_paths` (full
@@ -74,19 +76,23 @@ Performance notes (see DESIGN.md §8):
 - Jitter samples are pre-drawn in chunks when enabled; numpy consumes the
   same bit stream either way, so jittery runs are byte-identical to the
   per-call sampling they replace.
-- Shortest paths live in a bounded LRU keyed by ``(src, dst)`` and filled
-  by BFS-on-demand (replicating networkx's expansion order exactly, so
-  routed paths — and therefore per-node energy traces — are unchanged).
-  The BFS stops at ``dst`` but caches every path it discovered on the way,
-  so repeated routing from one source reuses the frontier instead of
-  re-running BFS.  Bounded, unlike the per-source
-  ``single_source_shortest_path`` cache it replaces, which held O(N²) path
-  objects on 2500-node runs.
+- **Hop counts from distance trees.**  :meth:`route` charges and delays
+  by hop count alone, so it asks :meth:`hop_distance`, which keeps one
+  breadth-first tree per source: a ``{node: depth}`` dict plus the open
+  frontier.  A tree grows a whole level at a time, only until the queried
+  destination appears, and later queries resume it where it stopped; a
+  query is also answered from the destination's tree when that already
+  holds the source (the graph is undirected).  Every mutator and
+  :meth:`invalidate_paths` clears all trees.  Their total size is bounded
+  without a parameter: once the trees hold more than
+  ``TREE_BUDGET_PER_NODE`` distances per node they are all dropped and
+  regrow on demand, which changes no answer.  Node paths are built only
+  where a consumer walks them — an attached energy model — by an uncached
+  BFS with networkx's tie-breaking (:meth:`shortest_path`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Protocol, Sequence
 
 if TYPE_CHECKING:  # import-light: the tracer is only ever held, never built here
@@ -111,8 +117,12 @@ from repro.sim.stats import MessageStats
 #: Batch size for pre-drawn jitter samples.
 _JITTER_CHUNK = 256
 
-#: Default bound on the (src, dst) -> path LRU cache.
-DEFAULT_PATH_CACHE_SIZE = 32768
+#: Bound on the distance trees behind :meth:`Network.hop_distance`: all
+#: trees are cleared once they hold more than this many distances per
+#: node.  Measured peaks are ~30 per node on chaos_1000 and at most 8 on
+#: explicit grids up to 4·10⁴ nodes, so the bound only stops all-to-one
+#: patterns, which would store ~N²/2 distances, from growing unbounded.
+TREE_BUDGET_PER_NODE = 64
 
 
 class MessageHandler(Protocol):
@@ -174,8 +184,6 @@ class Network:
     loss:
         Optional :class:`~repro.sim.radio.LossyLinkModel`; failed hop
         transmissions are retransmitted (ARQ), inflating cost and delay.
-    path_cache_size:
-        Bound on the shortest-path LRU (number of cached paths).
     tracer:
         Optional :class:`repro.obs.trace.Tracer`.  When attached, the
         delivery layer emits ``msg.send`` / ``msg.route`` /
@@ -198,13 +206,10 @@ class Network:
         jitter_seed: int = 0,
         energy: "EnergyModel | None" = None,
         loss: "LossyLinkModel | None" = None,
-        path_cache_size: int = DEFAULT_PATH_CACHE_SIZE,
         tracer: "Tracer | None" = None,
     ):
         if graph.number_of_nodes() == 0:
             raise ValueError("communication graph must have at least one node")
-        if path_cache_size < 1:
-            raise ValueError(f"path_cache_size must be >= 1, got {path_cache_size}")
         self.graph = graph
         self.kernel = kernel if kernel is not None else EventKernel()
         self.hop_delay = require_positive(hop_delay, "hop_delay")
@@ -248,10 +253,11 @@ class Network:
         #: ``_mutated`` stays a separate per-call check since faults flip
         #: it mid-run.
         self._bcast_ok = self._fast and tracer is None and energy is None
-        self._path_cache_size = path_cache_size
-        self._path_cache: OrderedDict[tuple[Hashable, Hashable], tuple[Hashable, ...]] = (
-            OrderedDict()
-        )
+        #: Per-source BFS distance trees (:meth:`hop_distance`):
+        #: ``src -> (depths, frontier, frontier depth)``, and the number of
+        #: depths they hold between them.
+        self._trees: dict[Hashable, tuple[dict[Hashable, int], list[Hashable], int]] = {}
+        self._tree_size = 0
         #: Open delivery cohorts: time -> (message list, kernel.pushes at
         #: the moment the cohort's kernel event was queued).
         self._cohorts: dict[float, tuple[list, int]] = {}
@@ -398,21 +404,23 @@ class Network:
         self._jitter_cursor += 1
         return self.hop_delay * (1.0 + float(value))
 
-    def _hop_cost(self, sender: Hashable, receiver: Hashable, message: Message) -> int:
+    def _hop_cost(self, message: Message) -> int:
         """Charge one hop (with retransmissions under loss); returns the
         number of transmission attempts used for delay accounting."""
         attempts = self.loss.attempts_for_hop() if self.loss is not None else 1
         self.stats.record(message, hops=attempts)
-        if self.energy is not None:
-            # Every attempt burns TX at the sender; only the successful
-            # one is received.
-            for _ in range(attempts - 1):
-                self.energy.spent[sender] = (
-                    self.energy.spent.get(sender, 0.0)
-                    + message.values * self.energy.tx_per_value
-                )
-            self.energy.charge_hop(sender, receiver, message.values)
         return attempts
+
+    def _charge_energy(
+        self, sender: Hashable, receiver: Hashable, values: int, attempts: int
+    ) -> None:
+        """Charge the energy model for one hop of *attempts* transmissions:
+        every attempt burns TX at the sender; only the successful one is
+        received."""
+        energy = self.energy
+        for _ in range(attempts - 1):
+            energy.spent[sender] = energy.spent.get(sender, 0.0) + values * energy.tx_per_value
+        energy.charge_hop(sender, receiver, values)
 
     # ------------------------------------------------------------------
     # node registry
@@ -472,7 +480,9 @@ class Network:
                 self._trace_send(message)
             self._post_delivery(self.hop_delay, message)
             return True
-        attempts = self._hop_cost(src, message.dst, message)
+        attempts = self._hop_cost(message)
+        if self.energy is not None:
+            self._charge_energy(src, message.dst, message.values, attempts)
         delay = sum(self._sample_hop_delay() for _ in range(attempts))
         if self._tracer is not None:
             self._trace_send(message, attempts=attempts)
@@ -594,21 +604,27 @@ class Network:
         After a topology fault, an unreachable/dead destination yields a
         structured drop and returns ``-1`` instead of raising; a graph that
         was disconnected from the start (never mutated) still raises
-        :class:`networkx.NetworkXNoPath` — that is a configuration bug.
+        :class:`networkx.NetworkXNoPath` — that is a configuration bug.  An
+        id that is neither a live nor a crashed node raises
+        :class:`networkx.NodeNotFound` in either case.
         """
+        src, dst = message.src, message.dst
         if self._mutated:
-            reason = self._endpoint_failure(message.src, message.dst)
+            reason = self._endpoint_failure(src, dst)
             if reason is None:
                 try:
-                    path = self.shortest_path(message.src, message.dst)
-                except (nx.NodeNotFound, nx.NetworkXNoPath):
+                    hops = self.hop_distance(src, dst)
+                except nx.NetworkXNoPath:
                     reason = "no_route"
+            else:
+                self._require_known(src, dst)
             if reason is not None:
                 self._drop(message, reason)
                 return -1
-            return self._traverse(path, message)
-        path = self.shortest_path(message.src, message.dst)
-        return self._traverse(path, message)
+        else:
+            hops = self.hop_distance(src, dst)
+        path = self.shortest_path(src, dst) if self.energy is not None else None
+        return self._traverse(message, hops, path)
 
     def route_along(self, path: Sequence[Hashable], message: Message) -> int:
         """Deliver *message* along an explicit *path* (src ... dst).
@@ -636,11 +652,16 @@ class Network:
                         self._drop(message, "link_down")
                         return -1
                 raise ValueError(f"path step {a!r} -> {b!r} is not a graph edge")
-        return self._traverse(path, message)
+        return self._traverse(message, len(path) - 1, path)
 
-    def _traverse(self, path: Sequence[Hashable], message: Message) -> int:
-        """Charge and deliver along *path*; returns the hop count."""
-        hops = len(path) - 1
+    def _traverse(
+        self, message: Message, hops: int, path: Sequence[Hashable] | None
+    ) -> int:
+        """Charge and deliver *message* over *hops* hops; returns *hops*.
+
+        *path* (src ... dst) is walked only to charge an energy model edge
+        by edge, so it may be ``None`` when none is attached.
+        """
         if self._tracer is not None:
             self._tracer.emit(
                 self.kernel.now,
@@ -654,18 +675,21 @@ class Network:
         if hops == 0:
             self._post_delivery(self.hop_delay, message)
             return 0
+        energy = self.energy
         if self._fast:
             # One stats record covers all hops (counters are additive);
             # energy still charges each edge's endpoints individually.
             self.stats.record(message, hops=hops)
-            if self.energy is not None:
+            if energy is not None:
                 for a, b in zip(path, path[1:]):
-                    self.energy.charge_hop(a, b, message.values)
+                    energy.charge_hop(a, b, message.values)
             self._post_delivery(hops * self.hop_delay, message)
             return hops
         delay = 0.0
-        for a, b in zip(path, path[1:]):
-            attempts = self._hop_cost(a, b, message)
+        for i in range(hops):
+            attempts = self._hop_cost(message)
+            if energy is not None:
+                self._charge_energy(path[i], path[i + 1], message.values, attempts)
             delay += sum(self._sample_hop_delay() for _ in range(attempts))
         self._post_delivery(delay, message)
         return hops
@@ -777,7 +801,7 @@ class Network:
 
         Cancels every pending timer registered for the node via
         :meth:`schedule_owned`, marks it dead (so in-flight deliveries to it
-        drop), mutates ``self.graph`` and invalidates the path cache.
+        drop), mutates ``self.graph`` and clears the distance trees.
         Returns the node's neighbours at crash time, for a later
         :meth:`restore_node`.  Idempotent: crashing a dead node returns
         ``()``.
@@ -791,7 +815,7 @@ class Network:
         self.graph.remove_node(node_id)
         self.dead_nodes.add(node_id)
         self._mutated = True
-        self._path_cache.clear()
+        self._clear_trees()
         self._adjacency_drop_node(node_id, neighbours)
         if self._tracer is not None:
             self._tracer.emit(
@@ -813,7 +837,7 @@ class Network:
                 self.graph.add_edge(node_id, nbr)
         self.dead_nodes.discard(node_id)
         self._mutated = True
-        self._path_cache.clear()
+        self._clear_trees()
         self._adjacency_add_node(node_id)
         if self._tracer is not None:
             self._tracer.emit(
@@ -827,7 +851,7 @@ class Network:
         self.graph.remove_edge(u, v)
         self._removed_edges.add(frozenset((u, v)))
         self._mutated = True
-        self._path_cache.clear()
+        self._clear_trees()
         self._adjacency_drop_edge(u, v)
         if self._tracer is not None:
             self._tracer.emit(self.kernel.now, "link.down", u, other=v)
@@ -844,7 +868,7 @@ class Network:
         self._removed_edges.discard(key)
         self.graph.add_edge(u, v)
         self._mutated = True
-        self._path_cache.clear()
+        self._clear_trees()
         self._adjacency_add_edge(u, v)
         if self._tracer is not None:
             self._tracer.emit(self.kernel.now, "link.up", u, other=v)
@@ -885,78 +909,115 @@ class Network:
     # ------------------------------------------------------------------
     # paths
     # ------------------------------------------------------------------
-    def shortest_path(self, src: Hashable, dst: Hashable) -> Sequence[Hashable]:
-        """Shortest path from *src* to *dst* (bounded LRU + BFS on demand).
+    def hop_distance(self, src: Hashable, dst: Hashable) -> int:
+        """Shortest-path hop count from *src* to *dst*.
+
+        Answered from the per-source distance trees (module docstring):
+        *src*'s tree, else *dst*'s tree if it already holds *src*, else
+        *src*'s tree grown level by level until *dst* appears.  Raises
+        :class:`networkx.NodeNotFound` for an id the network never had and
+        :class:`networkx.NetworkXNoPath` when no live path exists.
+        """
+        trees = self._trees
+        tree = trees.get(src)
+        if tree is not None:
+            depth = tree[0].get(dst)
+            if depth is not None:
+                return depth
+        other = trees.get(dst)
+        if other is not None:
+            depth = other[0].get(src)
+            if depth is not None:
+                return depth
+        self._require_endpoints(src, dst)
+        if tree is None:
+            tree = ({src: 0}, [src], 0)
+            self._tree_size += 1
+        depths, frontier, depth = tree
+        size = len(depths)
+        adj = self._adj
+        # Whole levels at a time, so a stored frontier is always complete.
+        while dst not in depths and frontier:
+            depth += 1
+            next_frontier: list[Hashable] = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w not in depths:
+                        depths[w] = depth
+                        next_frontier.append(w)
+            frontier = next_frontier
+        trees[src] = (depths, frontier, depth)
+        self._tree_size += len(depths) - size
+        found = depths.get(dst)
+        if self._tree_size > TREE_BUDGET_PER_NODE * len(self._node_list):
+            self._clear_trees()
+        if found is None:
+            raise nx.NetworkXNoPath(f"no path from {src!r} to {dst!r}")
+        return found
+
+    def _clear_trees(self) -> None:
+        """Drop every distance tree (topology changed, or over budget)."""
+        self._trees.clear()
+        self._tree_size = 0
+
+    def _require_endpoints(self, src: Hashable, dst: Hashable) -> None:
+        """Raise unless both ids are live nodes: :class:`networkx.NodeNotFound`
+        for an id that is neither live nor crashed (a programming error, in
+        any mode), :class:`networkx.NetworkXNoPath` for a crashed one."""
+        adj = self._adj
+        if src in adj and dst in adj:
+            return
+        self._require_known(src, dst)
+        raise nx.NetworkXNoPath(f"no path from {src!r} to {dst!r}: an endpoint has crashed")
+
+    def _require_known(self, *nodes: Hashable) -> None:
+        """Raise :class:`networkx.NodeNotFound` for an id that is neither in
+        the adjacency nor among the crashed nodes."""
+        for node in nodes:
+            if node not in self._adj and node not in self.dead_nodes:
+                raise nx.NodeNotFound(f"node {node!r} is not in the communication graph")
+
+    def shortest_path(self, src: Hashable, dst: Hashable) -> tuple[Hashable, ...]:
+        """Shortest node path from *src* to *dst* (uncached BFS).
 
         Expansion order replicates ``networkx.single_source_shortest_path``
-        exactly, so the returned path (not just its length) matches what the
-        unbounded per-source cache used to produce.
+        exactly, so ties break the same way and per-node energy traces do
+        not depend on this implementation.  Raises as :meth:`hop_distance`.
         """
-        cache = self._path_cache
-        key = (src, dst)
-        path = cache.get(key)
-        if path is not None:
-            cache.move_to_end(key)
-            return path
-        return self._bfs_path(src, dst)
-
-    def _bfs_path(self, src: Hashable, dst: Hashable) -> tuple[Hashable, ...]:
+        self._require_endpoints(src, dst)
         adj = self._adj
-        if src not in adj:
-            raise nx.NodeNotFound(f"source {src!r} is not in the communication graph")
-        if dst not in adj:
-            raise nx.NetworkXNoPath(f"no path from {src!r} to {dst!r}")
-        cache = self._path_cache
-        limit = self._path_cache_size
-
-        def remember(key: tuple[Hashable, Hashable], path: tuple[Hashable, ...]) -> None:
-            cache[key] = path
-            cache.move_to_end(key)
-            if len(cache) > limit:
-                cache.popitem(last=False)
-
-        paths: dict[Hashable, tuple[Hashable, ...]] = {src: (src,)}
-        remember((src, src), (src,))
-        if dst == src:
-            return (src,)
-        # Level-order expansion in adjacency order — identical tie-breaking
-        # to nx.single_source_shortest_path, stopping once dst is reached.
-        # Every path discovered on the way is cached: later routes from the
-        # same source to anything at most as far as dst are cache hits.
+        parent: dict[Hashable, Hashable] = {src: src}
         level: list[Hashable] = [src]
-        while level:
+        while level and dst not in parent:
             next_level: list[Hashable] = []
             for v in level:
-                base = paths[v]
                 for w in adj[v]:
-                    if w not in paths:
-                        path = base + (w,)
-                        paths[w] = path
-                        remember((src, w), path)
-                        if w == dst:
-                            return path
+                    if w not in parent:
+                        parent[w] = v
                         next_level.append(w)
             level = next_level
-        raise nx.NetworkXNoPath(f"no path from {src!r} to {dst!r}")
+        if dst not in parent:
+            raise nx.NetworkXNoPath(f"no path from {src!r} to {dst!r}")
+        path = [dst]
+        while path[-1] != src:
+            path.append(parent[path[-1]])
+        return tuple(reversed(path))
 
     def invalidate_paths(self) -> None:
         """Resynchronize with ``self.graph`` after a topology mutation.
 
-        The network precomputes adjacency and caches shortest paths, so any
-        *hand*-mutation of ``self.graph`` MUST be followed by a call to this
-        method; otherwise sends keep validating against the old adjacency
-        and routes silently follow stale paths.  Prefer the mutators
-        (:meth:`remove_node` / :meth:`restore_node` / :meth:`remove_edge` /
-        :meth:`restore_edge`), which patch the affected adjacency rows
-        incrementally (O(local degree) per event, not O(N+E)) and
-        additionally maintain the structured-failure bookkeeping.
+        The network precomputes adjacency and keeps BFS distance trees, so
+        any *hand*-mutation of ``self.graph`` MUST be followed by a call to
+        this method; otherwise sends keep validating against the old
+        adjacency and routes are charged stale hop counts.  Prefer the
+        mutators (:meth:`remove_node` / :meth:`restore_node` /
+        :meth:`remove_edge` / :meth:`restore_edge`), which patch the
+        affected adjacency rows incrementally (O(local degree) per event,
+        not O(N+E)) and additionally maintain the structured-failure
+        bookkeeping.
         """
-        self._path_cache.clear()
+        self._clear_trees()
         self._rebuild_adjacency()
-
-    def hop_distance(self, src: Hashable, dst: Hashable) -> int:
-        """Shortest-path hop count between two nodes."""
-        return len(self.shortest_path(src, dst)) - 1
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Drain the event kernel (convenience passthrough)."""

@@ -220,6 +220,31 @@ def test_unmutated_network_still_raises_on_programming_errors():
         network.send(Message("feature", 0, 3))
 
 
+@pytest.mark.parametrize("mutated", [False, True], ids=["unmutated", "severed"])
+@pytest.mark.parametrize("src, dst", [(0, 99), (77, 0), (77, 3)])
+def test_unknown_node_ids_raise_in_both_modes(mutated, src, dst):
+    """An id that is neither live nor crashed is a programming error: it
+    raises NodeNotFound even after a fault, never a no_route drop."""
+    network, _ = _line_network(4)
+    if mutated:
+        assert network.remove_edge(1, 2)
+        network.remove_node(3)  # (77, 3): the known endpoint is dead
+    with pytest.raises(nx.NodeNotFound):
+        network.route(Message("feature", src, dst))
+    with pytest.raises(nx.NodeNotFound):
+        network.hop_distance(src, dst)
+    assert network.stats.total_drops == 0
+
+
+def test_fault_unreachable_live_node_is_a_no_route_drop():
+    network, _ = _line_network(4)
+    assert network.remove_edge(1, 2)
+    assert network.route(Message("feature", 0, 3)) == -1
+    assert network.stats.drops_by_reason == {"no_route": 1}
+    with pytest.raises(nx.NetworkXNoPath):
+        network.hop_distance(0, 3)
+
+
 # ----------------------------------------------------------------------
 # Self-healing ELink
 # ----------------------------------------------------------------------
@@ -270,6 +295,34 @@ def test_chaos_explicit_5pct_crash_20x20():
     assert result.repair_messages > 0
     assert result.total_messages >= result.repair_messages
     assert result.stats.total_drops > 0
+
+
+def test_chaos_run_identical_when_tree_budget_trips(monkeypatch):
+    """Clearing the distance trees over budget changes no hop count: an
+    explicit chaos run with a budget of one distance per node, which trips
+    all the time, matches the default run message for message."""
+    import repro.sim.network as network_module
+
+    _, baseline, *_ = _chaos_run(12, "explicit", 0.05, 3)
+    trips = []
+    hop_distance = Network.hop_distance
+
+    def spy(self, src, dst):
+        before = self._tree_size
+        hops = hop_distance(self, src, dst)
+        if self._tree_size < before:
+            trips.append(before)
+        return hops
+
+    monkeypatch.setattr(Network, "hop_distance", spy)
+    monkeypatch.setattr(network_module, "TREE_BUDGET_PER_NODE", 1)
+    _, lowered, *_ = _chaos_run(12, "explicit", 0.05, 3)
+    assert trips
+    assert lowered.stats == baseline.stats
+    assert lowered.stats.total_drops > 0
+    assert lowered.clustering.assignment == baseline.clustering.assignment
+    assert lowered.clustering.parent == baseline.clustering.parent
+    assert lowered.completion_time == baseline.completion_time
 
 
 def test_chaos_implicit_mode_self_heals():

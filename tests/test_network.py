@@ -1,11 +1,17 @@
 """Tests for the message-passing network layer and protocol node base."""
 
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.sim.network as network_module
 from repro.geometry import grid_topology
 from repro.sim import EventKernel, Message, Network, ProtocolNode
+from repro.sim.network import TREE_BUDGET_PER_NODE
 
 
 class Recorder(ProtocolNode):
@@ -277,7 +283,7 @@ def test_jitter_deterministic_per_seed():
 
 
 # ----------------------------------------------------------------------
-# path cache
+# hop counts: per-source distance trees
 # ----------------------------------------------------------------------
 def test_bfs_paths_match_networkx():
     """BFS-on-demand must reproduce networkx's exact paths (not just
@@ -291,15 +297,152 @@ def test_bfs_paths_match_networkx():
             assert tuple(network.shortest_path(src, dst)) == tuple(expected[dst])
 
 
-def test_path_cache_eviction_stays_correct():
-    graph = nx.path_graph(6)
-    network = Network(graph, EventKernel(), path_cache_size=2)
-    for src in range(6):
-        for dst in range(6):
-            path = network.shortest_path(src, dst)
-            assert len(path) == abs(src - dst) + 1
-    assert len(network._path_cache) <= 2
-    assert tuple(network.shortest_path(5, 0)) == (5, 4, 3, 2, 1, 0)
+def _tree_size(network):
+    return sum(len(depths) for depths, _, _ in network._trees.values())
+
+
+def test_distance_trees_stay_under_budget_all_to_one():
+    """Every node routes once to one corner of a 30x30 grid.  Unbounded,
+    the trees would hold ~N²/2 distances; the budget clears them instead,
+    and every hop count still equals networkx's."""
+    graph = grid_topology(30, 30).graph
+    network = Network(graph, EventKernel())
+    corner = next(iter(graph.nodes))
+    expected = nx.single_source_shortest_path_length(graph, corner)
+    budget = TREE_BUDGET_PER_NODE * graph.number_of_nodes()
+    trips = 0
+    for src in graph.nodes:
+        before = network._tree_size
+        assert network.hop_distance(src, corner) == expected[src]
+        assert network._tree_size == _tree_size(network) <= budget
+        trips += network._tree_size < before
+    assert trips > 0  # the pattern really exceeds the budget
+
+
+def test_distance_trees_resume_and_answer_both_orientations():
+    network, _ = _line_network(8)
+    assert network.hop_distance(0, 2) == 2
+    depths, frontier, depth = network._trees[0]
+    assert (len(depths), frontier, depth) == (3, [2], 2)  # stopped at dst's level
+    assert network.hop_distance(0, 6) == 6  # resumed, not restarted
+    assert network._trees[0][2] == 6
+    assert network.hop_distance(5, 0) == 5  # answered from 0's tree
+    assert 5 not in network._trees
+    network.remove_edge(6, 7)
+    assert network._trees == {} and network._tree_size == 0
+
+
+_OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["crash", "recover", "cut", "mend", "hand_add", "hand_cut"]),
+        st.integers(0, 64),
+        st.integers(0, 64),
+    ),
+    max_size=16,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    n=st.integers(2, 10),
+    parents=st.lists(st.integers(0, 10**6), min_size=9, max_size=9),
+    extra=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=10),
+    budget=st.sampled_from([TREE_BUDGET_PER_NODE, 1]),
+    operations=_OPERATIONS,
+)
+def test_hop_counts_match_networkx_under_mutation(n, parents, extra, budget, operations):
+    """Random connected graphs under faults and hand mutations followed by
+    invalidate_paths(), queried between every two operations: hop counts
+    equal networkx's on the live graph in both orientations; an
+    unreachable pair raises NetworkXNoPath before any fault and is a
+    structured drop after one; an id the network never had (``n``) raises
+    NodeNotFound throughout.
+
+    Operands index the current candidates (live nodes, edges, crashed
+    nodes, severed links), so most operations change the topology."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from((i, parents[i - 1] % i) for i in range(1, n))
+    graph.add_edges_from((a % n, b % n) for a, b in extra if a % n != b % n)
+    with mock.patch.object(network_module, "TREE_BUDGET_PER_NODE", budget):
+        network = Network(graph, EventKernel())
+        live = network.graph
+        saved: dict[int, tuple] = {}
+        cut: list[tuple[int, int]] = []
+        faulted = False
+        _check_all_pairs(network, n, faulted, 0, 0, budget)
+        for op, a, b in operations:
+            nodes, edges = sorted(live.nodes), sorted(live.edges)
+            if op == "crash" and nodes:
+                node = nodes[a % len(nodes)]
+                saved[node] = network.remove_node(node)
+                faulted = True
+            elif op == "recover" and saved:
+                node = sorted(saved)[a % len(saved)]
+                network.restore_node(node, saved.pop(node))
+            elif op == "cut" and edges:
+                u, v = edges[a % len(edges)]
+                assert network.remove_edge(u, v)
+                cut.append((u, v))
+                faulted = True
+            elif op == "mend" and cut:
+                i = a % len(cut)
+                if network.restore_edge(*cut[i]):  # False while an endpoint is dead
+                    cut.pop(i)
+            elif op == "hand_add" and len(nodes) > 1:
+                u, v = nodes[a % len(nodes)], nodes[b % len(nodes)]
+                if u != v and (u, v) not in cut and (v, u) not in cut:
+                    live.add_edge(u, v)
+                    network.invalidate_paths()
+            elif op == "hand_cut" and edges:
+                live.remove_edge(*edges[a % len(edges)])
+                network.invalidate_paths()
+            _check_all_pairs(network, n, faulted, a, b, budget)
+
+
+def _check_all_pairs(network, n, faulted, a, b, budget):
+    """Query every ordered pair of ids ``0..n``, sources and destinations
+    in orders rotated by *a* and *b*, so trees resume part-grown, answer
+    in reverse, and would go stale if a mutation failed to clear them."""
+    expected = dict(nx.all_pairs_shortest_path_length(network.graph))
+    for i in range(n + 1):
+        src = (a + i) % (n + 1)
+        for k in range(n + 1):
+            dst = (b + k) % (n + 1)
+            _check_query(network, src, dst, n, faulted, expected)
+    assert network._tree_size == _tree_size(network)
+    assert network._tree_size <= budget * len(network._node_list)
+
+
+def _check_query(network, src, dst, unknown, faulted, expected):
+    message = Message("query", src, dst)
+    if unknown in (src, dst):
+        with pytest.raises(nx.NodeNotFound):
+            network.hop_distance(src, dst)
+        with pytest.raises(nx.NodeNotFound):
+            network.route(message)
+        return
+    live = network.graph
+    hops = expected.get(src, {}).get(dst)
+    if hops is not None:
+        assert network.hop_distance(src, dst) == hops
+        assert network.route(message) == hops
+        return
+    with pytest.raises(nx.NetworkXNoPath):
+        network.hop_distance(src, dst)
+    if not faulted:
+        with pytest.raises(nx.NetworkXNoPath):
+            network.route(message)
+        return
+    drops = network.stats.drops_by_reason.copy()
+    assert network.route(message) == -1
+    reason = (
+        "dead_source" if src not in live
+        else "dead_destination" if dst not in live
+        else "no_route"
+    )
+    drops[reason] += 1
+    assert network.stats.drops_by_reason == drops
 
 
 def test_invalidate_paths_after_topology_change():
