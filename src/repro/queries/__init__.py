@@ -1,7 +1,9 @@
 """Query processing over the clustered network (paper §7.2–7.3, §8.6).
 
-Besides the per-strategy engines (M-tree pruning, backbone scans, TAG
-flooding), the package ships a serving layer: a cost-model
+The range, k-NN and path engines each run their M-tree and backbone plans
+over one shared :class:`~repro.queries.context.QueryContext` (features,
+crash context, backbone fan-out, coverage and accounting).  Besides the
+engines and TAG flooding, the package ships a serving layer: a cost-model
 :class:`~repro.queries.planner.QueryPlanner` that picks the cheapest
 strategy per query, a generation-swept
 :class:`~repro.queries.result_cache.QueryResultCache`, and the
@@ -9,6 +11,7 @@ strategy per query, a generation-swept
 See ``docs/QUERYING.md`` for the full guide.
 """
 
+from repro.queries.context import QueryContext
 from repro.queries.knn import KnnQueryEngine, KnnResult, brute_force_knn
 from repro.queries.load import (
     MIXES,
@@ -49,6 +52,7 @@ __all__ = [
     "PathQueryEngine",
     "PathQueryResult",
     "PlannedResult",
+    "QueryContext",
     "QueryPlan",
     "QueryPlanner",
     "QueryResultCache",

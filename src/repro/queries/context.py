@@ -1,0 +1,270 @@
+"""One degraded-mode core shared by the query engines and the planner.
+
+Every query plan of §7.2–7.3 runs the same pipeline: route from the
+initiator to its cluster root, fan out over the leader backbone, prune
+with cluster balls, and answer inside the clusters it reaches.  A
+:class:`QueryContext` owns what every plan needs to know about the serving
+structures and about crashes, so each rule below is written once:
+
+- the float64 feature dict and its dimension;
+- the dead set and the re-elected roots (``root_replacements``): which
+  backbone node stands for a root (:meth:`~QueryContext.effective`), which
+  original root a replacement stands for (:meth:`~QueryContext.original`),
+  and which roots are unreachable — dead without a replacement;
+- the conservative routing ball of a re-elected root: the dead root's
+  ball enlarged by the feature distance between the two, sound by the
+  triangle inequality (:meth:`~QueryContext.routing_ball`);
+- the backbone fan-out (:meth:`~QueryContext.walk`): a copy sent toward a
+  dead relay is one ``dead_relay`` drop and loses every root behind that
+  relay; backbone nodes outside the start's tree component (a repair that
+  split the backbone) are lost too; a subtree pruned by a caller's
+  summary ball is covered, not lost, and records no drop;
+- coverage — the fraction of surviving nodes whose cluster is not lost;
+- the local-only answer for an initiator whose root died unreplaced;
+- message charges and drops, mirrored into ``queries.drops.<reason>``
+  counters when a metrics registry is supplied;
+- the M-tree subtree of a node, and the crash context a result-cache key
+  must embed.
+
+With ``dead`` and ``root_replacements`` empty every rule reduces to the
+fault-free bookkeeping.  The planner builds one context and its range,
+k-NN and path engines read that same object (``from_context``); an engine
+built through its own constructor builds a private one.  The backbone is
+read as built: its split test and the unpruned fan-out per start are
+cached, so a backbone repaired later needs a new context.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Hashable, Mapping
+
+import networkx as nx
+import numpy as np
+
+from repro.core.delta import Clustering
+from repro.features.metrics import Metric
+from repro.index.backbone import BackboneTree
+from repro.index.mtree import MTreeIndex
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.messages import CATEGORY_QUERY
+from repro.sim.stats import MessageStats
+
+#: Drop reasons recorded by the degraded query paths.
+DROP_DEAD_RELAY = "dead_relay"
+DROP_DEAD_ROOT = "dead_root"
+DROP_DEAD_ENDPOINT = "dead_endpoint"
+DROP_NO_SURVIVORS = "no_survivors"
+
+#: A backbone fan-out: ``(reached, hops, lost)`` — the hop distance from
+#: the start of every root the query reaches (in visit order), the backbone
+#: hops it traverses, and the roots it cannot reach.
+Walk = tuple[dict[Hashable, int], int, set[Hashable]]
+
+
+class QueryContext:
+    """Serving structures plus the crash context every query plan reads.
+
+    *backbone* may be ``None`` for a context that never walks it (the
+    path engine's own).  ``dead`` is the crashed node set and
+    ``root_replacements`` maps a dead root to its re-elected
+    representative; both default empty.
+    """
+
+    def __init__(
+        self,
+        clustering: Clustering,
+        features: Mapping[Hashable, np.ndarray],
+        metric: Metric,
+        mtree: MTreeIndex,
+        backbone: BackboneTree | None = None,
+        *,
+        dead: "set[Hashable] | frozenset[Hashable] | None" = None,
+        root_replacements: Mapping[Hashable, Hashable] | None = None,
+        metrics: MetricsRegistry | None = None,
+    ):
+        self.clustering = clustering
+        self.features = {k: np.asarray(v, dtype=np.float64) for k, v in features.items()}
+        self.metric = metric
+        self.mtree = mtree
+        self.backbone = backbone
+        self.metrics = metrics
+        self.dim = int(next(iter(self.features.values())).shape[0])
+        self.dead = frozenset(dead) if dead else frozenset()
+        self.replacements = dict(root_replacements) if root_replacements else {}
+        self.replaced_by = {repl: orig for orig, repl in self.replacements.items()}
+        self.degraded = bool(self.dead or self.replacements)
+        self._split = backbone is not None and not nx.is_connected(backbone.tree)
+        # start -> (reached, hops, lost, dead relays) of the unpruned walk.
+        self._reach: dict[Hashable, tuple[dict[Hashable, int], int, set[Hashable], int]] = {}
+
+    # ------------------------------------------------------------------
+    # roots
+    def effective(self, root: Hashable) -> Hashable:
+        """The backbone node standing for cluster root *root*."""
+        return self.replacements.get(root, root)
+
+    def original(self, node: Hashable) -> Hashable:
+        """The cluster root a backbone node stands for (itself unless re-elected)."""
+        return self.replaced_by.get(node, node)
+
+    def unreachable(self, root: Hashable) -> bool:
+        """True when *root* is dead with no re-elected replacement."""
+        return root in self.dead and root not in self.replacements
+
+    def entry_hops(self, node: Hashable) -> int:
+        """Cluster-tree hops from *node* to its cluster root."""
+        return len(self.clustering.path_to_root(node)) - 1
+
+    def routing_ball(self, node: Hashable) -> tuple[np.ndarray, float]:
+        """Pruning ball of backbone node *node*, conservative when re-elected.
+
+        A replacement's own M-tree entry only covers its subtree, so its
+        cluster ball is the dead root's ball enlarged by the feature
+        distance between the two.
+        """
+        center = self.mtree.routing_feature[node]
+        orig = self.replaced_by.get(node)
+        if orig is None:
+            return center, self.mtree.covering_radius[node]
+        slack = self.metric.distance(center, self.mtree.routing_feature[orig])
+        return center, slack + self.mtree.covering_radius[orig]
+
+    def alive_members(self, node: Hashable):
+        """Surviving members of the cluster backbone node *node* stands for."""
+        members = self.clustering.members(self.original(node))
+        if self.dead:
+            return [m for m in members if m not in self.dead]
+        return members
+
+    def alive_total(self) -> int:
+        """Number of surviving clustered nodes."""
+        return sum(1 for n in self.clustering.assignment if n not in self.dead)
+
+    # ------------------------------------------------------------------
+    # the backbone
+    def far_side(self, src: Hashable, dst: Hashable) -> set[Hashable]:
+        """Backbone nodes reachable from *dst* without crossing (src, dst)."""
+        seen = {dst}
+        stack = [dst]
+        while stack:
+            current = stack.pop()
+            for neighbor in self.backbone.tree.neighbors(current):
+                if neighbor == src and current == dst:
+                    continue
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    stack.append(neighbor)
+        return seen
+
+    def walk(
+        self,
+        start: Hashable,
+        stats: MessageStats | None = None,
+        prune: Callable[[Hashable, Hashable], bool] | None = None,
+    ) -> Walk:
+        """Fan a query out over the backbone from *start* (see :data:`Walk`).
+
+        ``prune(src, dst)`` returning True skips the far side of backbone
+        edge (src, dst) — covered by the caller's summary, so not lost.
+        Dead relays are recorded as drops into *stats* when given; charging
+        the traversed hops is left to the caller.  The unpruned walk
+        depends on *start* alone and is cached: its ``reached`` map is the
+        hop map from *start*, which on the acyclic backbone equals the hop
+        sums along ``nx.shortest_path``.  Callers must not mutate it.
+        """
+        cached = self._reach.get(start) if prune is None else None
+        if cached is None:
+            tree = self.backbone.tree
+            reached, hops, lost, relays = {start: 0}, 0, set(), 0
+            if self._split:
+                lost.update(set(tree) - nx.node_connected_component(tree, start))
+            seen = {start}
+            stack = [start]
+            while stack:
+                current = stack.pop()
+                for neighbor in tree.neighbors(current):
+                    if neighbor in seen:
+                        continue
+                    seen.add(neighbor)
+                    if neighbor in self.dead:
+                        relays += 1
+                        lost.update(self.far_side(current, neighbor))
+                        continue
+                    if prune is not None and prune(current, neighbor):
+                        continue
+                    edge = self.backbone.edge_hops(current, neighbor)
+                    reached[neighbor] = reached[current] + edge
+                    hops += edge
+                    stack.append(neighbor)
+            cached = (reached, hops, lost, relays)
+            if prune is None:
+                self._reach[start] = cached
+        reached, hops, lost, relays = cached
+        if stats is not None:
+            for _ in range(relays):
+                self.drop(stats, DROP_DEAD_RELAY)
+        return reached, hops, lost
+
+    def coverage(self, lost) -> float:
+        """Fraction of surviving nodes whose cluster is not among *lost*."""
+        if not lost:
+            return 1.0
+        alive_total = self.alive_total()
+        if alive_total == 0:
+            # No survivors at all: nothing was (or could be) covered.
+            return 0.0
+        uncovered = sum(len(self.alive_members(node)) for node in lost)
+        return 1.0 - uncovered / alive_total
+
+    def local_only(self, origin: Hashable, stats: MessageStats) -> tuple[list[Hashable], float]:
+        """Answer set and coverage when *origin*, the initiator's root, is unreachable.
+
+        The initiator cannot enter the backbone, so the query floods the
+        surviving members of its own cluster: a ``dead_root`` drop, then
+        ``dim+1`` values down and 1 back per cluster-tree edge, and a
+        ``no_survivors`` drop when nobody is left.  Returns those members
+        and their share of all survivors (0.0 when nobody survives).
+        """
+        self.drop(stats, DROP_DEAD_ROOT)
+        alive = self.alive_members(origin)
+        edges = max(len(alive) - 1, 0)
+        self.charge(stats, self.dim + 1, edges)
+        self.charge(stats, 1, edges)
+        if not alive:
+            self.drop(stats, DROP_NO_SURVIVORS)
+        alive_total = self.alive_total()
+        return alive, len(alive) / alive_total if alive_total else 0.0
+
+    # ------------------------------------------------------------------
+    # accounting
+    @staticmethod
+    def charge(stats: MessageStats, values: int, hops: int) -> None:
+        """Charge *values* query values over *hops* hops (nothing for 0)."""
+        if hops > 0:
+            stats.charge("query", CATEGORY_QUERY, values, hops)
+
+    def drop(self, stats: MessageStats, reason: str) -> None:
+        """Record one degraded-path drop in *stats* and the metrics registry."""
+        stats.drop("query", reason)
+        if self.metrics is not None:
+            self.metrics.counter(f"queries.drops.{reason}").inc()
+
+    # ------------------------------------------------------------------
+    def subtree(self, node: Hashable) -> set[Hashable]:
+        """*node* and every M-tree descendant of it."""
+        out: set[Hashable] = set()
+        stack = [node]
+        while stack:
+            current = stack.pop()
+            out.add(current)
+            stack.extend(self.mtree.children[current])
+        return out
+
+    def cache_context(self) -> "dict[str, Any] | None":
+        """The crash context a result-cache key embeds (None fault-free)."""
+        if not self.degraded:
+            return None
+        return {
+            "dead": sorted(self.dead, key=repr),
+            "root_replacements": sorted(self.replacements.items(), key=repr),
+        }

@@ -22,10 +22,18 @@ If source and destination fall in different safe regions, no safe path
 exists and the query is suppressed at the source's root — the paper's
 early-exit.
 
-The BFS-flooding baseline instead floods the query through the safe part
-of the network from the source: every reached safe node rebroadcasts once,
-so the cost is ~2 values per edge incident to the flooded region, plus the
-path trace-back.
+:class:`PathQueryEngine` runs three plans that share one routing tail, so
+they return identical routes for the same safe set: the drill-down above
+(:meth:`~PathQueryEngine.query`), the same classification with boundary
+clusters flooded instead of drilled
+(:meth:`~PathQueryEngine.backbone_query`), and a flood of the source's
+whole safe component (:meth:`~PathQueryEngine.flood_query`).
+
+The BFS-flooding baseline (:func:`bfs_flood_path`) instead floods the
+query through the safe part of the network from the source and stops at
+the destination: every reached safe node rebroadcasts once, so the cost is
+~2 values per edge incident to the flooded region, plus the path
+trace-back.
 """
 
 from __future__ import annotations
@@ -41,13 +49,9 @@ from repro.core.delta import Clustering
 from repro.features.metrics import Metric
 from repro.index.mtree import MTreeIndex
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.messages import CATEGORY_QUERY, Message
+from repro.queries.context import DROP_DEAD_ENDPOINT, DROP_DEAD_ROOT, QueryContext
+from repro.sim.messages import Message
 from repro.sim.stats import MessageStats
-
-#: Drop reasons recorded by the degraded-mode path-query paths.
-DROP_DEAD_ROOT = "dead_root"
-DROP_DEAD_ENDPOINT = "dead_endpoint"
-DROP_NO_SURVIVORS = "no_survivors"
 
 
 @dataclass
@@ -73,14 +77,14 @@ class PathQueryEngine:
     node set) and clusters whose representative died are excluded from the
     safe set — their surviving members cannot be classified, so they count
     as uncovered and the result carries a coverage fraction instead of a
-    crash.  Dead nodes are never part of a returned path.  ``dead`` defaults
-    to empty: the fault-free path is untouched.
+    crash.  Re-elected roots are not consulted.  Dead nodes are never part
+    of a returned path, and a dead endpoint answers "no path" at once.
+    ``dead`` defaults to empty: the fault-free path is untouched.
 
     Degraded-path losses are recorded in the per-query ``MessageStats``
-    under ``drops_by_reason`` (``dead_root`` / ``dead_endpoint`` /
-    ``no_survivors``) and mirrored into ``queries.drops.<reason>``
-    counters when a *metrics* registry is supplied, so both accounting
-    systems agree.
+    under ``drops_by_reason`` (``dead_root`` / ``dead_endpoint``) and
+    mirrored into ``queries.drops.<reason>`` counters when a *metrics*
+    registry is supplied, so both accounting systems agree.
     """
 
     def __init__(
@@ -95,13 +99,17 @@ class PathQueryEngine:
         metrics: MetricsRegistry | None = None,
     ):
         self.graph = graph
-        self.clustering = clustering
-        self.features = {k: np.asarray(v, dtype=np.float64) for k, v in features.items()}
-        self.metric = metric
-        self.mtree = mtree
-        self._dead = frozenset(dead) if dead else frozenset()
-        self._metrics = metrics
-        self._dim = int(next(iter(self.features.values())).shape[0])
+        self.context = QueryContext(
+            clustering, features, metric, mtree, dead=dead, metrics=metrics
+        )
+
+    @classmethod
+    def from_context(cls, context: QueryContext, graph: nx.Graph) -> "PathQueryEngine":
+        """An engine over *graph* reading a shared *context* (the planner's)."""
+        engine = cls.__new__(cls)
+        engine.graph = graph
+        engine.context = context
+        return engine
 
     # ------------------------------------------------------------------
     def query(
@@ -112,153 +120,167 @@ class PathQueryEngine:
         gamma: float,
     ) -> PathQueryResult:
         """Find a safe path from *source* to *destination* (or prove none)."""
-        require_non_negative(gamma, "gamma")
-        danger = np.asarray(danger, dtype=np.float64)
-        stats = MessageStats()
-        query_values = self._dim + 1
+        return self._classified(source, destination, danger, gamma, drill=True)
 
-        # A dead endpoint can neither issue the query nor terminate the
-        # path: answer "no path" with zero coverage instead of silently
-        # classifying clusters for an unanswerable question.
-        if self._dead and (source in self._dead or destination in self._dead):
-            self._drop(stats, DROP_DEAD_ENDPOINT)
-            return PathQueryResult(None, 0, 0, 0, 0.0, stats.total_drops)
-
-        # Source routes the query to its cluster root.
-        entry_hops = len(self.clustering.path_to_root(source)) - 1
-        if entry_hops:
-            self._charge(stats, query_values, entry_hops)
-
-        safe_nodes, drilled, coverage = self._classify(danger, gamma, stats, query_values)
-        if source not in safe_nodes or destination not in safe_nodes:
-            return PathQueryResult(
-                None, stats.total_values, len(safe_nodes), drilled, coverage, stats.total_drops
-            )
-
-        # Safe regions: connected components of the safe-induced subgraph.
-        safe_sub = self.graph.subgraph(safe_nodes)
-        component = nx.node_connected_component(safe_sub, source)
-        if destination not in component:
-            return PathQueryResult(
-                None, stats.total_values, len(safe_nodes), drilled, coverage, stats.total_drops
-            )
-
-        # Region-level BFS along the safe backbone: charge the query once
-        # per safe cluster-root region traversed (2 values each way), then
-        # trace the path back (1 value per hop).
-        region_roots = {self.clustering.root_of(node) for node in component}
-        for _ in region_roots:
-            self._charge(stats, 2, 1)
-        path = nx.shortest_path(safe_sub.subgraph(component), source, destination)
-        self._charge(stats, 1, len(path) - 1)
-        return PathQueryResult(
-            list(path), stats.total_values, len(safe_nodes), drilled, coverage, stats.total_drops
-        )
-
-    # ------------------------------------------------------------------
-    def _classify(
+    def backbone_query(
         self,
+        source: Hashable,
+        destination: Hashable,
         danger: np.ndarray,
         gamma: float,
-        stats: MessageStats,
-        query_values: int,
-    ) -> tuple[set[Hashable], int, float]:
-        """Label every node safe/unsafe, drilling boundary clusters.
+    ) -> PathQueryResult:
+        """The plan without the index: boundary clusters are flooded, not drilled."""
+        return self._classified(source, destination, danger, gamma, drill=False)
+
+    def flood_query(
+        self,
+        source: Hashable,
+        destination: Hashable,
+        danger: np.ndarray,
+        gamma: float,
+    ) -> PathQueryResult:
+        """Flood the source's whole safe region, then trace the route.
+
+        Unlike :func:`bfs_flood_path` this floods the entire safe component
+        (no early exit), which is what makes the route the same one the
+        clustered plans return.  Every flooded node rebroadcasts once
+        (2 values per incident edge).
+        """
+        require_non_negative(gamma, "gamma")
+        danger = np.asarray(danger, dtype=np.float64)
+        ctx = self.context
+        stats = MessageStats()
+        if ctx.metric.distance(ctx.features[source], danger) < gamma:
+            return PathQueryResult(None, 0, 0, 0)
+        safe = {
+            node
+            for node, feature in ctx.features.items()
+            if ctx.metric.distance(feature, danger) >= gamma
+        }
+        component = nx.node_connected_component(self.graph.subgraph(safe), source)
+        ctx.charge(stats, 2, sum(self.graph.degree(node) for node in component))
+        return self._route(source, destination, safe, 0, stats, 1.0, flooded=len(component))
+
+    # ------------------------------------------------------------------
+    def _classified(
+        self,
+        source: Hashable,
+        destination: Hashable,
+        danger: np.ndarray,
+        gamma: float,
+        drill: bool,
+    ) -> PathQueryResult:
+        """Label every node safe/unsafe cluster by cluster, then route.
 
         Clusters with a dead representative cannot be classified: their
         surviving members are left out of the safe set and counted as
-        uncovered in the returned coverage fraction.
+        uncovered in the coverage fraction.
         """
+        require_non_negative(gamma, "gamma")
+        danger = np.asarray(danger, dtype=np.float64)
+        ctx = self.context
+        stats = MessageStats()
+        # A dead endpoint can neither send the query nor terminate the
+        # path: answer "no path" with zero coverage instead of silently
+        # classifying clusters for an unanswerable question.
+        if source in ctx.dead or destination in ctx.dead:
+            ctx.drop(stats, DROP_DEAD_ENDPOINT)
+            return PathQueryResult(None, 0, 0, 0, 0.0, stats.total_drops)
+
+        # The source routes the query to its cluster root, which reaches
+        # each other root over the backbone: approximated as one charge
+        # per classified cluster.
+        query_values = ctx.dim + 1
+        hops = ctx.entry_hops(source)
         safe: set[Hashable] = set()
         drilled = 0
-        dead = self._dead
-        uncovered = 0
-        for root in self.clustering.roots:
-            if dead and root in dead:
+        lost: list[Hashable] = []
+        for root in ctx.clustering.roots:
+            if root in ctx.dead:
                 # The classification request to this root is undeliverable.
-                self._drop(stats, DROP_DEAD_ROOT)
-                uncovered += sum(
-                    1 for m in self.clustering.members(root) if m not in dead
-                )
+                ctx.drop(stats, DROP_DEAD_ROOT)
+                lost.append(root)
                 continue
-            d = self.metric.distance(danger, self.mtree.routing_feature[root])
-            radius = self.mtree.covering_radius[root]
-            # Reaching each root costs one backbone traversal; approximate
-            # with one charge per cluster (the backbone fan-out).
-            self._charge(stats, query_values, 1)
+            hops += 1
+            d = ctx.metric.distance(danger, ctx.mtree.routing_feature[root])
+            radius = ctx.mtree.covering_radius[root]
             if d - radius >= gamma:
-                safe.update(self.clustering.members(root))
+                safe.update(ctx.clustering.members(root))
                 continue
             if d + radius < gamma:
                 continue
             drilled += 1
-            safe.update(self._drill(root, danger, gamma, stats, query_values))
-        coverage = 1.0
-        if dead:
-            safe.difference_update(dead)
-            alive_total = sum(
-                1 for n in self.clustering.assignment if n not in dead
+            if drill:
+                safe.update(self._drill(root, danger, gamma, stats))
+                continue
+            members = ctx.alive_members(root)
+            hops += max(len(members) - 1, 0)  # classify members over the tree
+            safe.update(
+                m for m in members if ctx.metric.distance(ctx.features[m], danger) >= gamma
             )
-            if alive_total:
-                coverage = 1.0 - uncovered / alive_total
-            else:
-                # Zero survivors: nothing was (or could be) classified —
-                # 0.0, never the vacuous 1.0 this case used to report.
-                self._drop(stats, DROP_NO_SURVIVORS)
-                coverage = 0.0
-        return safe, drilled, coverage
+        ctx.charge(stats, query_values, hops)
+        safe.difference_update(ctx.dead)
+        return self._route(source, destination, safe, drilled, stats, ctx.coverage(lost))
 
     def _drill(
-        self,
-        root: Hashable,
-        danger: np.ndarray,
-        gamma: float,
-        stats: MessageStats,
-        query_values: int,
+        self, root: Hashable, danger: np.ndarray, gamma: float, stats: MessageStats
     ) -> set[Hashable]:
         """M-tree drill-down labelling safe sub-clusters of one cluster."""
+        ctx = self.context
+        mtree = ctx.mtree
         safe: set[Hashable] = set()
+        edges = 0
         stack: list[Hashable] = [root]
         while stack:
             node = stack.pop()
-            d_node = self.metric.distance(danger, self.mtree.routing_feature[node])
-            if d_node >= gamma:
+            if ctx.metric.distance(danger, mtree.routing_feature[node]) >= gamma:
                 safe.add(node)
-            for child in self.mtree.children[node]:
-                d_child_route = self.metric.distance(
-                    danger, self.mtree.routing_feature[child]
-                )
-                r_child = self.mtree.covering_radius[child]
+            for child in mtree.children[node]:
+                # Every child is asked once: safe and unsafe sub-clusters
+                # are settled by their ball, boundary ones drilled further.
+                edges += 1
+                d_child_route = ctx.metric.distance(danger, mtree.routing_feature[child])
+                r_child = mtree.covering_radius[child]
                 if d_child_route - r_child >= gamma:
-                    safe.update(self._subtree(child))
-                    self._charge(stats, query_values, 1)
-                    continue
-                if d_child_route + r_child < gamma:
-                    self._charge(stats, query_values, 1)
-                    continue
-                self._charge(stats, query_values, 1)
-                stack.append(child)
+                    safe.update(ctx.subtree(child))
+                elif d_child_route + r_child >= gamma:
+                    stack.append(child)
+        ctx.charge(stats, ctx.dim + 1, edges)
         return safe
 
-    def _subtree(self, node: Hashable) -> set[Hashable]:
-        out: set[Hashable] = set()
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            out.add(current)
-            stack.extend(self.mtree.children[current])
-        return out
+    def _route(
+        self,
+        source: Hashable,
+        destination: Hashable,
+        safe: set[Hashable],
+        drilled: int,
+        stats: MessageStats,
+        coverage: float,
+        *,
+        flooded: int | None = None,
+    ) -> PathQueryResult:
+        """The routing tail every plan shares: the canonical route through *safe*.
 
-    @staticmethod
-    def _charge(stats: MessageStats, values: int, hops: int) -> None:
-        if hops > 0:
-            stats.charge("query", CATEGORY_QUERY, values, hops)
-
-    def _drop(self, stats: MessageStats, reason: str) -> None:
-        """Record one degraded-path drop in both accounting systems."""
-        stats.drop("query", reason)
-        if self._metrics is not None:
-            self._metrics.counter(f"queries.drops.{reason}").inc()
+        Safe regions are the connected components of the safe-induced
+        subgraph.  The clustered plans charge the region-level search
+        (2 values per safe cluster-root region traversed); the flood plan
+        already paid per node and reports its *flooded* count.  Every
+        plan charges the trace-back (1 value per hop).
+        """
+        count = len(safe) if flooded is None else flooded
+        path = None
+        if source in safe and destination in safe:
+            safe_sub = self.graph.subgraph(safe)
+            component = nx.node_connected_component(safe_sub, source)
+            if destination in component:
+                if flooded is None:
+                    regions = {self.context.clustering.root_of(node) for node in component}
+                    self.context.charge(stats, 2, len(regions))
+                path = list(nx.shortest_path(safe_sub.subgraph(component), source, destination))
+                self.context.charge(stats, 1, len(path) - 1)
+        return PathQueryResult(
+            path, stats.total_values, count, drilled, coverage, stats.total_drops
+        )
 
 
 def maximin_safe_path(

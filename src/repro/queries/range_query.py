@@ -27,6 +27,13 @@ Cost accounting: every traversed cluster-tree edge and every backbone-path
 hop is charged ``dim+1`` values for the query going down and 1 value for
 the aggregate coming back — the same convention the TAG baseline is
 charged under, so the comparison in Figs 14–15 is apples-to-apples.
+
+The backbone plan (:meth:`RangeQueryEngine.backbone_query`) is the same
+pipeline without the index: step 2 without summary pruning, and step 4
+floods each boundary cluster's tree instead of descending the M-tree.
+Both plans fan out through one
+:meth:`~repro.queries.context.QueryContext.walk`, which also carries the
+degraded-mode rules.
 """
 
 from __future__ import annotations
@@ -42,13 +49,8 @@ from repro.features.metrics import Metric
 from repro.index.backbone import BackboneTree
 from repro.index.mtree import MTreeIndex
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.messages import CATEGORY_QUERY
+from repro.queries.context import QueryContext
 from repro.sim.stats import MessageStats
-
-#: Drop reasons recorded by the degraded-mode query paths.
-DROP_DEAD_RELAY = "dead_relay"
-DROP_DEAD_ROOT = "dead_root"
-DROP_NO_SURVIVORS = "no_survivors"
 
 
 @dataclass
@@ -71,26 +73,26 @@ class RangeQueryResult:
 class RangeQueryEngine:
     """Executes range queries over a clustering + M-tree + backbone.
 
-    Degraded operation after fail-stop crashes: pass ``dead`` (the crashed
-    node set) and the engine returns **partial results with a coverage
-    fraction** instead of crashing — dead backbone relays cut off their
-    far-side clusters (counted as uncovered), dead nodes are filtered from
-    match sets, and a query whose own representative died is answered from
-    the surviving cluster members alone.  With ``root_replacements``
-    (re-elected representatives, after
+    Two plans share one fan-out: :meth:`query` (the paper's, with
+    directional-summary pruning and M-tree descent) and
+    :meth:`backbone_query` (the same walk without the index).  Degraded
+    operation after fail-stop crashes: pass ``dead`` (the crashed node
+    set) and ``root_replacements`` (re-elected representatives, after
     :meth:`~repro.index.backbone.BackboneTree.reroute_around` repaired the
-    backbone) the replacement stands in for the dead root, pruning with a
-    conservative covering ball (replacement-to-old-root distance added to
-    the old covering radius keeps the triangle-inequality exclusions
-    sound).  Both parameters default to empty: the fault-free path is
-    untouched.
+    backbone) and both plans return **partial results with a coverage
+    fraction** instead of crashing, under the rules of
+    :class:`~repro.queries.context.QueryContext`: dead relays and a split
+    backbone cut off their far-side clusters, dead nodes are filtered from
+    match sets, a query whose own representative died unreplaced is
+    answered from the surviving cluster members alone, and a replacement
+    prunes with a conservative covering ball.  Both parameters default to
+    empty: the fault-free path is untouched.
 
-    Every degraded-path loss is accounted twice over, consistently: the
-    per-query ``MessageStats`` records it under ``drops_by_reason``
-    (``dead_relay`` / ``dead_root`` / ``no_survivors``) and, when a
-    *metrics* registry is supplied, the same reasons increment
-    ``queries.drops.<reason>`` counters — so a service-level registry and
-    the per-query stats always agree.
+    Every degraded-path loss is recorded in the per-query
+    ``MessageStats`` under ``drops_by_reason`` (``dead_relay`` /
+    ``dead_root`` / ``no_survivors``) and, when a *metrics* registry is
+    supplied, as ``queries.drops.<reason>`` counters, so a service-level
+    registry and the per-query stats always agree.
     """
 
     def __init__(
@@ -105,51 +107,50 @@ class RangeQueryEngine:
         root_replacements: Mapping[Hashable, Hashable] | None = None,
         metrics: MetricsRegistry | None = None,
     ):
-        self.clustering = clustering
-        self.features = {k: np.asarray(v, dtype=np.float64) for k, v in features.items()}
-        self.metric = metric
-        self.mtree = mtree
-        self.backbone = backbone
-        self._metrics = metrics
-        self._dead = frozenset(dead) if dead else frozenset()
-        self._replacements = dict(root_replacements) if root_replacements else {}
-        self._replaced_by = {repl: orig for orig, repl in self._replacements.items()}
-        self._dim = int(next(iter(self.features.values())).shape[0])
+        self._bind(
+            QueryContext(
+                clustering, features, metric, mtree, backbone,
+                dead=dead, root_replacements=root_replacements, metrics=metrics,
+            )
+        )
+
+    @classmethod
+    def from_context(cls, context: QueryContext) -> "RangeQueryEngine":
+        """An engine reading a shared *context* (the planner's)."""
+        engine = cls.__new__(cls)
+        engine._bind(context)
+        return engine
+
+    def _bind(self, context: QueryContext) -> None:
+        self.context = context
         # Directional backbone summaries: (a, b) -> covering ball of every
         # cluster member on b's side of the edge.  Built once; the build
         # would cost one (dim+1) message per backbone edge direction, which
         # the clustering experiments account with the backbone build.
-        self._subtree_ball = self._build_backbone_summaries()
-
-    def _build_backbone_summaries(self) -> dict[tuple[Hashable, Hashable], tuple[np.ndarray, float]]:
-        balls: dict[tuple[Hashable, Hashable], tuple[np.ndarray, float]] = {}
-        tree = self.backbone.tree
-        for a, b in tree.edges:
+        self._summaries: dict[tuple[Hashable, Hashable], tuple[np.ndarray, float]] = {}
+        for a, b in context.backbone.tree.edges:
             for src, dst in ((a, b), (b, a)):
-                # Roots on dst's side when edge (src, dst) is removed.
-                side = self._side_roots(src, dst)
-                center = self.mtree.routing_feature[dst]
+                center = context.mtree.routing_feature[dst]
                 radius = 0.0
-                for root in side:
-                    root_center, root_radius = self._routing_ball(root)
-                    d = self.metric.distance(center, root_center)
+                for root in context.far_side(src, dst):
+                    root_center, root_radius = context.routing_ball(root)
+                    d = context.metric.distance(center, root_center)
                     radius = max(radius, d + root_radius)
-                balls[(src, dst)] = (center, radius)
-        return balls
+                self._summaries[(src, dst)] = (center, radius)
 
-    def _side_roots(self, src: Hashable, dst: Hashable) -> set[Hashable]:
-        """Backbone roots reachable from *dst* without crossing (src, dst)."""
-        seen = {dst}
-        stack = [dst]
-        while stack:
-            current = stack.pop()
-            for neighbor in self.backbone.tree.neighbors(current):
-                if neighbor == src and current == dst:
-                    continue
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return seen
+    def _pruner(self, q: np.ndarray, radius: float):
+        """Prune a backbone edge whose far-side ball misses the query ball.
+
+        An edge without a summary (added by a repair after the build) is
+        never pruned.
+        """
+        summaries, distance = self._summaries, self.context.metric.distance
+
+        def prune(src: Hashable, dst: Hashable) -> bool:
+            ball = summaries.get((src, dst))
+            return ball is not None and distance(q, ball[0]) > radius + ball[1]
+
+        return prune
 
     def fanout_preview(
         self, q: np.ndarray, radius: float, initiator: Hashable
@@ -166,246 +167,124 @@ class RangeQueryEngine:
         with, leaving only the per-cluster descent cost to be modeled.
         """
         q = np.asarray(q, dtype=np.float64)
-        origin_root = self.clustering.root_of(initiator)
-        entry_hops = len(self.clustering.path_to_root(initiator)) - 1
-        start = self._replacements.get(origin_root, origin_root)
-        visited: list[Hashable] = [start]
-        backbone_hops = 0
-        stack = [start]
-        seen = {start}
-        while stack:
-            current = stack.pop()
-            for neighbor in self.backbone.tree.neighbors(current):
-                if neighbor in seen:
-                    continue
-                seen.add(neighbor)
-                if self._dead and neighbor in self._dead:
-                    continue  # the walk drops at dead relays, as query() does
-                center, ball_radius = self._ball_toward(current, neighbor)
-                if self.metric.distance(q, center) > radius + ball_radius:
-                    continue
-                backbone_hops += self.backbone.edge_hops(current, neighbor)
-                visited.append(neighbor)
-                stack.append(neighbor)
-        return entry_hops, visited, backbone_hops
+        ctx = self.context
+        start = ctx.effective(ctx.clustering.root_of(initiator))
+        reached, hops, _ = ctx.walk(start, prune=self._pruner(q, radius))
+        return ctx.entry_hops(initiator), list(reached), hops
 
     def query(
         self, q: np.ndarray, radius: float, initiator: Hashable
     ) -> RangeQueryResult:
         """Run a range query from *initiator*; returns matches and cost."""
+        return self._run(q, radius, initiator, indexed=True)
+
+    def backbone_query(
+        self, q: np.ndarray, radius: float, initiator: Hashable
+    ) -> RangeQueryResult:
+        """The plan without the index: same answer, different cost.
+
+        Visits every reachable root over the backbone (no directional
+        summaries), classifies each cluster with its root ball alone, and
+        floods the cluster tree of every boundary cluster.
+        """
+        return self._run(q, radius, initiator, indexed=False)
+
+    def _run(
+        self, q: np.ndarray, radius: float, initiator: Hashable, indexed: bool
+    ) -> RangeQueryResult:
         require_non_negative(radius, "radius")
         q = np.asarray(q, dtype=np.float64)
+        ctx = self.context
+        distance = ctx.metric.distance
         stats = MessageStats()
-        query_values = self._dim + 1
-        dead = self._dead
+        query_values = ctx.dim + 1
 
         # 1. Initiator -> its cluster root over the cluster tree.
-        origin_root = self.clustering.root_of(initiator)
-        if dead and origin_root in dead and origin_root not in self._replacements:
-            # Unrepaired dead representative: the initiator cannot enter
-            # the backbone, so the query is answered by flooding the
-            # surviving members of its own cluster.
-            return self._local_only(q, radius, origin_root, stats, query_values)
-        entry_hops = len(self.clustering.path_to_root(initiator)) - 1
-        if entry_hops:
-            self._charge(stats, query_values, entry_hops)
-            self._charge(stats, 1, entry_hops)  # results back to initiator
-        start = self._replacements.get(origin_root, origin_root)
+        origin = ctx.clustering.root_of(initiator)
+        if ctx.unreachable(origin):
+            alive, coverage = ctx.local_only(origin, stats)
+            matches = {m for m in alive if distance(q, ctx.features[m]) <= radius}
+            return RangeQueryResult(
+                matches, stats.total_values, 0, 0, 1 if alive else 0, coverage,
+                stats.total_drops,
+            )
 
-        # 2. Fan out over the backbone tree, pruning whole backbone
-        #    subtrees whose covering ball cannot intersect the query ball.
-        #    Only traversed edges carry the query down and the aggregate
-        #    back.  Dead backbone relays cut off their far side: those
-        #    clusters go uncovered rather than raising.
-        lost_roots: set[Hashable] = set()
-        visited_roots: list[Hashable] = [start]
-        stack: list[Hashable] = [start]
-        seen = {start}
-        while stack:
-            current = stack.pop()
-            for neighbor in self.backbone.tree.neighbors(current):
-                if neighbor in seen:
-                    continue
-                seen.add(neighbor)
-                if dead and neighbor in dead:
-                    # The query copy toward this relay is undeliverable.
-                    self._drop(stats, DROP_DEAD_RELAY)
-                    lost_roots.update(self._side_roots(current, neighbor))
-                    continue
-                center, ball_radius = self._ball_toward(current, neighbor)
-                if self.metric.distance(q, center) > radius + ball_radius:
-                    continue  # the entire far-side subtree is out of range
-                hops = self.backbone.edge_hops(current, neighbor)
-                self._charge(stats, query_values, hops)
-                self._charge(stats, 1, hops)
-                visited_roots.append(neighbor)
-                stack.append(neighbor)
+        # 2. Fan out over the backbone tree; the indexed plan prunes whole
+        #    backbone subtrees whose covering ball cannot intersect the
+        #    query ball.  Every traversed hop carries the query down and
+        #    the aggregate back.
+        prune = self._pruner(q, radius) if indexed else None
+        reached, hops, lost = ctx.walk(ctx.effective(origin), stats, prune)
+        hops += ctx.entry_hops(initiator)
+        ctx.charge(stats, query_values, hops)
+        ctx.charge(stats, 1, hops)
 
-        # 3 + 4. Per-cluster pruning and descent at the visited roots.
+        # 3 + 4. Per-cluster pruning at the reached roots; boundary
+        #    clusters descend the M-tree, or are flooded without it.
         matches: set[Hashable] = set()
         pruned = included = descended = 0
-        for root in visited_roots:
-            center, r_root = self._routing_ball(root)
-            d_root = self.metric.distance(q, center)
+        for root in reached:
+            center, r_root = ctx.routing_ball(root)
+            d_root = distance(q, center)
             if d_root > radius + r_root:
                 pruned += 1
                 continue
             if d_root <= radius - r_root:
                 included += 1
-                matches.update(self._members_of(root))
+                matches.update(ctx.alive_members(root))
                 continue
             descended += 1
-            descend_root = self._replaced_by.get(root, root)
-            matches.update(self._descend(q, radius, descend_root, stats, query_values))
+            if indexed:
+                matches.update(self._descend(q, radius, ctx.original(root), stats))
+                continue
+            members = ctx.alive_members(root)
+            edges = max(len(members) - 1, 0)
+            ctx.charge(stats, query_values, edges)  # query floods the cluster tree
+            ctx.charge(stats, 1, edges)  # partial matches aggregate back
+            matches.update(m for m in members if distance(q, ctx.features[m]) <= radius)
 
-        if dead:
-            matches.difference_update(dead)
-        coverage = self._coverage_after_losses(lost_roots)
+        matches.difference_update(ctx.dead)
         return RangeQueryResult(
             matches,
             stats.total_values,
             pruned,
             included,
             descended,
-            coverage,
+            ctx.coverage(lost),
             stats.total_drops,
         )
 
-    # ------------------------------------------------------------------
-    # Degraded-operation helpers (all no-ops without dead/replacements).
-    def _routing_ball(self, root: Hashable) -> tuple[np.ndarray, float]:
-        """Pruning ball of *root*, conservative for re-elected roots.
-
-        A replacement's own M-tree entry only covers its subtree, so its
-        cluster ball is the dead root's ball enlarged by the feature
-        distance between the two — sound by the triangle inequality.
-        """
-        center = self.mtree.routing_feature[root]
-        orig = self._replaced_by.get(root)
-        if orig is None:
-            return center, self.mtree.covering_radius[root]
-        slack = self.metric.distance(center, self.mtree.routing_feature[orig])
-        return center, slack + self.mtree.covering_radius[orig]
-
-    def _ball_toward(
-        self, src: Hashable, dst: Hashable
-    ) -> tuple[np.ndarray, float]:
-        ball = self._subtree_ball.get((src, dst))
-        if ball is not None:
-            return ball
-        # Edge created by backbone repair after this engine was built: no
-        # precomputed summary, so never prune across it.
-        return np.zeros(self._dim), float("inf")
-
-    def _members_of(self, root: Hashable):
-        members = self.clustering.members(self._replaced_by.get(root, root))
-        if self._dead:
-            return [m for m in members if m not in self._dead]
-        return members
-
-    def _alive_total(self) -> int:
-        return sum(1 for n in self.clustering.assignment if n not in self._dead)
-
-    def _coverage_after_losses(self, lost_roots: set[Hashable]) -> float:
-        if not lost_roots:
-            return 1.0
-        alive_total = self._alive_total()
-        if alive_total == 0:
-            # No survivors at all: nothing was (or could be) covered.
-            return 0.0
-        uncovered = 0
-        for root in lost_roots:
-            orig = self._replaced_by.get(root, root)
-            uncovered += sum(
-                1 for m in self.clustering.members(orig) if m not in self._dead
-            )
-        return 1.0 - uncovered / alive_total
-
-    def _local_only(
-        self,
-        q: np.ndarray,
-        radius: float,
-        origin_root: Hashable,
-        stats: MessageStats,
-        query_values: int,
-    ) -> RangeQueryResult:
-        """Answer from the initiator's own surviving cluster members."""
-        self._drop(stats, DROP_DEAD_ROOT)
-        alive = [
-            m for m in self.clustering.members(origin_root) if m not in self._dead
-        ]
-        for _ in range(max(len(alive) - 1, 0)):
-            self._charge(stats, query_values, 1)
-            self._charge(stats, 1, 1)
-        matches = {
-            m for m in alive if self.metric.distance(q, self.features[m]) <= radius
-        }
-        alive_total = self._alive_total()
-        # A fully-dead network covers nothing — 0.0, never 1.0 (a 0/0 here
-        # used to claim full coverage for an unanswerable query).
-        coverage = len(alive) / alive_total if alive_total else 0.0
-        # Only count a descent when surviving members actually answered;
-        # an empty cluster consulted nothing (this used to report 1).
-        descended = 1 if alive else 0
-        if not alive:
-            self._drop(stats, DROP_NO_SURVIVORS)
-        return RangeQueryResult(
-            matches, stats.total_values, 0, 0, descended, coverage, stats.total_drops
-        )
-
-    # ------------------------------------------------------------------
     def _descend(
-        self,
-        q: np.ndarray,
-        radius: float,
-        root: Hashable,
-        stats: MessageStats,
-        query_values: int,
+        self, q: np.ndarray, radius: float, root: Hashable, stats: MessageStats
     ) -> set[Hashable]:
         """M-tree descent within one cluster; charges visited tree edges."""
+        ctx = self.context
+        mtree = ctx.mtree
         matches: set[Hashable] = set()
+        edges = 0
         stack: list[Hashable] = [root]
         while stack:
             node = stack.pop()
-            d_node = self.metric.distance(q, self.mtree.routing_feature[node])
+            d_node = ctx.metric.distance(q, mtree.routing_feature[node])
             if d_node <= radius:
                 matches.add(node)
-            for child, (d_parent_child, r_child) in self.mtree.child_info[node].items():
+            for child, (d_parent_child, r_child) in mtree.child_info[node].items():
                 # Parent-side exclusion (no message): triangle inequality on
                 # the stored child table.
                 if abs(d_node - d_parent_child) > radius + r_child:
                     continue
-                # Parent-side full inclusion: the whole child subtree hits.
+                # Every other child costs the query down one edge and the
+                # aggregate back up.
+                edges += 1
                 if d_node + d_parent_child <= radius - r_child:
-                    matches.update(self._subtree(child))
-                    # One confirmation message still flows down and back.
-                    self._charge(stats, query_values, 1)
-                    self._charge(stats, 1, 1)
-                    continue
-                self._charge(stats, query_values, 1)  # query down one edge
-                self._charge(stats, 1, 1)  # aggregate back up
-                stack.append(child)
+                    # Parent-side full inclusion: the whole child subtree
+                    # hits; one confirmation message still flows.
+                    matches.update(ctx.subtree(child))
+                else:
+                    stack.append(child)
+        ctx.charge(stats, ctx.dim + 1, edges)
+        ctx.charge(stats, 1, edges)
         return matches
-
-    def _subtree(self, node: Hashable) -> set[Hashable]:
-        out: set[Hashable] = set()
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            out.add(current)
-            stack.extend(self.mtree.children[current])
-        return out
-
-    @staticmethod
-    def _charge(stats: MessageStats, values: int, hops: int) -> None:
-        if hops > 0:
-            stats.charge("query", CATEGORY_QUERY, values, hops)
-
-    def _drop(self, stats: MessageStats, reason: str) -> None:
-        """Record one degraded-path drop in both accounting systems."""
-        stats.drop("query", reason)
-        if self._metrics is not None:
-            self._metrics.counter(f"queries.drops.{reason}").inc()
 
 
 def brute_force_range(

@@ -18,8 +18,8 @@ def scenario():
     return build_scenario(ScenarioSpec(n=50, seed=42, delta=0.4))
 
 
-def _workload(scenario, mix="balanced", queries=24, seed=3):
-    spec = WorkloadSpec(mix=mix, queries=queries, seed=seed)
+def _workload(scenario, mix="balanced", queries=24, seed=3, gamma=0.5):
+    spec = WorkloadSpec(mix=mix, queries=queries, seed=seed, gamma=gamma)
     return generate_workload(
         sorted(scenario["graph"].nodes, key=repr), scenario["features"], spec
     )
@@ -64,10 +64,17 @@ def test_planned_backend_minimizes_reported_estimates(scenario):
 # ----------------------------------------------------------------------
 
 
+# Scenario features span roughly 0.41-0.79, so the default clearance
+# γ = 0.5 leaves no node safe and every path answer is None; γ = 0.05
+# leaves safe regions, so path agreement compares real routes.
+ROUTE_GAMMA = 0.05
+
+
 @pytest.mark.parametrize("mix", ["range-heavy", "balanced", "path-knn"])
 def test_all_backends_agree_on_seeded_workloads(scenario, mix):
     planner = scenario["planner"]
-    for query in _workload(scenario, mix=mix, queries=16, seed=11):
+    routes = 0
+    for query in _workload(scenario, mix=mix, queries=40, seed=11, gamma=ROUTE_GAMMA):
         answers = {
             backend: canonical_answer(
                 query.op,
@@ -78,6 +85,8 @@ def test_all_backends_agree_on_seeded_workloads(scenario, mix):
         assert answers["mtree"] == answers["backbone"] == answers["flood"], (
             f"{query.op} answers diverge across backends: {query.params}"
         )
+        routes += query.op == "path" and answers["mtree"] is not None
+    assert routes > 0, "no path query found a route: the path check compared only None"
 
 
 def test_auto_plan_matches_forced_backend(scenario):
@@ -260,7 +269,8 @@ def test_degraded_backends_agree_with_degraded_engines(scenario):
     alive = sorted(
         (n for n in scenario["graph"].nodes if n != dead), key=repr
     )
-    for query in _workload(scenario, queries=24, seed=7):
+    routes = 0
+    for query in _workload(scenario, mix="path-knn", queries=40, seed=11, gamma=ROUTE_GAMMA):
         kwargs = dict(query.kwargs())
         if query.op == "path":
             if kwargs["source"] == dead or kwargs["destination"] == dead:
@@ -275,6 +285,8 @@ def test_degraded_backends_agree_with_degraded_engines(scenario):
         assert mtree.result.coverage == pytest.approx(backbone.result.coverage)
         if query.op == "range":
             assert dead not in mtree.result.matches
+        routes += query.op == "path" and mtree.result.path is not None
+    assert routes > 0, "no path query found a route: the path check compared only None"
 
 
 def test_degraded_planner_with_replacement_root(scenario):
@@ -302,7 +314,8 @@ def test_degraded_planner_with_replacement_root(scenario):
         dead={dead},
         root_replacements={dead: replacement},
     )
-    for query in _workload(scenario, queries=16, seed=9):
+    routes = 0
+    for query in _workload(scenario, mix="path-knn", queries=40, seed=11, gamma=ROUTE_GAMMA):
         kwargs = dict(query.kwargs())
         if query.op == "path":
             if dead in (kwargs["source"], kwargs["destination"]):
@@ -320,6 +333,74 @@ def test_degraded_planner_with_replacement_root(scenario):
             assert dead not in {node for node, _ in mtree.result.neighbors}
         elif mtree.result.path is not None:
             assert dead not in mtree.result.path
+            routes += 1
+    assert routes > 0, "no path query found a route: the path check compared only None"
+
+
+@pytest.fixture(scope="module")
+def split_backbone():
+    """Root 2 dies and 13, the only other member of its cluster, is
+    re-elected.  13's only graph neighbour was 2, so the repaired backbone
+    splits into a 12-root component and 13 alone."""
+    import copy
+
+    import networkx as nx
+
+    ctx = build_scenario(ScenarioSpec(n=40, seed=0, delta=0.3))
+    assert sorted(ctx["clustering"].members(2)) == [2, 13]
+    surviving = ctx["graph"].copy()
+    surviving.remove_node(2)
+    backbone = copy.deepcopy(ctx["backbone"])
+    backbone.reroute_around(surviving, 2, 13)
+    parts = sorted(len(part) for part in nx.connected_components(backbone.tree))
+    assert parts == [1, 12]
+    planner = _planner_for(
+        ctx, graph=surviving, backbone=backbone, dead={2}, root_replacements={2: 13}
+    )
+    return planner, set(surviving.nodes)
+
+
+@pytest.mark.parametrize("backend", ["mtree", "backbone"])
+@pytest.mark.parametrize("op", ["range", "knn"])
+@pytest.mark.parametrize("initiator", [0, 13])
+def test_split_backbone_loses_the_other_component(split_backbone, op, backend, initiator):
+    """Every plan answers from the initiator's backbone component only, and
+    reports the other component as uncovered."""
+    planner, alive = split_backbone
+    expected = {13} if initiator == 13 else alive - {13}
+    q = np.zeros(1)
+    if op == "range":
+        result = planner.range(q, 10.0, initiator, backend=backend).result
+        answer = result.matches
+    else:
+        result = planner.knn(q, len(alive), initiator, backend=backend).result
+        answer = {node for node, _ in result.neighbors}
+    assert answer == expected
+    assert result.coverage == pytest.approx(len(expected) / len(alive))
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+def test_knn_backbone_scan_charges_entry_hops_both_ways(scenario, degraded):
+    """Each cluster-tree hop from the initiator to its root carries the
+    query down (dim+1 values) and the k-best merge back (k values), with
+    or without crashes — as the planner's estimate already assumed."""
+    clustering = scenario["clustering"]
+    node = max(
+        sorted(clustering.assignment, key=repr),
+        key=lambda n: len(clustering.path_to_root(n)),
+    )
+    root = clustering.root_of(node)
+    entry = len(clustering.path_to_root(node)) - 1
+    assert entry > 0
+    dead = {min((r for r in clustering.roots if r != root), key=repr)} if degraded else None
+    planner = _planner_for(scenario, dead=dead)
+    k, q = 3, scenario["features"][node]
+    dim = q.shape[0]
+    cost = {
+        start: planner.knn(q, k, start, backend="backbone").messages for start in (node, root)
+    }
+    assert cost[node] - cost[root] == (dim + 1 + k) * entry
+    assert planner.plan_knn(q, k, node).estimates["backbone"] == cost[node]
 
 
 # ----------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_pruning_counters_partition_clusters(random_topology, random_features):
     engine, metric = _engine_for(random_topology, random_features, delta=1.5)
     node = next(iter(random_topology.graph.nodes))
     out = engine.query(random_features[node], 0.4, node)
-    total_roots = engine.clustering.num_clusters
+    total_roots = engine.context.clustering.num_clusters
     # pruned + included + descended counts visited roots; backbone-subtree
     # pruning can skip some entirely.
     assert out.clusters_pruned + out.clusters_included + out.clusters_descended <= total_roots
