@@ -1,16 +1,26 @@
 """Micro-benchmarks for the core operations (true repeated-timing benches).
 
 These complement the one-shot figure benches with per-operation timings:
-ELink clustering throughput, quadtree, M-tree and backbone construction,
-and per-query costs.
+ELink clustering throughput, topology edges and component stitching,
+quadtree, M-tree and backbone construction, and per-query costs.
 """
 
+import math
+
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.core import ELinkConfig, run_elink
+from repro.datasets.death_valley import generate_death_valley_dataset
 from repro.features import EuclideanMetric
 from repro.geometry import QuadTreeDecomposition, grid_topology, random_geometric_topology
+from repro.geometry.topology import (
+    SPATIAL_HASH_MIN_N,
+    _range_graph,
+    _stitch_components,
+    _stitch_components_grid,
+)
 from repro.index import build_backbone, build_mtree
 from repro.queries import RangeQueryEngine
 from repro.sim import EventKernel, Message, Network, ProtocolNode
@@ -168,6 +178,48 @@ def test_quadtree_build(benchmark, n):
     topology = random_geometric_topology(n, seed=3)
     decomposition = benchmark(QuadTreeDecomposition, topology)
     assert sum(map(len, decomposition.sentinel_sets)) == n
+
+
+def _generation_input(name):
+    """Node ids, coordinates and radio range of one generation input."""
+    if name == "death_valley_5000":
+        positions = generate_death_valley_dataset(seed=11, num_sensors=5_000).topology.positions
+        ids = list(positions)
+        side = 128.0  # the terrain's side at the default exponent 7
+        radio = side * math.sqrt(6.0 / (math.pi * (len(ids) - 1)))
+        return ids, np.asarray([positions[v] for v in ids]), radio
+    n = int(name.split("_")[1])
+    side = math.sqrt(n / 0.8)
+    coords = np.random.default_rng(3).uniform(0.0, side, size=(n, 2))
+    return range(n), coords, side * math.sqrt(4.0 / (math.pi * (n - 1)))
+
+
+@pytest.mark.parametrize("layer", ["edges", "stitch"])
+@pytest.mark.parametrize("name", ["geometric_2500", "geometric_40000", "death_valley_5000"])
+def test_topology_generation(benchmark, name, layer):
+    """The two generation layers: topology edges (the cell join and graph
+    build) and component stitching, at the first ``--max-n`` rung, the
+    scale_40k size (cell-grouped order, centroid-MST stitch) and Death
+    Valley's largest scatter."""
+    ids, coords, radio = _generation_input(name)
+    grouped = name.startswith("geometric") and len(ids) >= SPATIAL_HASH_MIN_N
+    if layer == "edges":
+        graph = benchmark(_range_graph, ids, coords, radio, grouped=grouped)
+        assert list(graph) == list(ids)
+        return
+    edges = _range_graph(ids, coords, radio, grouped=grouped)
+
+    def stitch(graph):
+        if grouped:
+            _stitch_components_grid(graph, coords)
+        else:
+            _stitch_components(graph, coords, ids)
+        return graph
+
+    graph = benchmark.pedantic(
+        stitch, setup=lambda: ((edges.copy(),), {}), rounds=5, iterations=1
+    )
+    assert nx.is_connected(graph)
 
 
 def test_backbone_build(benchmark):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
@@ -25,15 +25,15 @@ import numpy as np
 from repro._validation import require_int_at_least, require_positive
 from repro.perf.cache import cached_artifact
 
-#: Node count above which :func:`random_geometric_topology` switches from
-#: the O(N²) pairwise range test to a spatial-hash cell grid.  Below the
-#: threshold the legacy path runs unchanged, so every graph at the paper's
-#: scales (≤ a few thousand nodes) — and therefore every pinned experiment
-#: table — stays byte-identical.  At and above it, the cell grid produces
-#: the *same edge set* (the range predicate is the same ``np.hypot(...) <=
-#: radio_range``), and component stitching switches to a centroid-MST
-#: variant that is deterministic but may pick different stitch edges than
-#: the legacy round-by-round dense-matrix argmin.
+#: Node count at which :func:`random_geometric_topology` changes edge order
+#: and stitcher.  Both sides find their edges with the same cell join
+#: (:func:`_range_pairs`).  Below the threshold the edges go in in
+#: ascending ``(i, j)`` order and components are stitched nearest node
+#: first (:func:`_stitch_components`); at and above it the edges go in
+#: grouped by radio-range cell and components are stitched along a
+#: centroid MST (:func:`_stitch_components_grid`).  Each side keeps the
+#: graphs the generator has always built at its sizes, so every pinned
+#: table stays byte-identical.
 SPATIAL_HASH_MIN_N = 4096
 
 
@@ -86,13 +86,7 @@ class Topology:
         missing = set(self.graph.nodes) - set(self.positions)
         if missing:
             raise ValueError(f"positions missing for nodes: {sorted(missing, key=repr)[:5]}")
-        # One array pass over every coordinate; the scan that names the
-        # offending node runs only when that pass finds NaN or ±inf.
-        coords = np.fromiter(chain.from_iterable(self.positions.values()), dtype=np.float64)
-        if not np.isfinite(coords).all():
-            for node, position in self.positions.items():
-                if not all(map(math.isfinite, position)):
-                    raise ValueError(f"position of node {node!r} must be finite, got {position!r}")
+        _finite_coords(self.positions)
 
     @property
     def num_nodes(self) -> int:
@@ -149,6 +143,14 @@ def grid_topology(rows: int, cols: int, *, spacing: float = 1.0) -> Topology:
     return Topology(graph, positions)
 
 
+#: Element cap of one block of candidate pairs in :func:`_cell_join` and of
+#: one block of distances in :func:`_stitch_components` (512 KB of
+#: float64), so that no input, however dense, builds an n×n array.  Blocks
+#: four times larger left scale_40k's peak RSS ~5 MB higher and ran no
+#: faster.
+_BLOCK = 1 << 16
+
+
 # Code-version salt "3": 10⁶-node topologies from the vectorised quadtree/
 # scale work must not collide with cache entries written by older builds.
 @cached_artifact("3")
@@ -168,11 +170,18 @@ def random_geometric_topology(
     given, the range is chosen so the expected neighbour count is
     *target_degree* (paper: ~4 nodes within radio range).
 
+    Every pair within *radio_range* is linked (:func:`_range_pairs`).  Below
+    :data:`SPATIAL_HASH_MIN_N` nodes the edges are inserted in ascending
+    ``(i, j)`` order; at and above it they are inserted grouped by cell.
+
     With *connect* (default), disconnected components are stitched together
     by linking the closest pair of nodes across components — physically this
     models a slightly larger transmit power for the handful of fringe nodes,
     and keeps every experiment on one connected network (the paper implicitly
-    assumes a connected *CG*).
+    assumes a connected *CG*).  Below the threshold each component joins the
+    largest one nearest node first (:func:`_stitch_components`); at and
+    above it the components are joined along a minimum spanning tree of
+    their centroids (:func:`_stitch_components_grid`).
     """
     require_int_at_least(n, 1, "n")
     require_positive(density, "density")
@@ -186,22 +195,14 @@ def random_geometric_topology(
     else:
         require_positive(radio_range, "radio_range")
 
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
     positions = {i: (float(coords[i, 0]), float(coords[i, 1])) for i in range(n)}
-    if n >= SPATIAL_HASH_MIN_N:
-        _range_edges_grid(graph, coords, radio_range)
-        if connect and n > 1:
+    grouped = n >= SPATIAL_HASH_MIN_N
+    graph = _range_graph(range(n), coords, radio_range, grouped=grouped)
+    if connect and n > 1:
+        if grouped:
             _stitch_components_grid(graph, coords)
-    else:
-        # O(n^2) range test is fine at the paper's scales (<= a few thousand).
-        for i in range(n):
-            deltas = coords[i + 1 :] - coords[i]
-            dists = np.hypot(deltas[:, 0], deltas[:, 1])
-            for offset in np.nonzero(dists <= radio_range)[0]:
-                graph.add_edge(i, i + 1 + int(offset))
-        if connect and n > 1:
-            _stitch_components(graph, coords)
+        else:
+            _stitch_components(graph, coords, range(n))
     return Topology(graph, positions)
 
 
@@ -211,67 +212,164 @@ def scatter_topology(
     radio_range: float,
     connect: bool = True,
 ) -> Topology:
-    """Build a topology from explicit node positions and a radio range."""
+    """Build a topology from explicit node positions and a radio range.
+
+    Nodes keep the order of *points*.  Every pair within *radio_range* is
+    linked (:func:`_range_pairs`), in ascending ``(i, j)`` order of that
+    node order.  With *connect* (default) each component then joins the
+    largest one nearest node first (:func:`_stitch_components`).  A
+    non-finite position raises ``ValueError`` naming its node.
+    """
     require_positive(radio_range, "radio_range")
     ids = list(points)
     if not ids:
         raise ValueError("points must be non-empty")
-    coords = np.asarray([points[i] for i in ids], dtype=np.float64)
-    graph = nx.Graph()
-    graph.add_nodes_from(ids)
-    for a in range(len(ids)):
-        deltas = coords[a + 1 :] - coords[a]
-        dists = np.hypot(deltas[:, 0], deltas[:, 1])
-        for offset in np.nonzero(dists <= radio_range)[0]:
-            graph.add_edge(ids[a], ids[a + 1 + int(offset)])
-    if connect and len(ids) > 1:
-        _stitch_components(graph, coords, ids=ids)
     positions = {i: (float(points[i][0]), float(points[i][1])) for i in ids}
+    coords = _finite_coords(positions).reshape(-1, 2)
+    graph = _range_graph(ids, coords, radio_range)
+    if connect and len(ids) > 1:
+        _stitch_components(graph, coords, ids)
     return Topology(graph, positions)
 
 
-def _hash_cells(coords: np.ndarray, cell: float) -> dict[tuple[int, int], np.ndarray]:
-    """Bucket point indices by cell of a *cell*-sized square grid.
+def _range_graph(
+    ids: Sequence[Hashable], coords: np.ndarray, radio_range: float, *, grouped: bool = False
+) -> nx.Graph:
+    """The graph on *ids*, in order, linking every pair within *radio_range*.
 
-    Bucket membership lists are ascending (points visited in index order),
-    and the dict itself is in first-seen order — both deterministic
-    functions of the coordinates.
+    Edges go in in the order :func:`_range_pairs` returns them.  Their ends
+    are the node objects themselves, not one copy per edge, so the graph
+    holds one object per node.
     """
-    keys_x = np.floor(coords[:, 0] / cell).astype(np.int64)
-    keys_y = np.floor(coords[:, 1] / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(coords.shape[0]):
-        buckets.setdefault((int(keys_x[i]), int(keys_y[i])), []).append(i)
-    return {key: np.asarray(members, dtype=np.int64) for key, members in buckets.items()}
+    nodes = np.fromiter(ids, dtype=object, count=len(ids))
+    first, second = _range_pairs(coords, radio_range, grouped=grouped)
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes.tolist())
+    graph.add_edges_from(zip(nodes[first].tolist(), nodes[second].tolist()))
+    return graph
 
 
-def _range_edges_grid(graph: nx.Graph, coords: np.ndarray, radio_range: float) -> None:
-    """Add all edges with pairwise distance <= radio_range via a cell grid.
+def _finite_coords(positions: Mapping[Hashable, tuple[float, ...]]) -> np.ndarray:
+    """Every coordinate of *positions* in one flat float64 array.
 
-    Same edge *set* as the O(n²) loop — the range predicate is the identical
-    ``np.hypot(dx, dy) <= radio_range`` on the same float64 coordinates, and
-    with cell side = radio_range any in-range pair sits in adjacent cells.
-    Edge insertion order differs (grouped by cell rather than strictly
-    ascending i) but is deterministic, which is all the BFS tie-breaking
-    contract above :data:`SPATIAL_HASH_MIN_N` requires.
+    Raises ``ValueError`` naming the first node with a NaN or ±inf
+    coordinate.  The scan that finds it runs only when the one array pass
+    over every coordinate finds such a value.
     """
-    buckets = _hash_cells(coords, radio_range)
-    add_edge = graph.add_edge
-    for (kx, ky), members in buckets.items():
-        blocks = [
-            buckets[key]
-            for key in (
-                (kx + dx, ky + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-            )
-            if key in buckets
-        ]
-        cand = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        pts = coords[cand]
-        for i in members.tolist():
-            deltas = pts - coords[i]
-            close = np.hypot(deltas[:, 0], deltas[:, 1]) <= radio_range
-            for j in cand[close & (cand > i)].tolist():
-                add_edge(i, j)
+    coords = np.fromiter(chain.from_iterable(positions.values()), dtype=np.float64)
+    if not np.isfinite(coords).all():
+        for node, position in positions.items():
+            if not all(map(math.isfinite, position)):
+                raise ValueError(f"position of node {node!r} must be finite, got {position!r}")
+    return coords
+
+
+def _range_pairs(
+    coords: np.ndarray, radio_range: float, *, grouped: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair ``i < j`` with ``np.hypot(dx, dy) <= radio_range``.
+
+    Returns ``(i, j)`` arrays in ascending ``(i, j)`` order or, with
+    *grouped*, in spatial-hash order: side-*radio_range* cells in
+    first-seen order, each cell's members ascending, and for each member
+    ``i`` its partners ``j > i`` in the 3×3 cells around it, block by block
+    in ``(dx, dy)`` order, then any partner outside them (a pair exactly
+    *radio_range* apart once rounded can sit two cells away), each block
+    ascending.
+    """
+    i, j = _cell_join(coords, radio_range)
+    sequence = _grouped_order(coords, radio_range, i, j) if grouped else np.lexsort((j, i))
+    return i[sequence], j[sequence]
+
+
+def _cell_join(coords: np.ndarray, radio_range: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of :func:`_range_pairs`, in no particular order.
+
+    Points are bucketed in square cells of side ``2**e``, the power of two
+    just above *radio_range*, and each cell meets itself and its four
+    forward neighbours, in blocks of about :data:`_BLOCK` candidate pairs.
+    No in-range pair is missed: its rounded separation on each axis is at
+    most *radio_range* < ``2**e``, so, rounding being monotone, its exact
+    separation is below ``2**e``; scaling by a power of two is exact, so
+    the pair sits in the same or touching cells.  Every candidate then
+    meets the predicate.
+    """
+    n = coords.shape[0]
+    with np.errstate(over="ignore"):  # far-out points clip to the outermost cells
+        cx, cy = _cell_keys(np.ldexp(coords, -math.frexp(radio_range)[1]))
+    width = int(cy.max()) + 3
+    key = cx * width + cy + 1
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[first, n])
+    cells = key[first]
+    owner = np.repeat(np.arange(first.size), count)
+    position = np.arange(n)
+    # Scan tasks over sorted positions: position p meets the `length`
+    # positions from `start` on.  In its own cell p meets the members after
+    # it; in a forward neighbour, every member.
+    rows, starts, lengths = [position], [position + 1], [(first + count)[owner] - position - 1]
+    for step in (1, width - 1, width, width + 1):  # (dx, dy) = (0, 1), (1, -1), (1, 0), (1, 1)
+        target = np.minimum(np.searchsorted(cells, cells + step), cells.size - 1)
+        hit = (cells[target] == cells + step)[owner]
+        rows.append(position[hit])
+        starts.append(first[target][owner][hit])
+        lengths.append(count[target][owner][hit])
+    rows, starts, lengths = (np.concatenate(parts) for parts in (rows, starts, lengths))
+    ends = np.cumsum(lengths)
+    found_i, found_j = [], []
+    a = 0
+    while a < lengths.size:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - lengths[a] + _BLOCK, side="right")))
+        length = lengths[a:b]
+        p = np.repeat(rows[a:b], length)
+        q = np.repeat(starts[a:b] - (np.cumsum(length) - length), length) + np.arange(p.size)
+        u, v = order[p], order[q]
+        i, j = np.minimum(u, v), np.maximum(u, v)
+        deltas = coords[j] - coords[i]
+        near = np.hypot(deltas[:, 0], deltas[:, 1]) <= radio_range
+        found_i.append(i[near])
+        found_j.append(j[near])
+        a = b
+    return np.concatenate(found_i), np.concatenate(found_j)
+
+
+def _grouped_order(
+    coords: np.ndarray, radio_range: float, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """Permutation putting the pairs ``(i, j)`` in spatial-hash order.
+
+    The order is described in :func:`_range_pairs`; its cells are
+    ``floor(coords / radio_range)``, as the spatial hash always keyed them.
+    """
+    with np.errstate(over="ignore"):
+        kx, ky = _cell_keys(coords / radio_range)
+    _, seen, cell = np.unique(
+        kx * (int(ky.max()) + 1) + ky, return_index=True, return_inverse=True
+    )
+    visit = np.empty(kx.size, dtype=np.int64)
+    visit[np.argsort(seen[cell.reshape(-1)], kind="stable")] = np.arange(kx.size)
+    dx, dy = kx[j] - kx[i], ky[j] - ky[i]
+    block = np.where((np.abs(dx) <= 1) & (np.abs(dy) <= 1), 3 * dx + dy + 4, 9)
+    return np.lexsort((j, block, visit[i]))
+
+
+def _cell_keys(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis integer keys of the unit cells holding the *scaled* points.
+
+    The keys are ``floor(scaled)`` with every run of empty columns (rows)
+    shrunk to one: touching cells still touch, no others come to touch,
+    and the keys stay below 2n however wide the coordinates spread, so a
+    combined key cannot overflow.
+    """
+    floors = np.clip(np.floor(scaled), -(2.0**61), 2.0**61).astype(np.int64)
+    keys = []
+    for axis in (0, 1):
+        values, inverse = np.unique(floors[:, axis], return_inverse=True)
+        steps = np.minimum(np.diff(values), 2)
+        keys.append(np.concatenate(([0], np.cumsum(steps)))[inverse.reshape(-1)])
+    return keys[0], keys[1]
 
 
 def _stitch_components_grid(graph: nx.Graph, coords: np.ndarray) -> None:
@@ -336,22 +434,45 @@ def _stitch_components_grid(graph: nx.Graph, coords: np.ndarray) -> None:
         current = nxt
 
 
-def _stitch_components(graph: nx.Graph, coords: np.ndarray, ids: list | None = None) -> None:
-    """Connect graph components by linking nearest cross-component node pairs."""
-    if ids is None:
-        ids = list(range(coords.shape[0]))
+def _stitch_components(graph: nx.Graph, coords: np.ndarray, ids: Sequence[Hashable]) -> None:
+    """Connect the components by joining each to the largest, nearest first.
+
+    The core is the largest component (on a size tie, the first in
+    ``nx.connected_components`` order).  Each join links the core to the
+    outside node closest to it and absorbs that node's component.  A tie
+    at the minimum distance goes to the core node first in *ids*, then to
+    the outside node first in *ids*.  Components are found once: each
+    outside node keeps its distance to the nearest core node, and after a
+    join only the newly absorbed members are measured against the nodes
+    still outside, in blocks of about :data:`_BLOCK` distances.
+    """
+    components = list(nx.connected_components(graph))
+    if len(components) <= 1:
+        return
     index_of = {node: k for k, node in enumerate(ids)}
-    while True:
-        components = list(nx.connected_components(graph))
-        if len(components) <= 1:
-            return
-        # Link the largest component to the closest node outside it.
-        components.sort(key=len, reverse=True)
-        core = components[0]
-        core_idx = np.asarray([index_of[v] for v in core])
-        rest = [v for comp in components[1:] for v in comp]
-        rest_idx = np.asarray([index_of[v] for v in rest])
-        diffs = coords[core_idx][:, None, :] - coords[rest_idx][None, :, :]
-        dists = np.hypot(diffs[..., 0], diffs[..., 1])
-        a, b = np.unravel_index(np.argmin(dists), dists.shape)
-        graph.add_edge(ids[core_idx[a]], ids[rest_idx[b]])
+    label = np.empty(len(ids), dtype=np.int64)
+    for c, members in enumerate(components):
+        label[[index_of[node] for node in members]] = c
+    core = label == np.argmax(np.bincount(label))
+    joined, outside = np.flatnonzero(core), np.flatnonzero(~core)
+    best = np.full(outside.size, np.inf)
+    nearest = np.full(outside.size, len(ids))  # past every index: loses any tie
+    xs, ys = coords[:, 0].copy(), coords[:, 1].copy()
+    while outside.size:
+        # One row per outside node, one column per newly joined node.
+        out_x, out_y = xs[outside][:, None], ys[outside][:, None]
+        rows = np.arange(outside.size)
+        width = max(1, _BLOCK // outside.size)
+        for start in range(0, joined.size, width):
+            block = joined[start : start + width]
+            dists = np.hypot(xs[block] - out_x, ys[block] - out_y)
+            column = dists.argmin(axis=1)
+            dist, node = dists[rows, column], block[column]
+            closer = (dist < best) | ((dist == best) & (node < nearest))
+            best[closer], nearest[closer] = dist[closer], node[closer]
+        tied = np.flatnonzero(best == best.min())
+        k = tied[np.argmin(nearest[tied])]
+        graph.add_edge(ids[nearest[k]], ids[outside[k]])
+        absorbed = label[outside] == label[outside[k]]
+        joined = outside[absorbed]
+        outside, best, nearest = outside[~absorbed], best[~absorbed], nearest[~absorbed]

@@ -1,8 +1,16 @@
 """Tests for topologies and bounding boxes."""
 
+import ast
+import math
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import (
     BoundingBox,
@@ -118,42 +126,104 @@ def test_topology_rejects_non_finite_positions(bad):
         Topology(graph, positions)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_scatter_topology_rejects_non_finite_positions(bad):
+    points = {"a": (0.0, 0.0), "b": (bad, 1.0), "c": (2.0, 0.0)}
+    with pytest.raises(ValueError, match=r"position of node 'b' must be finite, got \("):
+        scatter_topology(points, radio_range=1.5)
+
+
 def test_average_degree():
     topology = grid_topology(2, 2)
     assert topology.average_degree() == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------
-# spatial-hash fast path (n >= SPATIAL_HASH_MIN_N)
+# range edges and component stitching
 # ----------------------------------------------------------------------
-def test_grid_edges_match_quadratic_path():
-    """The cell grid must produce the identical edge set as the O(n²) loop
-    on the same coordinates (the range predicate is shared)."""
-    import math
-
-    from repro.geometry.topology import _range_edges_grid
-
-    n, seed = 600, 17
-    rng = np.random.default_rng(seed)
-    side = math.sqrt(n / 0.8)
-    coords = rng.uniform(0.0, side, size=(n, 2))
-    radio_range = side * math.sqrt(4.0 / (math.pi * (n - 1)))
-
-    quadratic = nx.Graph()
-    quadratic.add_nodes_from(range(n))
-    for i in range(n):
+def _predicate_pairs(coords, radio_range):
+    """The O(n²) loop's pairs: every i < j with np.hypot(dx, dy) <= radio_range."""
+    pairs = set()
+    for i in range(len(coords)):
         deltas = coords[i + 1 :] - coords[i]
         dists = np.hypot(deltas[:, 0], deltas[:, 1])
-        for offset in np.nonzero(dists <= radio_range)[0]:
-            quadratic.add_edge(i, i + 1 + int(offset))
-
-    gridded = nx.Graph()
-    gridded.add_nodes_from(range(n))
-    _range_edges_grid(gridded, coords, radio_range)
-
-    assert set(map(frozenset, quadratic.edges)) == set(map(frozenset, gridded.edges))
+        pairs.update((i, i + 1 + int(k)) for k in np.nonzero(dists <= radio_range)[0])
+    return pairs
 
 
+@st.composite
+def _range_inputs(draw):
+    """Uniform points, or lattice points a multiple of the range apart nudged
+    by up to one ulp, whose rounded separations land exactly on the range."""
+    radio = draw(st.sampled_from([1.0, 0.1, 0.3, 2.5, 1e-3, 7.0]))
+    if draw(st.booleans()):
+        n, seed = draw(st.integers(2, 600)), draw(st.integers(0, 2**32 - 1))
+        side = math.sqrt(n / 0.8)
+        coords = np.random.default_rng(seed).uniform(0.0, side, size=(n, 2))
+        return coords, side * math.sqrt(4.0 / (math.pi * (n - 1)))
+    cells = st.integers(-4, 4).map(float)
+    nudge = st.sampled_from([-1, 0, 1])
+    points = draw(st.lists(st.tuples(cells, nudge, cells, nudge), min_size=2, max_size=40))
+    coords = []
+    for kx, ux, ky, uy in points:
+        x, y = kx * radio, ky * radio
+        coords.append((np.nextafter(x, x + ux) if ux else x, np.nextafter(y, y + uy) if uy else y))
+    return np.asarray(coords), radio
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_range_inputs())
+@example((np.asarray([[0.9999999999999999, 0.0], [2.0, 0.0]]), 1.0))
+def test_both_edge_orders_find_every_pair_in_range(case):
+    """Both insertion orders link exactly the pairs the range predicate
+    accepts, also pairs two range-sized cells apart once rounded."""
+    from repro.geometry.topology import _range_pairs
+
+    coords, radio_range = case
+    expected = sorted(_predicate_pairs(coords, radio_range))
+    first, second = _range_pairs(coords, radio_range)
+    assert list(zip(first.tolist(), second.tolist())) == expected
+    first, second = _range_pairs(coords, radio_range, grouped=True)
+    assert sorted(zip(first.tolist(), second.tolist())) == expected
+
+
+_LATTICE = """
+from repro.geometry import scatter_topology
+points = {f"s{r}-{c}": (float(c), float(r)) for r in range(6) for c in range(6)}
+topology = scatter_topology(points, radio_range=0.5)
+print(repr([(node, list(nbrs)) for node, nbrs in topology.graph.adj.items()]))
+print(repr(list(topology.graph.edges)))
+"""
+
+
+def test_stitch_ties_do_not_depend_on_hash_seed():
+    """36 lattice points 1 apart with range 0.5: every stitch round is a tie
+    at distance 1, broken by id order, never by set iteration order."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _LATTICE], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    edges = ast.literal_eval(outputs[0].splitlines()[1])
+    # The core node first in id order always wins, so each node in turn
+    # links the node to its right (row 0 only) and the node below it.
+    expected = []
+    for r in range(6):
+        for c in range(6):
+            if r == 0 and c < 5:
+                expected.append((f"s0-{c}", f"s0-{c + 1}"))
+            if r < 5:
+                expected.append((f"s{r}-{c}", f"s{r + 1}-{c}"))
+    assert edges == expected
+
+
+# ----------------------------------------------------------------------
+# spatial-hash fast path (n >= SPATIAL_HASH_MIN_N)
+# ----------------------------------------------------------------------
 def test_fast_path_topology_connected_and_deterministic():
     from repro.geometry.topology import SPATIAL_HASH_MIN_N
 

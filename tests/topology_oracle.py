@@ -1,0 +1,168 @@
+"""Reference topology generation: the pairwise formulation, kept as an oracle.
+
+This is the original generation code of ``repro.geometry.topology``,
+unchanged: ``random_geometric_topology`` with its O(n²) range loop below
+``SPATIAL_HASH_MIN_N`` nodes and the spatial hash (``_hash_cells`` and the
+per-member loop of ``_range_edges_grid``) at and above it,
+``scatter_topology`` with its O(n²) range loop, and the round-by-round
+``_stitch_components``, which recomputes the components and a full
+core×rest distance matrix for every stitch edge.  Only the artifact-cache
+decorator is left off.  The centroid-MST stitcher above the threshold is
+unchanged and imported.  The production generators must reproduce these
+graphs exactly, node order and every neighbour order included
+(``tests/test_topology_identity.py``); nothing under ``src/`` imports it.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Hashable, Mapping
+
+import networkx as nx
+import numpy as np
+
+from repro._validation import require_int_at_least, require_positive
+from repro.geometry.topology import SPATIAL_HASH_MIN_N, Topology, _stitch_components_grid
+
+
+def random_geometric_topology(
+    n: int,
+    *,
+    seed: int,
+    density: float = 0.8,
+    target_degree: float = 4.0,
+    radio_range: float | None = None,
+    connect: bool = True,
+) -> Topology:
+    """Uniform-random node placement with radio-range links (paper §8.1).
+
+    Nodes are placed uniformly in a square sized so the node density matches
+    *density* (paper: 0.7–0.9 nodes per unit area).  Unless *radio_range* is
+    given, the range is chosen so the expected neighbour count is
+    *target_degree* (paper: ~4 nodes within radio range).
+
+    With *connect* (default), disconnected components are stitched together
+    by linking the closest pair of nodes across components — physically this
+    models a slightly larger transmit power for the handful of fringe nodes,
+    and keeps every experiment on one connected network (the paper implicitly
+    assumes a connected *CG*).
+    """
+    require_int_at_least(n, 1, "n")
+    require_positive(density, "density")
+    require_positive(target_degree, "target_degree")
+    rng = np.random.default_rng(seed)
+    side = math.sqrt(n / density)
+    coords = rng.uniform(0.0, side, size=(n, 2))
+    if radio_range is None:
+        # Expected neighbours of a node = (n-1) * pi r^2 / side^2.
+        radio_range = side * math.sqrt(target_degree / (math.pi * max(n - 1, 1)))
+    else:
+        require_positive(radio_range, "radio_range")
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    positions = {i: (float(coords[i, 0]), float(coords[i, 1])) for i in range(n)}
+    if n >= SPATIAL_HASH_MIN_N:
+        _range_edges_grid(graph, coords, radio_range)
+        if connect and n > 1:
+            _stitch_components_grid(graph, coords)
+    else:
+        # O(n^2) range test is fine at the paper's scales (<= a few thousand).
+        for i in range(n):
+            deltas = coords[i + 1 :] - coords[i]
+            dists = np.hypot(deltas[:, 0], deltas[:, 1])
+            for offset in np.nonzero(dists <= radio_range)[0]:
+                graph.add_edge(i, i + 1 + int(offset))
+        if connect and n > 1:
+            _stitch_components(graph, coords)
+    return Topology(graph, positions)
+
+
+def scatter_topology(
+    points: Mapping[Hashable, tuple[float, float]],
+    *,
+    radio_range: float,
+    connect: bool = True,
+) -> Topology:
+    """Build a topology from explicit node positions and a radio range."""
+    require_positive(radio_range, "radio_range")
+    ids = list(points)
+    if not ids:
+        raise ValueError("points must be non-empty")
+    coords = np.asarray([points[i] for i in ids], dtype=np.float64)
+    graph = nx.Graph()
+    graph.add_nodes_from(ids)
+    for a in range(len(ids)):
+        deltas = coords[a + 1 :] - coords[a]
+        dists = np.hypot(deltas[:, 0], deltas[:, 1])
+        for offset in np.nonzero(dists <= radio_range)[0]:
+            graph.add_edge(ids[a], ids[a + 1 + int(offset)])
+    if connect and len(ids) > 1:
+        _stitch_components(graph, coords, ids=ids)
+    positions = {i: (float(points[i][0]), float(points[i][1])) for i in ids}
+    return Topology(graph, positions)
+
+
+def _hash_cells(coords: np.ndarray, cell: float) -> dict[tuple[int, int], np.ndarray]:
+    """Bucket point indices by cell of a *cell*-sized square grid.
+
+    Bucket membership lists are ascending (points visited in index order),
+    and the dict itself is in first-seen order — both deterministic
+    functions of the coordinates.
+    """
+    keys_x = np.floor(coords[:, 0] / cell).astype(np.int64)
+    keys_y = np.floor(coords[:, 1] / cell).astype(np.int64)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i in range(coords.shape[0]):
+        buckets.setdefault((int(keys_x[i]), int(keys_y[i])), []).append(i)
+    return {key: np.asarray(members, dtype=np.int64) for key, members in buckets.items()}
+
+
+def _range_edges_grid(graph: nx.Graph, coords: np.ndarray, radio_range: float) -> None:
+    """Add all edges with pairwise distance <= radio_range via a cell grid.
+
+    Same edge *set* as the O(n²) loop — the range predicate is the identical
+    ``np.hypot(dx, dy) <= radio_range`` on the same float64 coordinates, and
+    with cell side = radio_range any in-range pair sits in adjacent cells.
+    Edge insertion order differs (grouped by cell rather than strictly
+    ascending i) but is deterministic, which is all the BFS tie-breaking
+    contract above :data:`SPATIAL_HASH_MIN_N` requires.
+    """
+    buckets = _hash_cells(coords, radio_range)
+    add_edge = graph.add_edge
+    for (kx, ky), members in buckets.items():
+        blocks = [
+            buckets[key]
+            for key in (
+                (kx + dx, ky + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+            )
+            if key in buckets
+        ]
+        cand = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        pts = coords[cand]
+        for i in members.tolist():
+            deltas = pts - coords[i]
+            close = np.hypot(deltas[:, 0], deltas[:, 1]) <= radio_range
+            for j in cand[close & (cand > i)].tolist():
+                add_edge(i, j)
+
+
+def _stitch_components(graph: nx.Graph, coords: np.ndarray, ids: list | None = None) -> None:
+    """Connect graph components by linking nearest cross-component node pairs."""
+    if ids is None:
+        ids = list(range(coords.shape[0]))
+    index_of = {node: k for k, node in enumerate(ids)}
+    while True:
+        components = list(nx.connected_components(graph))
+        if len(components) <= 1:
+            return
+        # Link the largest component to the closest node outside it.
+        components.sort(key=len, reverse=True)
+        core = components[0]
+        core_idx = np.asarray([index_of[v] for v in core])
+        rest = [v for comp in components[1:] for v in comp]
+        rest_idx = np.asarray([index_of[v] for v in rest])
+        diffs = coords[core_idx][:, None, :] - coords[rest_idx][None, :, :]
+        dists = np.hypot(diffs[..., 0], diffs[..., 1])
+        a, b = np.unravel_index(np.argmin(dists), dists.shape)
+        graph.add_edge(ids[core_idx[a]], ids[rest_idx[b]])

@@ -6,9 +6,9 @@ produce byte-identical runs.  The classic way to break it silently is
 event schedule — Python sets iterate in hash order, which varies with
 insertion history (and, for str keys, with ``PYTHONHASHSEED``).  This
 lint walks the AST of the schedule-adjacent modules (``core/elink.py``,
-``core/elink_vec.py``, ``geometry/quadtree.py``, ``sim/faults.py``,
-``sim/kernel.py`` and ``sim/network.py`` by default) and flags ``for``
-loops and comprehensions whose iterable is:
+``core/elink_vec.py``, ``geometry/quadtree.py``, ``geometry/topology.py``,
+``sim/faults.py``, ``sim/kernel.py`` and ``sim/network.py`` by default)
+and flags ``for`` loops and comprehensions whose iterable is:
 
 - a ``set``/``frozenset`` literal, constructor call, or comprehension;
 - a call to ``.union`` / ``.intersection`` / ``.difference`` /
@@ -59,6 +59,7 @@ DEFAULT_TARGETS = (
     "src/repro/core/elink.py",
     "src/repro/core/elink_vec.py",
     "src/repro/geometry/quadtree.py",
+    "src/repro/geometry/topology.py",
     "src/repro/sim/faults.py",
     "src/repro/sim/kernel.py",
     "src/repro/sim/network.py",
