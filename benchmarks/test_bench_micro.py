@@ -302,12 +302,14 @@ def test_churn_mutation_cost(benchmark, side):
 
 
 # ----------------------------------------------------------------------
-# flood: batched broadcasts on the jitter=0 fast path
+# flood: broadcasts on the jitter=0 fast path
 # ----------------------------------------------------------------------
 def test_flood_throughput(benchmark):
     """Broadcast storm on a 2500-node geometric graph: every node emits 16
     waves before the kernel drains, matching the in-flight population of a
-    10⁵-node expand wave (arena rows, delivery cohorts)."""
+    10⁵-node expand wave.  Each broadcast is one ``send`` of a ``Message``
+    per neighbour; the copies share delivery cohorts, and each is
+    delivered through ``_deliver``."""
     from repro.geometry import random_geometric_topology
 
     topology = random_geometric_topology(2500, seed=3)
@@ -318,7 +320,7 @@ def test_flood_throughput(benchmark):
         nodes = list(network.graph.nodes)
         for _ in range(16):
             for node in nodes:
-                network.broadcast_values(node, "feature")
+                network.broadcast(node, "feature")
         network.run()
         return sum(s.count for s in sinks.values())
 

@@ -359,12 +359,12 @@ class ELinkNode(ProtocolNode):
             # Repair expansion: the payload carries the dead cluster root's
             # id so orphaned members (still assigned to it) rejoin without
             # spending switch budget; charged as repair traffic.
-            payload = (self.root_feature, self.root_id, self.m, episode.seq, repair_of)
             self.network.broadcast(
                 self.node_id,
-                lambda nbr: Message(
-                    "expand", self.node_id, nbr, payload, values, category="repair"
-                ),
+                "expand",
+                (self.root_feature, self.root_id, self.m, episode.seq, repair_of),
+                values,
+                category="repair",
             )
         if self.config.signalling == "explicit":
             if parent is not None:
@@ -984,6 +984,15 @@ def run_elink(
             start_stats=start_stats,
         )
         if vec_result is not None:
+            if verifier is not None:
+                verifier.finish(
+                    network=network,
+                    graph=topology.graph,
+                    clustering=vec_result.clustering,
+                    features=features,
+                    metric=metric,
+                    delta=config.delta,
+                )
             return vec_result
 
     # Subtree max levels for the phase1 expectation counts (a fresh dict:

@@ -25,8 +25,9 @@ timestamp:
   push, so no commutativity argument is ever needed for them.
 
 Within a batch, eligible rows are processed in row order — exactly the
-order the per-message engines would deliver them — reading and mutating
-the same protocol state (arrays instead of ``ELinkNode`` attributes).
+order the network delivers the handler engine's per-neighbour ``send``
+copies — reading and mutating the same protocol state (arrays instead of
+``ELinkNode`` attributes).
 Distances are computed vectorised; for 1-d features ``EuclideanMetric``
 is an elementwise ``abs(a - b)``, bit-identical to the scalar path.
 
@@ -303,7 +304,7 @@ class _VectorRun:
             return
         # One charge for the whole cohort: identical totals to one
         # single-hop record per copy (counters are additive ints).
-        self.stats.charge_batch("expand", CATEGORY_CLUSTERING, 1, total)
+        self.stats.charge("expand", CATEGORY_CLUSTERING, 1, hops=total)
         # CSR multi-range gather: per-delivery destination/row-origin.
         offsets = np.repeat(indptr[srcs] - (cum - counts), counts)
         dsts = self.indices[np.arange(total, dtype=np.int64) + offsets]

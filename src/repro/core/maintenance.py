@@ -295,7 +295,9 @@ class MaintenanceSession:
         # Keep every intact parent chain; only members whose chain broke
         # (their old parent left the cluster) need a new parent.
         intact: set[Hashable] = {root}
-        for member in member_set:
+        # Order-free: a member is intact iff its own chain reaches the
+        # root, so the set comes out the same in any order.
+        for member in member_set:  # det-ok
             path = [member]
             current = member
             ok = False
@@ -353,7 +355,10 @@ class MaintenanceSession:
             tree_parent = {new_root: new_root}
             for child, par in nx.bfs_predecessors(sub.subgraph(comp), new_root):
                 tree_parent[child] = par
-            for member in comp:
+            # Order-free: every member already has assignment/parent/
+            # stored_root keys, so the rewrites keep dict order, and the
+            # charges commute.
+            for member in comp:  # det-ok
                 self.assignment[member] = new_root
                 self.parent[member] = tree_parent[member]
                 self.stored_root[member] = base_feature.copy()

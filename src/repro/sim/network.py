@@ -13,17 +13,15 @@ Delivery modes:
 - :meth:`route` — multi-hop unicast along a shortest path (quadtree
   signalling, query routing to cluster roots, update handling).  Charged
   ``values × hops``.
-- :meth:`route_along` — multi-hop unicast along an explicit node path
-  (cluster-tree root walks, backbone-tree edges).
-- :meth:`broadcast` — one copy to every neighbour.
+- :meth:`broadcast` — one :meth:`send` to every neighbour.
 
 Nodes are any object with a ``handle_message(message)`` method, registered
 via :meth:`register`.
 
 Fault semantics (DESIGN.md §9): once the topology has been mutated through
 the mutators, deliveries involving dead nodes or severed links become
-**structured failures** — :meth:`send` returns ``False``, :meth:`route` /
-:meth:`route_along` return ``-1`` — recorded in
+**structured failures** — :meth:`send` returns ``False``, :meth:`route`
+returns ``-1`` — recorded in
 :attr:`MessageStats.drops_by_reason <repro.sim.stats.MessageStats>` instead
 of raising mid-simulation.  Failures are synchronous at the sender (the
 link layer knows its ack never came), which is what protocol-level failure
@@ -37,15 +35,15 @@ Performance notes (see DESIGN.md §8):
 
 - **CSR adjacency.**  Construction builds compressed-sparse-row arrays
   (``indptr``/``indices`` over a node index) in ``graph.adj`` insertion
-  order — the order BFS tie-breaking depends on.  Neighbour tuples and
-  sets are *materialized lazily* from the CSR rows the first time a
-  node's row is touched (``_CSRRows``), so constructing a million-node
-  network allocates two numpy arrays and one index dict, not 2N Python
-  collections.  Topology changes go through the mutators
-  :meth:`remove_node` / :meth:`restore_node` / :meth:`remove_edge` /
-  :meth:`restore_edge`, which clear the distance trees and patch the affected
-  rows in place (O(local degree) per fault event); unpatched rows remain
-  valid snapshots of the construction-time topology.  Hand-mutating
+  order — the order BFS tie-breaking depends on.  Neighbour tuples are
+  *materialized lazily* from the CSR rows the first time a node's row is
+  touched (``_CSRRows``), so constructing a million-node network
+  allocates two numpy arrays and one index dict, not N Python tuples.
+  Topology changes go through the mutators :meth:`remove_node` /
+  :meth:`restore_node` / :meth:`remove_edge` / :meth:`restore_edge`,
+  which clear the distance trees and patch the affected rows in place
+  (O(local degree) per fault event); unpatched rows remain valid
+  snapshots of the construction-time topology.  Hand-mutating
   ``self.graph`` requires a manual :meth:`invalidate_paths` (full
   rebuild).
 - When ``jitter == 0 and loss is None`` (the paper's synchronous reliable
@@ -65,14 +63,8 @@ Performance notes (see DESIGN.md §8):
   members are contiguous in ``(time, seq)`` order with no kernel entry
   between them, exactly as per-message posts would run.  The only
   observable difference is ``kernel.events_executed`` — a cohort is one
-  kernel event for k messages.
-- **Batched broadcast.**  :meth:`broadcast_values` appends a
-  neighbourhood's identical messages to a
-  :class:`~repro.sim.messages.MessageArena` as index rows and charges the
-  stats once; :class:`~repro.sim.messages.Message` objects are
-  materialized only at delivery.  It falls back to per-message
-  :meth:`broadcast` whenever a per-message observer could tell the
-  difference (mutated topology, tracer, energy model, jitter or loss).
+  kernel event for k messages.  Every member is still delivered through
+  ``_deliver``, traced or not.
 - Jitter samples are pre-drawn in chunks when enabled; numpy consumes the
   same bit stream either way, so jittery runs are byte-identical to the
   per-call sampling they replace.
@@ -104,13 +96,7 @@ import numpy as np
 from repro._validation import require_non_negative, require_positive
 from repro.sim.energy import EnergyModel
 from repro.sim.kernel import Event, EventKernel
-from repro.sim.messages import (
-    _DEFAULT_CATEGORIES,
-    CATEGORY_DATA,
-    ArenaSpan,
-    Message,
-    MessageArena,
-)
+from repro.sim.messages import Message
 from repro.sim.radio import LossyLinkModel
 from repro.sim.stats import MessageStats
 
@@ -227,8 +213,8 @@ class Network:
         #: unit-delay, reliable links — the paper's cost model).
         self._fast = jitter == 0.0 and loss is None
         self._handlers: dict[Hashable, MessageHandler] = {}
-        #: node -> bound ``handle_message``, so the cohort drain skips one
-        #: attribute lookup per delivered message.
+        #: node -> bound ``handle_message``, so delivery skips one attribute
+        #: lookup per message.
         self._dispatch: dict[Hashable, Callable[[Message], None]] = {}
         #: Nodes removed by :meth:`remove_node` (fail-stop crashes).
         self.dead_nodes: set[Hashable] = set()
@@ -239,20 +225,12 @@ class Network:
         self._mutated = False
         #: Cancellable timers registered per owning node (crash cleanup).
         self._owned_timers: dict[Hashable, list[Event]] = {}
-        #: Optional observer called as ``on_drop(message, reason)`` after a
-        #: structured delivery failure is recorded.
-        self.on_drop: Callable[[Message, str], None] | None = None
         #: Optional tracer (DESIGN.md §10); every hook guards on it, so
         #: ``None`` keeps the delivery paths byte-identical to untraced
         #: builds.  Shared with the kernel so timers land in one stream.
         self._tracer = tracer
         if tracer is not None:
             self.kernel.tracer = tracer
-        #: Folded guard for the batched broadcast: everything static that
-        #: forces the per-message path (jitter/loss, tracer, energy model).
-        #: ``_mutated`` stays a separate per-call check since faults flip
-        #: it mid-run.
-        self._bcast_ok = self._fast and tracer is None and energy is None
         #: Per-source BFS distance trees (:meth:`hop_distance`):
         #: ``src -> (depths, frontier, frontier depth)``, and the number of
         #: depths they hold between them.
@@ -284,18 +262,8 @@ class Network:
         self._indices = indices
         #: Crashed nodes whose CSR row must not be materialized again.
         self._removed_rows: set[Hashable] = set()
-        # Neighbour tuples (BFS order) and frozensets (O(1) edge checks).
+        #: Neighbour tuples, in BFS order.
         self._adj: dict[Hashable, tuple[Hashable, ...]] = _CSRRows(self, tuple)
-        self._adj_sets: dict[Hashable, frozenset] = _CSRRows(self, frozenset)
-        #: Index-based message rows for in-flight broadcasts; ``Message``
-        #: objects are materialized lazily at delivery (or for a tracer /
-        #: structured drop), never for rows a vectorised consumer drains as
-        #: arrays.  Reference-counted by open spans so the arena can be
-        #: recycled between delivery rounds.  A rebuild renumbers the CSR
-        #: index space, so it starts a fresh arena; spans still in flight
-        #: keep materializing against the one they were built on.
-        self._arena = MessageArena(nodes)
-        self._arena_refs = 0
 
     def _csr_row(self, key) -> tuple:
         """Materialize *key*'s neighbour tuple from the CSR snapshot."""
@@ -325,51 +293,33 @@ class Network:
         """Patch adjacency after *node_id* left ``self.graph``."""
         self._removed_rows.add(node_id)
         adj = self._adj
-        adj_sets = self._adj_sets
         for nbr in neighbours:
-            row = tuple(x for x in adj[nbr] if x != node_id)
-            adj[nbr] = row
-            adj_sets[nbr] = frozenset(row)
-        # Drop any materialized copies; the _removed_rows mark stops the
-        # CSR snapshot from resurrecting the row on later access.
+            adj[nbr] = tuple(x for x in adj[nbr] if x != node_id)
+        # Drop any materialized copy; the _removed_rows mark stops the CSR
+        # snapshot from resurrecting the row on later access.
         adj.pop(node_id, None)
-        adj_sets.pop(node_id, None)
 
     def _adjacency_add_node(self, node_id: Hashable) -> None:
         """Patch adjacency after *node_id* (re)joined ``self.graph``."""
         self._removed_rows.discard(node_id)
         adj = self._adj
-        adj_sets = self._adj_sets
         row = tuple(self.graph.adj[node_id])
         adj[node_id] = row
-        adj_sets[node_id] = frozenset(row)
         for nbr in row:
-            if node_id not in adj_sets[nbr]:
-                patched = adj[nbr] + (node_id,)
-                adj[nbr] = patched
-                adj_sets[nbr] = frozenset(patched)
+            if node_id not in adj[nbr]:
+                adj[nbr] += (node_id,)
 
     def _adjacency_drop_edge(self, u: Hashable, v: Hashable) -> None:
         """Patch adjacency after edge *u*—*v* left ``self.graph``."""
         adj = self._adj
-        adj_sets = self._adj_sets
-        row_u = tuple(x for x in adj[u] if x != v)
-        adj[u] = row_u
-        adj_sets[u] = frozenset(row_u)
-        row_v = tuple(x for x in adj[v] if x != u)
-        adj[v] = row_v
-        adj_sets[v] = frozenset(row_v)
+        adj[u] = tuple(x for x in adj[u] if x != v)
+        adj[v] = tuple(x for x in adj[v] if x != u)
 
     def _adjacency_add_edge(self, u: Hashable, v: Hashable) -> None:
         """Patch adjacency after edge *u*—*v* (re)joined ``self.graph``."""
         adj = self._adj
-        adj_sets = self._adj_sets
-        row_u = adj[u] + (v,)
-        adj[u] = row_u
-        adj_sets[u] = frozenset(row_u)
-        row_v = adj[v] + (u,)
-        adj[v] = row_v
-        adj_sets[v] = frozenset(row_v)
+        adj[u] += (v,)
+        adj[v] += (u,)
 
     @property
     def tracer(self) -> "Tracer | None":
@@ -385,7 +335,6 @@ class Network:
         """
         self._tracer = tracer
         self.kernel.tracer = tracer
-        self._bcast_ok = self._fast and tracer is None and self.energy is None
 
     @property
     def max_hop_delay(self) -> float:
@@ -459,7 +408,7 @@ class Network:
         sender its transmission was not acknowledged.
         """
         src = message.src
-        neighbours = self._adj_sets.get(src)
+        neighbours = self._adj.get(src)
         if neighbours is None or message.dst not in neighbours:
             if self._mutated:
                 reason = self._endpoint_failure(src, message.dst)
@@ -489,9 +438,8 @@ class Network:
         self._post_delivery(delay, message)
         return True
 
-    def _post_delivery(self, delay: float, message: "Message | ArenaSpan") -> None:
-        """Schedule *message* (or a span of arena rows) to arrive ``delay``
-        from now.
+    def _post_delivery(self, delay: float, message: Message) -> None:
+        """Schedule *message* to arrive ``delay`` from now.
 
         On the fast path it joins the open delivery cohort at its arrival
         time when no kernel push has happened since that cohort was queued
@@ -522,21 +470,7 @@ class Network:
             attempts=attempts,
         )
 
-    def broadcast(self, src: Hashable, make_message) -> int:
-        """Send ``make_message(neighbor)`` to every neighbour of *src*.
-
-        *make_message* is a callable so each copy can carry its own ``dst``.
-        Returns the number of copies sent.
-        """
-        count = 0
-        if self._mutated and src in self.dead_nodes:
-            return 0
-        for neighbor in self._adj[src]:
-            if self.send(make_message(neighbor)):
-                count += 1
-        return count
-
-    def broadcast_values(
+    def broadcast(
         self,
         src: Hashable,
         kind: str,
@@ -544,55 +478,19 @@ class Network:
         values: int = 1,
         category: str = "",
     ) -> int:
-        """Broadcast one homogeneous *kind* message to every neighbour.
+        """Send ``Message(kind, src, nbr, payload, values, category)`` to
+        every neighbour *nbr* of *src*, one :meth:`send` each.
 
-        Equivalent to :meth:`broadcast` with a ``Message(kind, src, nbr,
-        payload, values, category)`` factory — the common case for protocol
-        neighbourhood floods — but batched: the copies become one
-        :class:`~repro.sim.messages.MessageArena` block in one delivery
-        cohort, charged to the stats once.  Falls back to the per-message
-        path whenever any per-message observer could tell the difference
-        (mutated topology, tracer, energy model, jitter or loss).
+        Returns the number of copies sent (a crashed source sends none;
+        copies to crashed neighbours or over severed links are drops).
         """
-        if self._mutated or not self._bcast_ok:
-            return self.broadcast(
-                src, lambda neighbor: Message(kind, src, neighbor, payload, values, category)
-            )
-        # Neighbour indices straight from the CSR snapshot (legal while
-        # unmutated): no node-id tuple is ever materialized on this path.
-        i = self._node_index[src]
-        indptr = self._indptr
-        start, end = indptr[i], indptr[i + 1]
-        count = int(end - start)
-        if count == 0:
+        if self._mutated and src in self.dead_nodes:
             return 0
-        if values < 1:
-            raise ValueError(f"message must carry at least one value, got {values}")
-        if not category:
-            category = _DEFAULT_CATEGORIES.get(kind, CATEGORY_DATA)
-        # Inlined MessageStats.charge_batch (count/values validated above)
-        # — the call itself is measurable at this call rate.
-        stats = self.stats
-        total = count * values
-        stats.packets_by_kind[kind] += count
-        stats.values_by_kind[kind] += total
-        stats.packets_by_category[category] += count
-        stats.values_by_category[category] += total
-        stats._total_packets += count
-        stats._total_values += total
-        arena = self._arena
-        span = ArenaSpan(
-            arena,
-            *arena.append_block(
-                arena.kind_id(kind, category),
-                i,
-                self._indices[start:end].tolist(),
-                arena.payload_ref(payload),
-                values,
-            ),
-        )
-        self._arena_refs += 1
-        self._post_delivery(self.hop_delay, span)
+        send = self.send
+        count = 0
+        for neighbor in self._adj[src]:
+            if send(Message(kind, src, neighbor, payload, values, category)):
+                count += 1
         return count
 
     def route(self, message: Message) -> int:
@@ -625,34 +523,6 @@ class Network:
             hops = self.hop_distance(src, dst)
         path = self.shortest_path(src, dst) if self.energy is not None else None
         return self._traverse(message, hops, path)
-
-    def route_along(self, path: Sequence[Hashable], message: Message) -> int:
-        """Deliver *message* along an explicit *path* (src ... dst).
-
-        The path must start at ``message.src``, end at ``message.dst`` and
-        follow graph edges.  Returns the hop count, or ``-1`` (with a
-        structured drop) when a fault has removed a node or link on the
-        path.
-        """
-        if not path or path[0] != message.src or path[-1] != message.dst:
-            raise ValueError("path must run from message.src to message.dst")
-        adj_sets = self._adj_sets
-        if self._mutated:
-            reason = self._endpoint_failure(message.src, message.dst)
-            if reason is not None:
-                self._drop(message, reason)
-                return -1
-        for a, b in zip(path, path[1:]):
-            if b not in adj_sets.get(a, ()):
-                if self._mutated:
-                    if a in self.dead_nodes or b in self.dead_nodes:
-                        self._drop(message, "dead_relay")
-                        return -1
-                    if frozenset((a, b)) in self._removed_edges:
-                        self._drop(message, "link_down")
-                        return -1
-                raise ValueError(f"path step {a!r} -> {b!r} is not a graph edge")
-        return self._traverse(message, len(path) - 1, path)
 
     def _traverse(
         self, message: Message, hops: int, path: Sequence[Hashable] | None
@@ -695,76 +565,31 @@ class Network:
         return hops
 
     def _deliver(self, message: Message) -> None:
-        if self.dead_nodes and message.dst in self.dead_nodes:
-            # In-flight delivery to a node that crashed after the send was
-            # scheduled: the transmission cost was already charged; the
-            # message silently disappears at the dead radio.
+        dst = message.dst
+        # dead_nodes is checked per message: the recipient may have crashed
+        # after the send was scheduled, even earlier in the same cohort.
+        if self.dead_nodes and dst in self.dead_nodes:
+            # The transmission cost was already charged; the message
+            # silently disappears at the dead radio.
             self._drop(message, "dead_destination")
             return
         if self._tracer is not None:
             self._tracer.emit(
-                self.kernel.now, "msg.deliver", message.dst, src=message.src, kind=message.kind
+                self.kernel.now, "msg.deliver", dst, src=message.src, kind=message.kind
             )
-        self.handler(message.dst).handle_message(message)
+        try:
+            handle = self._dispatch[dst]
+        except KeyError:
+            handle = self.handler(dst).handle_message  # canonical error
+        handle(message)
 
-    def _deliver_cohort(self, time: float, batch: list) -> None:
+    def _deliver_cohort(self, time: float, batch: list[Message]) -> None:
         entry = self._cohorts.get(time)
         if entry is not None and entry[0] is batch:
             del self._cohorts[time]
-        if self._tracer is not None:
-            deliver = self._deliver
-            for item in batch:
-                if type(item) is ArenaSpan:
-                    arena = item.arena
-                    for row in range(item.start, item.stop):
-                        deliver(arena.materialize(row))
-                    self._span_drained(item)
-                else:
-                    deliver(item)
-            return
-        dispatch = self._dispatch
-        dead = self.dead_nodes
-        for item in batch:
-            if type(item) is ArenaSpan:
-                arena = item.arena
-                node_list = arena.node_list
-                dst_col = arena.dst_col
-                materialize = arena.materialize
-                for row in range(item.start, item.stop):
-                    dst = node_list[dst_col[row]]
-                    if dead and dst in dead:
-                        # Only a structured drop needs the object; live
-                        # recipients get theirs materialized one handler
-                        # call away, dead ones here for the drop record.
-                        self._drop(materialize(row), "dead_destination")
-                        continue
-                    try:
-                        handle = dispatch[dst]
-                    except KeyError:
-                        handle = self.handler(dst).handle_message  # canonical error
-                    handle(materialize(row))
-                self._span_drained(item)
-                continue
-            message = item
-            # dead_nodes is re-checked per message: a handler running
-            # earlier in this cohort may have crashed a later recipient,
-            # which per-event delivery would also have seen.
-            if dead and message.dst in dead:
-                self._drop(message, "dead_destination")
-                continue
-            try:
-                handle = dispatch[message.dst]
-            except KeyError:
-                handle = self.handler(message.dst).handle_message  # canonical error
-            handle(message)
-
-    def _span_drained(self, span: ArenaSpan) -> None:
-        """Release *span*'s arena reference; recycle the arena when idle."""
-        if span.arena is not self._arena:
-            return  # superseded by a CSR rebuild; freed with its last span
-        self._arena_refs -= 1
-        if self._arena_refs == 0:
-            self._arena.clear()
+        deliver = self._deliver
+        for message in batch:
+            deliver(message)
 
     # ------------------------------------------------------------------
     # faults: structured failures, topology mutators, owned timers
@@ -778,7 +603,7 @@ class Network:
         return None
 
     def _drop(self, message: Message, reason: str) -> None:
-        """Record a structured delivery failure and notify the observer."""
+        """Record a structured delivery failure."""
         self.stats.record_drop(message, reason)
         if self._tracer is not None:
             self._tracer.emit(
@@ -789,8 +614,6 @@ class Network:
                 kind=message.kind,
                 reason=reason,
             )
-        if self.on_drop is not None:
-            self.on_drop(message, reason)
 
     def is_alive(self, node_id: Hashable) -> bool:
         """False once *node_id* has been crashed via :meth:`remove_node`."""

@@ -63,12 +63,9 @@ class ProtocolNode:
         return self.network.route(Message(kind, self.node_id, dst, payload, values))
 
     def broadcast(self, kind: str, payload: Any = None, *, values: int = 1) -> int:
-        """Send a copy to every neighbour; returns the number of copies.
-
-        Routed through :meth:`Network.broadcast_values` so the network's
-        batched broadcast applies to every protocol node.
-        """
-        return self.network.broadcast_values(self.node_id, kind, payload, values)
+        """Send a copy to every neighbour; returns the number of copies
+        (see :meth:`Network.broadcast`)."""
+        return self.network.broadcast(self.node_id, kind, payload, values)
 
     def set_timer(self, delay: float, callback, *args) -> Event:
         """Schedule *callback* on the shared kernel; returns a cancellable

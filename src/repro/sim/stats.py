@@ -57,7 +57,10 @@ class MessageStats:
 
         Equivalent to :meth:`record` with a matching :class:`Message`;
         accounting-only call sites (costs charged without a message object
-        travelling the network) use this to skip the construction.
+        travelling the network) use this to skip the construction.  The
+        counters are additive, so one call with ``hops=n`` leaves exactly
+        what *n* single-hop calls would: the vectorised ELink rounds charge
+        a whole cohort of single-hop copies this way.
         """
         if hops < 1:
             raise ValueError(f"hops must be >= 1, got {hops}")
@@ -69,27 +72,6 @@ class MessageStats:
         self.packets_by_category[category] += hops
         self.values_by_category[category] += total
         self._total_packets += hops
-        self._total_values += total
-
-    def charge_batch(self, kind: str, category: str, values: int, count: int) -> None:
-        """Charge *count* single-hop messages of identical kind/category/values.
-
-        One counter update per family instead of *count*; the totals are
-        exactly what *count* :meth:`charge` calls with ``hops=1`` would
-        accumulate.  Used by the vectorised ELink rounds (and inlined in
-        :meth:`Network.broadcast_values <repro.sim.network.Network.broadcast_values>`),
-        where a whole neighbourhood receives the same-shaped message.
-        """
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        if values < 1:
-            raise ValueError(f"message must carry at least one value, got {values}")
-        total = count * values
-        self.packets_by_kind[kind] += count
-        self.values_by_kind[kind] += total
-        self.packets_by_category[category] += count
-        self.values_by_category[category] += total
-        self._total_packets += count
         self._total_values += total
 
     def record_drop(self, message: Message, reason: str) -> None:

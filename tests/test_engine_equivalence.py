@@ -16,12 +16,17 @@ import pytest
 
 import repro.core.elink_vec as elink_vec
 from repro.core import ELinkConfig, run_elink
+from repro.core.elink import compute_kappa
+from repro.datasets.synthetic import generate_synthetic_dataset, stream_measurements
 from repro.features import EuclideanMetric
 from repro.geometry import Topology, grid_topology, random_geometric_topology
+from repro.geometry.quadtree import QuadTreeDecomposition
 from repro.obs.trace import Tracer
-from repro.sim import Message, Network
+from repro.sim import Network
+from repro.sim.faults import FaultInjector, FaultPlan
 from repro.verify.harness import ScenarioSpec, build_scenario, run_scenario
 from repro.verify.replay import replay_check
+from repro.verify.runtime import verification
 
 
 def _topology(kind: str) -> Topology:
@@ -103,6 +108,72 @@ def test_trace_matches_golden_digest(scenario, tmp_path):
     )
 
 
+# ----------------------------------------------------------------------
+# the chaos_1000 benchmark deployment: untraced, traced and verified
+# ----------------------------------------------------------------------
+#: Outputs of the benchmark's chaos_1000 deployment (seed 3): clusters,
+#: messages, drops by reason, dead nodes, kernel pushes, kernel events.
+CHAOS_1000_PIN = (
+    792, 52_144, {"no_route": 202, "dead_destination": 6}, 50, 6_824, 6_823,
+)
+
+
+@pytest.fixture(scope="module")
+def chaos_1000_dataset():
+    dataset = generate_synthetic_dataset(1_000, seed=3, readings=200)
+    stream_measurements(dataset, 50, seed=3)
+    return dataset
+
+
+def _chaos_1000_run(dataset, tracer=None):
+    """One explicit, failure-detecting run with 5% crashes and 50 link
+    flaps in the last expansion rounds (40-55κ), quadtree root protected."""
+    graph = dataset.topology.graph.copy()
+    topology = Topology(graph, dict(dataset.topology.positions))
+    config = ELinkConfig(delta=0.05, signalling="explicit", failure_detection=True)
+    kappa = compute_kappa(graph.number_of_nodes(), config.gamma)
+    window = (40.0 * kappa, 55.0 * kappa)
+    quadtree = QuadTreeDecomposition(topology)
+    network = Network(graph)
+    plan = FaultPlan.random(
+        sorted(graph.nodes),
+        seed=3,
+        crash_fraction=0.05,
+        crash_window=window,
+        churn_edges=sorted(graph.edges),
+        churn_events=50,
+        churn_window=window,
+        churn_downtime=2.0,
+        protected=(quadtree.root,),
+    )
+    result = run_elink(
+        topology, dataset.features, dataset.metric(), config,
+        quadtree=quadtree, network=network,
+        injector=FaultInjector(network, plan), tracer=tracer,
+    )
+    return (
+        result.num_clusters,
+        result.total_messages,
+        dict(result.stats.drops_by_reason),
+        len(network.dead_nodes),
+        network.kernel.pushes,
+        network.kernel.events_executed,
+    )
+
+
+@pytest.mark.parametrize("mode", ["untraced", "traced", "verified"])
+def test_chaos_1000_handler_outputs_pinned(chaos_1000_dataset, mode):
+    """The handler path's delivery order, stats and kernel traffic on the
+    benchmark's chaos deployment do not depend on tracing or verification."""
+    if mode == "verified":
+        with verification("full"):
+            outputs = _chaos_1000_run(chaos_1000_dataset)
+    else:
+        tracer = Tracer(capacity=1) if mode == "traced" else None
+        outputs = _chaos_1000_run(chaos_1000_dataset, tracer)
+    assert outputs == CHAOS_1000_PIN
+
+
 def test_array_engine_replay_deterministic():
     report = replay_check(ScenarioSpec(crash_fraction=0.05, churn_events=2))
     assert report.identical, str(report)
@@ -110,41 +181,8 @@ def test_array_engine_replay_deterministic():
 
 
 # ----------------------------------------------------------------------
-# cohort batching must not change stats or delivery to crashed nodes
+# cohort batching must not change delivery to crashed nodes
 # ----------------------------------------------------------------------
-def test_batched_broadcast_matches_reference_stats(small_grid):
-    """``broadcast_values`` (arena rows, one stats charge) delivers and
-    charges exactly what per-message ``broadcast`` does."""
-
-    class Recorder:
-        def __init__(self):
-            self.seen = []
-
-        def handle_message(self, message):
-            self.seen.append((message.kind, message.src, message.dst, message.values))
-
-    network = Network(small_grid.graph.copy())
-    recorder = Recorder()
-    for node in network.graph.nodes:
-        network.register(node, recorder)
-    runs = []
-    for batched in (True, False):
-        start = network.stats.snapshot()
-        for node in sorted(network.graph.nodes):
-            if batched:
-                network.broadcast_values(node, "feature", payload=None, values=3)
-            else:
-                network.broadcast(
-                    node, lambda nbr, node=node: Message("feature", node, nbr, None, 3)
-                )
-        assert (len(network._arena) > 0) == batched  # the batched path really ran
-        network.run()
-        cost = network.stats.diff(start)
-        runs.append((recorder.seen, cost, cost.total_packets, cost.total_values))
-        recorder.seen = []
-    assert runs[0] == runs[1]
-
-
 def test_cohort_recheck_of_crashed_recipients(small_grid):
     """A handler crashing a later cohort member must suppress its delivery."""
 
@@ -165,7 +203,7 @@ def test_cohort_recheck_of_crashed_recipients(small_grid):
     handler = Crasher(network, victim)
     for node in network.graph.nodes:
         network.register(node, handler)
-    network.broadcast_values(0, "feature")
+    network.broadcast(0, "feature")
     network.run()
     # The first recipient crashes the victim; every other copy lands, and
     # the victim's copy (already charged at send) becomes a drop.

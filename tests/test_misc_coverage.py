@@ -44,7 +44,7 @@ def test_broadcast_on_isolated_node():
     graph.add_edge(0, 1)
     graph.add_node(2)  # isolated
     network = Network(graph, EventKernel())
-    count = network.broadcast(2, lambda nb: Message("feature", 2, nb))
+    count = network.broadcast(2, "feature")
     assert count == 0
 
 

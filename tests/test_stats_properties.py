@@ -104,7 +104,7 @@ def test_snapshot_is_independent_of_source(data):
 
 
 # ----------------------------------------------------------------------
-# charge_batch: one call == N charges; totals maintained in O(1)
+# charge over n hops == n single-hop charges; totals maintained in O(1)
 # ----------------------------------------------------------------------
 @given(
     st.sampled_from(KINDS),
@@ -113,9 +113,10 @@ def test_snapshot_is_independent_of_source(data):
     st.integers(min_value=1, max_value=20),
 )
 @settings(derandomize=True, max_examples=60)
-def test_charge_batch_equals_repeated_charges(kind, category, values, count):
+def test_charge_over_hops_equals_repeated_single_hop_charges(kind, category, values, count):
+    """The identity the vectorised ELink rounds charge a cohort by."""
     batched = MessageStats()
-    batched.charge_batch(kind, category, values, count)
+    batched.charge(kind, category, values, hops=count)
     looped = MessageStats()
     for _ in range(count):
         looped.charge(kind, category, values)
@@ -125,14 +126,14 @@ def test_charge_batch_equals_repeated_charges(kind, category, values, count):
     check_stats_conservation(batched)
 
 
-def test_charge_batch_validates_inputs():
+def test_charge_validates_inputs():
     import pytest
 
     stats = MessageStats()
     with pytest.raises(ValueError):
-        stats.charge_batch("join", "clustering", 0, 3)
+        stats.charge("join", "clustering", 0, hops=3)
     with pytest.raises(ValueError):
-        stats.charge_batch("join", "clustering", 2, 0)
+        stats.charge("join", "clustering", 2, hops=0)
     # failed validation must not have charged anything
     assert stats.total_packets == 0
     assert stats.total_values == 0
@@ -141,7 +142,7 @@ def test_charge_batch_validates_inputs():
 def test_snapshot_and_diff_carry_totals_without_rederiving():
     stats = MessageStats()
     stats.charge("join", "clustering", 4, hops=3)
-    stats.charge_batch("probe", "repair", 1, 5)
+    stats.charge("probe", "repair", 1, hops=5)
     snap = stats.snapshot()
     assert snap.total_packets == stats.total_packets == 8
     assert snap.total_values == stats.total_values == 17

@@ -30,6 +30,7 @@ from repro.verify import (
     verification_level,
 )
 from repro.verify.runtime import RunVerifier
+from tests.test_engine_equivalence import _spy_vectorizer
 
 
 def _event(time, type, node=None, **data):
@@ -231,6 +232,61 @@ def test_full_level_installs_and_removes_private_tracer():
         delta=1.0,
     )
     assert network.tracer is None  # private tracer removed again
+
+
+# ----------------------------------------------------------------------
+# cheap checks cover vectorised runs
+# ----------------------------------------------------------------------
+def _spy_finish(monkeypatch):
+    """Record the level of every :meth:`RunVerifier.finish` call."""
+    finished = []
+    real_finish = RunVerifier.finish
+
+    def spy(self, **kwargs):
+        finished.append(self.level)
+        return real_finish(self, **kwargs)
+
+    monkeypatch.setattr(RunVerifier, "finish", spy)
+    return finished
+
+
+def _cheap_vectorized_grid_run():
+    import numpy as np
+
+    from repro.core import ELinkConfig, run_elink
+    from repro.features import EuclideanMetric
+    from repro.geometry import grid_topology
+
+    topology = grid_topology(10, 10)
+    features = {
+        v: np.array([(x + y) / 10]) for v, (x, y) in topology.positions.items()
+    }
+    with verification("cheap"):
+        run_elink(topology, features, EuclideanMetric(), ELinkConfig(delta=0.6))
+
+
+def test_cheap_level_checks_vectorized_run(monkeypatch):
+    engaged = _spy_vectorizer(monkeypatch)
+    finished = _spy_finish(monkeypatch)
+    _cheap_vectorized_grid_run()
+    assert engaged == [True]  # the batch path ran, not a fallback
+    assert finished == ["cheap"]
+
+
+def test_cheap_level_catches_corrupt_vectorized_stats(monkeypatch):
+    import repro.core.elink_vec as elink_vec
+
+    engaged = _spy_vectorizer(monkeypatch)
+    real_fire = elink_vec._VectorRun._fire_expand
+
+    def corrupt_fire(self, time, batch):
+        real_fire(self, time, batch)
+        self.stats.packets_by_kind["expand"] += 1
+
+    monkeypatch.setattr(elink_vec._VectorRun, "_fire_expand", corrupt_fire)
+    with pytest.raises(InvariantError, match="stats-conservation"):
+        _cheap_vectorized_grid_run()
+    assert engaged == [True]
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,11 @@ produce byte-identical runs.  The classic way to break it silently is
 ``for x in some_set:`` on a code path whose iteration order reaches the
 event schedule — Python sets iterate in hash order, which varies with
 insertion history (and, for str keys, with ``PYTHONHASHSEED``).  This
-lint walks the AST of the schedule-adjacent modules (``core/elink.py``,
-``core/elink_vec.py``, ``geometry/quadtree.py``, ``geometry/topology.py``,
-``sim/faults.py``, ``sim/kernel.py`` and ``sim/network.py`` by default)
-and flags ``for`` loops and comprehensions whose iterable is:
+lint walks the AST of the schedule-adjacent modules
+(``baselines/spanning_forest.py``, ``core/elink.py``,
+``core/elink_vec.py``, ``core/maintenance.py``, ``geometry/quadtree.py``,
+``geometry/topology.py``, ``sim/faults.py``, ``sim/kernel.py`` and
+``sim/network.py`` by default) and flags ``for`` loops and comprehensions whose iterable is:
 
 - a ``set``/``frozenset`` literal, constructor call, or comprehension;
 - a call to ``.union`` / ``.intersection`` / ``.difference`` /
@@ -56,8 +57,10 @@ SET_RETURNING_METHODS = frozenset(
 
 #: Files checked when none are given on the command line.
 DEFAULT_TARGETS = (
+    "src/repro/baselines/spanning_forest.py",
     "src/repro/core/elink.py",
     "src/repro/core/elink_vec.py",
+    "src/repro/core/maintenance.py",
     "src/repro/geometry/quadtree.py",
     "src/repro/geometry/topology.py",
     "src/repro/sim/faults.py",
