@@ -338,7 +338,7 @@ def _spectral_partition(
         # The eigendecomposition is the O(N³) heart of the solver and a
         # pure function of the affinity matrix; with REPRO_CACHE set it is
         # content-addressed by that matrix (hashing N² floats costs
-        # milliseconds, eigh at N=2500 costs tens of seconds).
+        # milliseconds, eigh at N=2500 takes 2–3 s on a 2-CPU host).
         artifact = get_cache()
         if artifact is None:
             cache["eigvecs"] = compute()

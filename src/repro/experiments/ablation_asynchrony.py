@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import ELinkConfig, run_elink, validate_clustering
-from repro.datasets import fit_features, generate_tao_dataset
 from repro.experiments.common import ExperimentTable, check_profile
+from repro.experiments.streaming import tao_features
 from repro.sim import Network
 
 DELTA = 0.1
@@ -31,15 +31,8 @@ JITTERS = (0.0, 0.3, 0.6, 1.0, 2.0, 4.0)
 def run(profile: str = "full", seed: int = 7) -> ExperimentTable:
     """Run the experiment; returns the printable table (see module docstring)."""
     check_profile(profile)
-    if profile == "full":
-        dataset = generate_tao_dataset(seed=seed)
-        repeats = 5
-    else:
-        dataset = generate_tao_dataset(
-            seed=seed, samples_per_day=24, training_days=8, stream_days=2
-        )
-        repeats = 2
-    _, features = fit_features(dataset)
+    dataset, features = tao_features(profile, seed)
+    repeats = 5 if profile == "full" else 2
     metric = dataset.metric()
     topology = dataset.topology
 

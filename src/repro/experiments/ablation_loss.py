@@ -10,8 +10,8 @@ robustness check that the protocol logic holds and the cost model behaves.
 from __future__ import annotations
 
 from repro.core import ELinkConfig, run_elink, validate_clustering
-from repro.datasets import fit_features, generate_tao_dataset
 from repro.experiments.common import ExperimentTable, check_profile
+from repro.experiments.streaming import tao_features
 from repro.sim import LossyLinkModel, Network
 
 DELTA = 0.1
@@ -21,13 +21,7 @@ LOSS_RATES = (0.0, 0.05, 0.1, 0.2, 0.3)
 def run(profile: str = "full", seed: int = 7) -> ExperimentTable:
     """Run the experiment; returns the printable table (see module docstring)."""
     check_profile(profile)
-    if profile == "full":
-        dataset = generate_tao_dataset(seed=seed)
-    else:
-        dataset = generate_tao_dataset(
-            seed=seed, samples_per_day=24, training_days=8, stream_days=2
-        )
-    _, features = fit_features(dataset)
+    dataset, features = tao_features(profile, seed)
     metric = dataset.metric()
     topology = dataset.topology
 

@@ -13,8 +13,8 @@ the Tao data, showing what the defaults buy:
 from __future__ import annotations
 
 from repro.core import ELinkConfig, run_elink
-from repro.datasets import fit_features, generate_tao_dataset
 from repro.experiments.common import ExperimentTable, check_profile
+from repro.experiments.streaming import tao_features
 
 DELTA = 0.1
 BUDGETS = (0, 1, 2, 4, 8)
@@ -24,13 +24,7 @@ PHI_FRACTIONS = (0.0, 0.05, 0.1, 0.3)
 def run(profile: str = "full", seed: int = 7) -> ExperimentTable:
     """Run the experiment; returns the printable table (see module docstring)."""
     check_profile(profile)
-    if profile == "full":
-        dataset = generate_tao_dataset(seed=seed)
-    else:
-        dataset = generate_tao_dataset(
-            seed=seed, samples_per_day=24, training_days=8, stream_days=2
-        )
-    _, features = fit_features(dataset)
+    dataset, features = tao_features(profile, seed)
     metric = dataset.metric()
     topology = dataset.topology
 

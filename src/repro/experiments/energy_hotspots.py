@@ -1,9 +1,9 @@
 """Energy hotspots — who burns the battery under each update scheme.
 
 Message totals hide *where* the energy goes.  Charging every transmission
-to a per-node energy model (Mica2-era radio constants) over a stream of
-Tao coefficient updates shows the classic asymmetry the paper's motivation
-appeals to:
+to a per-node energy model (Mica2-era radio constants) over the shared Tao
+coefficient-update stream (the one Fig 10 replays) shows the classic
+asymmetry the paper's motivation appeals to:
 
 - the **centralized** scheme funnels every update through the base
   station's neighbourhood — the hottest node burns many times the network
@@ -20,9 +20,8 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.core import CentralizedUpdateBaseline, ELinkConfig, MaintenanceSession, run_elink
-from repro.datasets import generate_tao_dataset
 from repro.experiments.common import ExperimentTable, check_profile
-from repro.experiments.streaming import features_of, reset_models, stream_tao
+from repro.experiments.streaming import replay, tao_stream
 from repro.sim.energy import EnergyModel
 
 DELTA = 0.2
@@ -32,25 +31,17 @@ SLACK = 0.02
 def run(profile: str = "full", seed: int = 7) -> ExperimentTable:
     """Run the experiment; returns the printable table (see module docstring)."""
     check_profile(profile)
-    if profile == "full":
-        dataset = generate_tao_dataset(seed=seed, samples_per_day=48)
-        days = None
-    else:
-        dataset = generate_tao_dataset(
-            seed=seed, samples_per_day=12, training_days=8, stream_days=4
-        )
-        days = 4
+    stream = tao_stream(profile, seed)
+    dataset, features = stream.dataset, stream.features
     metric = dataset.metric()
     graph = dataset.topology.graph
-    models = reset_models(dataset)
-    features = features_of(models)
 
     clustering = run_elink(
         dataset.topology, features, metric, ELinkConfig(delta=DELTA - 2 * SLACK)
     ).clustering
     session = MaintenanceSession(graph, clustering, features, metric, DELTA, SLACK)
     centralized = CentralizedUpdateBaseline(graph, features, 0, SLACK)
-    stream_tao(dataset, models, {"elink": session, "centralized": centralized}, days=days)
+    replay(stream, {"elink": session, "centralized": centralized})
 
     # Translate each scheme's value-hop charges into per-node energy by
     # replaying them over the topology: maintenance traffic moves along

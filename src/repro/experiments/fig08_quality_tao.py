@@ -27,8 +27,8 @@ from repro.baselines import (
     spectral_clustering_search,
 )
 from repro.core import ELinkConfig, run_elink
-from repro.datasets import fit_features, generate_tao_dataset
 from repro.experiments.common import ExperimentTable, check_profile
+from repro.experiments.streaming import tao_features
 from repro.perf import process_memo
 
 #: δ sweep over the Tao feature space (weighted-Euclidean coefficient units).
@@ -39,13 +39,7 @@ def _context(profile: str, seed: int):
     """(topology, features, metric, solver), shared per process (read-only)."""
 
     def build():
-        if profile == "full":
-            dataset = generate_tao_dataset(seed=seed)
-        else:
-            dataset = generate_tao_dataset(
-                seed=seed, samples_per_day=24, training_days=8, stream_days=2
-            )
-        _, features = fit_features(dataset)
+        dataset, features = tao_features(profile, seed)
         metric = dataset.metric()
         # One solver for the whole δ sweep: the eigendecomposition and
         # per-k partitions are δ-independent, so they are computed once.

@@ -1,8 +1,9 @@
 """Figure 10 — update-handling cost with varying slack.
 
 Fixes δ, sweeps the slack Δ, clusters the Tao network with the reduced
-threshold δ-2Δ, then streams the measurement month through every node's
-model, feeding each coefficient update to
+threshold δ-2Δ, then replays the measurement month's coefficient updates
+(every node's model stepped once through the month, shared by all slacks
+— see :func:`~repro.experiments.streaming.tao_stream`), feeding each to
 
 - ELink's slack-based maintenance (conditions A1–A3, §6), and
 - the centralized baseline, which ships coefficients to the base station
@@ -18,8 +19,7 @@ from __future__ import annotations
 
 from repro.core import CentralizedUpdateBaseline, ELinkConfig, MaintenanceSession, run_elink
 from repro.experiments.common import ExperimentTable, check_profile
-from repro.datasets import generate_tao_dataset
-from repro.experiments.streaming import features_of, reset_models, stream_tao
+from repro.experiments.streaming import replay, tao_stream
 
 #: Fixed δ for the sweep and the slack values (2Δ < δ must hold).
 DELTA = 0.2
@@ -29,14 +29,8 @@ SLACKS = (0.01, 0.02, 0.04, 0.06, 0.08)
 def run(profile: str = "full", seed: int = 7) -> ExperimentTable:
     """Run the experiment; returns the printable table (see module docstring)."""
     check_profile(profile)
-    if profile == "full":
-        dataset = generate_tao_dataset(seed=seed, samples_per_day=48)
-        days = None
-    else:
-        dataset = generate_tao_dataset(
-            seed=seed, samples_per_day=12, training_days=8, stream_days=4
-        )
-        days = 4
+    stream = tao_stream(profile, seed)
+    dataset, features = stream.dataset, stream.features
 
     table = ExperimentTable(
         name="fig10",
@@ -44,8 +38,6 @@ def run(profile: str = "full", seed: int = 7) -> ExperimentTable:
         columns=("slack", "elink", "centralized", "centralized_over_elink"),
     )
     for slack in SLACKS:
-        models = reset_models(dataset)
-        features = features_of(models)
         clustering = run_elink(
             dataset.topology,
             features,
@@ -58,7 +50,7 @@ def run(profile: str = "full", seed: int = 7) -> ExperimentTable:
         centralized = CentralizedUpdateBaseline(
             dataset.topology.graph, features, base_station=0, slack=slack
         )
-        stream_tao(dataset, models, {"elink": session, "centralized": centralized}, days=days)
+        replay(stream, {"elink": session, "centralized": centralized})
         elink_cost = session.total_messages()
         central_cost = centralized.total_messages()
         table.add_row(

@@ -16,21 +16,15 @@ from repro.baselines import (
     spectral_clustering_search,
 )
 from repro.core import ELinkConfig, run_elink
-from repro.datasets import fit_features, generate_tao_dataset
 from repro.experiments.common import ExperimentTable, check_profile
 from repro.experiments.fig10_update_cost import DELTA, SLACKS
+from repro.experiments.streaming import tao_features
 
 
 def run(profile: str = "full", seed: int = 7) -> ExperimentTable:
     """Run the experiment; returns the printable table (see module docstring)."""
     check_profile(profile)
-    if profile == "full":
-        dataset = generate_tao_dataset(seed=seed)
-    else:
-        dataset = generate_tao_dataset(
-            seed=seed, samples_per_day=24, training_days=8, stream_days=2
-        )
-    _, features = fit_features(dataset)
+    dataset, features = tao_features(profile, seed)
     metric = dataset.metric()
     topology = dataset.topology
 

@@ -18,17 +18,16 @@ constant synchronization offset, and hierarchical carries its expensive
 initial clustering.
 
 Decomposed into one **trial per cost series**.  The feature trajectory
-the seasonal models emit is sink-independent, so it is materialized once
-per process (a ``(days, samples, nodes, dim)`` array in the memo) and
-each trial replays it into just its own sink — per-series cumulative
-counts are identical to the all-sinks-at-once loop by construction.
+the seasonal models emit is sink-independent, so each trial replays the
+shared Tao stream (:func:`~repro.experiments.streaming.tao_stream`, built
+once per process and also read by Fig 10 and the energy experiment) into
+just its own sink — per-series cumulative counts are identical to the
+all-sinks-at-once loop by construction.
 """
 
 from __future__ import annotations
 
 from typing import Any
-
-import numpy as np
 
 from repro.baselines import run_hierarchical, run_spanning_forest
 from repro.core import (
@@ -37,11 +36,9 @@ from repro.core import (
     MaintenanceSession,
     run_elink,
 )
-from repro.datasets import generate_tao_dataset
 from repro.experiments.common import ExperimentTable, check_profile
-from repro.experiments.streaming import features_of, reset_models
+from repro.experiments.streaming import replay, tao_stream
 from repro.index import build_backbone
-from repro.models.seasonal import TAO_FEATURE_DIM
 from repro.perf import process_memo
 
 DELTA = 0.2
@@ -58,28 +55,19 @@ SERIES = (
 
 
 def _context(profile: str, seed: int) -> dict[str, Any]:
-    """Sink-independent stream state, shared per process (read-only).
+    """Sink-independent state, shared per process (read-only).
 
-    Holds the dataset, the post-training features, the materialized
-    feature trajectory, every scheme's initial clustering and the
-    per-series initial message costs (section 8.2's accounting).
+    Holds the Tao stream (dataset, post-training features, feature
+    trajectory), every scheme's initial clustering and the per-series
+    initial message costs (section 8.2's accounting).
     """
 
     def build() -> dict[str, Any]:
-        if profile == "full":
-            dataset = generate_tao_dataset(seed=seed, samples_per_day=48)
-            days = None
-        else:
-            dataset = generate_tao_dataset(
-                seed=seed, samples_per_day=12, training_days=8, stream_days=4
-            )
-            days = 4
+        stream = tao_stream(profile, seed)
+        dataset, features = stream.dataset, stream.features
         metric = dataset.metric()
         graph = dataset.topology.graph
         effective_delta = DELTA - 2 * SLACK
-
-        models = reset_models(dataset)
-        features = features_of(models)
 
         implicit = run_elink(
             dataset.topology, features, metric, ELinkConfig(delta=effective_delta)
@@ -94,27 +82,10 @@ def _context(profile: str, seed: int) -> dict[str, Any]:
         forest = run_spanning_forest(dataset.topology, features, metric, effective_delta)
         backbone_cost = build_backbone(graph, implicit.clustering).build_messages
 
-        # Materialize the model-feature trajectory once: it depends only
-        # on the measurement stream, never on any sink.
-        nodes = list(graph.nodes)
-        spd = dataset.samples_per_day
-        stream_len = len(dataset.stream[nodes[0]]) // spd
-        num_days = min(days if days is not None else stream_len, stream_len)
-        trajectory = np.empty((num_days, spd, len(nodes), TAO_FEATURE_DIM))
-        for day in range(num_days):
-            for t in range(spd):
-                idx = day * spd + t
-                for k, node in enumerate(nodes):
-                    value = float(dataset.stream[node][idx])
-                    trajectory[day, t, k] = models[node].observe(value)
-
         return {
+            "stream": stream,
             "graph": graph,
             "metric": metric,
-            "features": features,
-            "nodes": nodes,
-            "num_days": num_days,
-            "trajectory": trajectory,
             "initial": {
                 "centralized_raw": 0,
                 "centralized_model": 0,
@@ -134,19 +105,6 @@ def _context(profile: str, seed: int) -> dict[str, Any]:
     return process_memo(("fig12", profile, seed), build)
 
 
-def _replay(context: dict[str, Any], sink: Any) -> list[int]:
-    """Feed the materialized trajectory into one sink, in stream order."""
-    nodes = context["nodes"]
-    trajectory = context["trajectory"]
-    cumulative: list[int] = []
-    for day in range(context["num_days"]):
-        for t in range(trajectory.shape[1]):
-            for k, node in enumerate(nodes):
-                sink.update_feature(node, trajectory[day, t, k])
-        cumulative.append(int(sink.total_messages()))
-    return cumulative
-
-
 def trial_specs(profile: str, seed: int = 7) -> list[dict[str, Any]]:
     """One picklable spec per cost series (the parallel unit)."""
     check_profile(profile)
@@ -157,29 +115,29 @@ def run_trial(spec: dict[str, Any], profile: str) -> dict[str, Any]:
     """One scheme's per-day cumulative column (initial cost included)."""
     context = _context(profile, spec["seed"])
     series = spec["series"]
+    stream = context["stream"]
     graph = context["graph"]
-    features = context["features"]
-    num_days = context["num_days"]
+    features = stream.features
 
     if series == "centralized_raw":
         baseline = CentralizedUpdateBaseline(graph, features, 0, SLACK, raw=True)
-        nodes = context["nodes"]
-        for day in range(num_days):
-            for _t in range(context["trajectory"].shape[1]):
-                for node in nodes:
+        num_days, samples_per_day = stream.trajectory.shape[:2]
+        for _day in range(num_days):
+            for _t in range(samples_per_day):
+                for node in graph.nodes:
                     baseline.observe_raw(node)
         # Raw shipping is uniform over the stream: per-day cumulative.
         per_day_raw = baseline.total_messages() // num_days
         values = [per_day_raw * (day + 1) for day in range(num_days)]
     elif series == "centralized_model":
         baseline = CentralizedUpdateBaseline(graph, features, 0, SLACK)
-        values = _replay(context, baseline)
+        values = replay(stream, {series: baseline})[series]
     else:
         session = MaintenanceSession(
             graph, context["clusterings"][series], features, context["metric"], DELTA, SLACK
         )
         initial = context["initial"][series]
-        values = [initial + total for total in _replay(context, session)]
+        values = [initial + total for total in replay(stream, {series: session})[series]]
     return {"series": series, "values": values}
 
 

@@ -26,9 +26,9 @@ import numpy as np
 
 from repro.baselines import run_hierarchical, run_spanning_forest
 from repro.core import Clustering, ELinkConfig, run_elink
-from repro.datasets import fit_features, generate_tao_dataset
 from repro.datasets.tao import TAO_COLS, TAO_ROWS
 from repro.experiments.common import ExperimentTable, check_profile
+from repro.experiments.streaming import tao_features
 from repro.index import build_backbone, build_mtree
 from repro.perf import process_memo
 from repro.queries import RangeQueryEngine, TagEngine, brute_force_range
@@ -51,13 +51,7 @@ def _context(profile: str, seed: int) -> dict[str, Any]:
     """(nodes, features, metric, engines, tag), shared per process."""
 
     def build() -> dict[str, Any]:
-        if profile == "full":
-            dataset = generate_tao_dataset(seed=seed)
-        else:
-            dataset = generate_tao_dataset(
-                seed=seed, samples_per_day=24, training_days=8, stream_days=2
-            )
-        _, features = fit_features(dataset)
+        dataset, features = tao_features(profile, seed)
         metric = dataset.metric()
         topology = dataset.topology
         graph = topology.graph

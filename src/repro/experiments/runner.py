@@ -46,16 +46,18 @@ explicitly overrides both defaults, and the level is inherited by
 ``--jobs`` worker processes through that variable.
 
 ``--profile`` activates per-event-type wall-time accounting inside every
-event kernel the experiments build (see :mod:`repro.obs.profiler`) and
-writes a flame-style summary to ``--profile-out`` (default
-``PROFILE_kernel.txt``).  Profiling implies serial execution: worker
-processes cannot report into the parent's profiler, so ``--profile`` with
-``--jobs > 1`` is rejected rather than silently under-counting.
+event kernel the experiments and the ``--max-n`` scale sweep build (see
+:mod:`repro.obs.profiler`) and writes one flame-style summary of both to
+``--profile-out`` (default ``PROFILE_kernel.txt``).  Profiling implies
+serial execution: worker processes cannot report into the parent's
+profiler, so ``--profile`` with ``--jobs > 1`` is rejected rather than
+silently under-counting.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -299,39 +301,40 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown experiments: {unknown}")
 
     total_start = time.perf_counter()
-    if not names:
-        results = []
-    elif args.jobs == 1:
+    # One profiler covers the experiments and the scale sweep; --profile
+    # implies --jobs 1, so every kernel runs in this process.
+    profiler = None
+    if args.kernel_profile:
         from repro.obs.profiler import KernelProfiler, profiled
 
-        profiler = KernelProfiler() if args.kernel_profile else None
-        results = []
-        for name in names:
-            if profiler is None:
+        profiler = KernelProfiler()
+    with profiled(profiler) if profiler is not None else contextlib.nullcontext():
+        if not names:
+            results = []
+        elif args.jobs == 1:
+            results = []
+            for name in names:
                 table, wall = _run_experiment(name, profile)
-            else:
-                with profiled(profiler):
-                    table, wall = _run_experiment(name, profile)
-            table.print()
-            print(f"[{name} finished in {wall:.1f}s]\n")
-            results.append((name, table, wall, wall))
-        if profiler is not None:
-            report = profiler.report()
-            with open(args.profile_out, "w", encoding="utf-8") as handle:
-                handle.write(report)
-                handle.write("\n")
-            print(report)
-            print(f"[wrote {args.profile_out}]")
-    else:
-        results = _run_parallel(names, profile, args.jobs)
-        for name, table, wall, _elapsed in results:
-            table.print()
-            print(f"[{name} finished in {wall:.1f}s]\n")
-    scale_table = scale_wall = None
-    if args.max_n is not None:
-        scale_table, scale_wall = _run_scale(args.max_n, args.jobs)
-        scale_table.print()
-        print(f"[fig13 scale sweep (max_n={args.max_n}) finished in {scale_wall:.1f}s]\n")
+                table.print()
+                print(f"[{name} finished in {wall:.1f}s]\n")
+                results.append((name, table, wall, wall))
+        else:
+            results = _run_parallel(names, profile, args.jobs)
+            for name, table, wall, _elapsed in results:
+                table.print()
+                print(f"[{name} finished in {wall:.1f}s]\n")
+        scale_table = scale_wall = None
+        if args.max_n is not None:
+            scale_table, scale_wall = _run_scale(args.max_n, args.jobs)
+            scale_table.print()
+            print(f"[fig13 scale sweep (max_n={args.max_n}) finished in {scale_wall:.1f}s]\n")
+    if profiler is not None:
+        report = profiler.report()
+        with open(args.profile_out, "w", encoding="utf-8") as handle:
+            handle.write(report)
+            handle.write("\n")
+        print(report)
+        print(f"[wrote {args.profile_out}]")
     total_wall = time.perf_counter() - total_start
     serial_wall = sum(wall for _name, _table, wall, _elapsed in results)
     if args.jobs > 1 and results and total_wall > 0:

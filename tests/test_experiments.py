@@ -73,6 +73,11 @@ def test_ablation_experiments_quick_profiles_run():
     energy = energy_hotspots.run(profile="quick")
     by_scheme = {row["scheme"]: row for row in energy.rows}
     assert by_scheme["centralized"]["imbalance"] > by_scheme["elink"]["imbalance"]
+    # Pinned quick energies (total_mj, hottest_mj, imbalance).
+    assert [
+        (row["scheme"], row["total_mj"], row["hottest_mj"], row["imbalance"])
+        for row in energy.rows
+    ] == [("elink", 81.81, 3.761, 1.79), ("centralized", 1228.32, 166.809, 7.33)]
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +111,10 @@ def test_fig10_elink_beats_centralized():
     # The advantage holds at every slack; the paper reports roughly 10x.
     ratios = table.column("centralized_over_elink")
     assert max(ratios) > 3.0
+    # Pinned quick totals: a replay that changes any count fails here.
+    assert table.column("slack") == [0.01, 0.02, 0.04, 0.06, 0.08]
+    assert table.column("elink") == [1939, 909, 471, 204, 44]
+    assert table.column("centralized") == [22296, 13648, 7656, 6100, 5312]
 
 
 def test_fig11_quality_degrades_with_slack():
@@ -125,6 +134,14 @@ def test_fig12_bands_ordered():
     for series in ("centralized_raw", "centralized_model", "elink_implicit"):
         values = table.column(series)
         assert all(b >= a for a, b in zip(values, values[1:]))
+    # Pinned quick cumulative counts, days 1-4.
+    assert table.column("day") == [1, 2, 3, 4]
+    assert table.column("centralized_raw") == [4224, 8448, 12672, 16896]
+    assert table.column("centralized_model") == [2652, 3988, 6156, 7656]
+    assert table.column("elink_implicit") == [1093, 1153, 1261, 1313]
+    assert table.column("elink_explicit") == [1515, 1575, 1683, 1735]
+    assert table.column("hierarchical") == [6184, 6251, 6403, 6495]
+    assert table.column("spanning_forest") == [1448, 1501, 1649, 1753]
 
 
 def test_fig13_implicit_cheapest_distributed():
@@ -194,3 +211,15 @@ def test_runner_jobs_matches_serial(capsys):
     parallel = normalized()
     assert serial == parallel
     assert "fig09" in serial
+
+
+def test_runner_profile_covers_scale_sweep(tmp_path, capsys):
+    """``--profile`` with ``--max-n`` alone profiles the scale sweep's
+    vectorised rounds and writes the report."""
+    from repro.experiments import runner
+
+    out = tmp_path / "profile.txt"
+    argv = ["--max-n", "300", "--profile", "--profile-out", str(out), "--no-bench"]
+    assert runner.main(argv) == 0
+    assert "_VectorRun._fire_expand" in out.read_text(encoding="utf-8")
+    assert f"[wrote {out}]" in capsys.readouterr().out
