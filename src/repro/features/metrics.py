@@ -108,6 +108,23 @@ class Metric:
         """
         return None
 
+    def distance_row(self, center: FeatureLike, matrix: np.ndarray | Sequence) -> np.ndarray:
+        """Distances from *center* to every row of *matrix*, as float64.
+
+        Contract: element ``i`` equals ``self.distance(center, matrix[i])``
+        bit for bit, so a caller may swap a per-pair loop for one row
+        without moving any result.  This base version is that loop, which
+        is exact for every metric (and takes any sequence *matrix*, e.g.
+        the node ids of :class:`MatrixMetric`).  An override must keep the
+        contract: a vectorised k-d row (``einsum`` or ``sum`` over the
+        squared differences) rounds differently from ``np.dot`` in the
+        last bit, so only the 1-d Euclidean row is vectorised.
+        """
+        distance = self.distance
+        return np.fromiter(
+            (distance(center, row) for row in matrix), dtype=np.float64, count=len(matrix)
+        )
+
 
 class EuclideanMetric(Metric):
     """Plain Euclidean distance between feature vectors."""
@@ -137,6 +154,27 @@ class EuclideanMetric(Metric):
         # math.sqrt and np.sqrt are both correctly-rounded IEEE-754 sqrt,
         # so swapping in the cheaper scalar call cannot change a bit.
         return math.sqrt(np.dot(diff, diff))
+
+    def distance_row(self, center: FeatureLike, matrix: np.ndarray | Sequence) -> np.ndarray:
+        """Distances from *center* to every row of *matrix* (see :meth:`Metric.distance_row`).
+
+        For 1-d float64 features this is one array expression: the same
+        IEEE subtraction and ``abs`` as :meth:`distance`'s 1-d branch, per
+        element.  Every other input takes the exact base loop.
+        """
+        if (
+            type(center) is np.ndarray
+            and type(matrix) is np.ndarray
+            and center.dtype == _FLOAT64
+            and matrix.dtype == _FLOAT64
+            and center.shape == (1,)
+            and matrix.ndim == 2
+            and matrix.shape[1] == 1
+        ):
+            # Python floats overflow to inf silently; so does this row.
+            with np.errstate(over="ignore"):
+                return np.abs(center[0] - matrix[:, 0])
+        return super().distance_row(center, matrix)
 
     def pairwise(self, features: Sequence[FeatureLike]) -> np.ndarray:
         """Vectorized all-pairs distance matrix."""

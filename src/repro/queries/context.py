@@ -14,6 +14,9 @@ structures and about crashes, so each rule below is written once:
 - the conservative routing ball of a re-elected root: the dead root's
   ball enlarged by the feature distance between the two, sound by the
   triangle inequality (:meth:`~QueryContext.routing_ball`);
+- the backbone's DFS preorder (:meth:`~QueryContext.preorder`), from
+  which every edge direction's far side is read
+  (:meth:`~QueryContext.far_side`);
 - the backbone fan-out (:meth:`~QueryContext.walk`): a copy sent toward a
   dead relay is one ``dead_relay`` drop and loses every root behind that
   relay; backbone nodes outside the start's tree component (a repair that
@@ -30,8 +33,8 @@ With ``dead`` and ``root_replacements`` empty every rule reduces to the
 fault-free bookkeeping.  The planner builds one context and its range,
 k-NN and path engines read that same object (``from_context``); an engine
 built through its own constructor builds a private one.  The backbone is
-read as built: its split test and the unpruned fan-out per start are
-cached, so a backbone repaired later needs a new context.
+read as built: its split test, its preorder and the unpruned fan-out per
+start are cached, so a backbone repaired later needs a new context.
 """
 
 from __future__ import annotations
@@ -59,6 +62,11 @@ DROP_NO_SURVIVORS = "no_survivors"
 #: the start of every root the query reaches (in visit order), the backbone
 #: hops it traverses, and the roots it cannot reach.
 Walk = tuple[dict[Hashable, int], int, set[Hashable]]
+
+#: The backbone tree in DFS preorder: its components, each a node list, and
+#: for every node ``(component, entry, exit)``, so that the node's subtree
+#: is ``components[component][entry:exit]``.
+Preorder = tuple[list[list[Hashable]], dict[Hashable, tuple[int, int, int]]]
 
 
 class QueryContext:
@@ -96,6 +104,7 @@ class QueryContext:
         self._split = backbone is not None and not nx.is_connected(backbone.tree)
         # start -> (reached, hops, lost, dead relays) of the unpruned walk.
         self._reach: dict[Hashable, tuple[dict[Hashable, int], int, set[Hashable], int]] = {}
+        self._preorder: Preorder | None = None
 
     # ------------------------------------------------------------------
     # roots
@@ -142,19 +151,51 @@ class QueryContext:
 
     # ------------------------------------------------------------------
     # the backbone
-    def far_side(self, src: Hashable, dst: Hashable) -> set[Hashable]:
-        """Backbone nodes reachable from *dst* without crossing (src, dst)."""
-        seen = {dst}
-        stack = [dst]
-        while stack:
-            current = stack.pop()
-            for neighbor in self.backbone.tree.neighbors(current):
-                if neighbor == src and current == dst:
+    def preorder(self) -> Preorder:
+        """The backbone's components in DFS preorder (see :data:`Preorder`).
+
+        Each component starts at its first node in ``tree.nodes`` order and
+        visits neighbours in ``tree.neighbors`` order.  Built on first use
+        and cached, like the unpruned walks.
+        """
+        if self._preorder is None:
+            tree = self.backbone.tree
+            components: list[list[Hashable]] = []
+            spans: dict[Hashable, tuple[int, int, int]] = {}
+            for start in tree.nodes:
+                if start in spans:
                     continue
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return seen
+                index, order, entry = len(components), [start], {start: 0}
+                stack = [(start, iter(tree.neighbors(start)))]
+                while stack:
+                    node, neighbours = stack[-1]
+                    child = next((u for u in neighbours if u not in entry), None)
+                    if child is None:
+                        stack.pop()
+                        spans[node] = (index, entry[node], len(order))
+                    else:
+                        entry[child] = len(order)
+                        order.append(child)
+                        stack.append((child, iter(tree.neighbors(child))))
+                components.append(order)
+            self._preorder = (components, spans)
+        return self._preorder
+
+    def far_side(self, src: Hashable, dst: Hashable) -> set[Hashable]:
+        """Backbone nodes reachable from *dst* without crossing edge (src, dst).
+
+        Read off the preorder: when *src* is *dst*'s parent this is *dst*'s
+        subtree interval, otherwise (*src* is a child of *dst*) it is the
+        component minus *src*'s interval.  (src, dst) must be a backbone
+        edge.
+        """
+        components, spans = self.preorder()
+        index, src_in, src_out = spans[src]
+        _, dst_in, dst_out = spans[dst]
+        order = components[index]
+        if src_in < dst_in:
+            return set(order[dst_in:dst_out])
+        return set(order[:src_in]) | set(order[src_out:])
 
     def walk(
         self,

@@ -23,10 +23,21 @@ distance *r* of the query feature *q*.  The clustered algorithm:
    ``d(q, F_i^R) + d(F_i^R, F_j^R) ≤ r - R_j`` (include whole subtree).
 5. Results aggregate back along the traversed edges.
 
+The step-2 summaries are built once per engine.  In the backbone's DFS
+preorder (:meth:`~repro.queries.context.QueryContext.preorder`) every far
+side is one subtree interval or a component minus one, so each backbone
+node ``v`` needs one exact distance row ``d(F_v, F_r) + R_r`` over the
+cluster balls of its component (:meth:`~repro.features.metrics.Metric.distance_row`),
+and each of its directions takes a ``max`` over one or two slices of it:
+C rows in O(C) memory, bit-identical to one scalar ``distance`` per
+(direction, cluster) pair.  1-d rows are one array expression; k-d rows
+loop over ``distance``.
+
 Cost accounting: every traversed cluster-tree edge and every backbone-path
 hop is charged ``dim+1`` values for the query going down and 1 value for
 the aggregate coming back — the same convention the TAG baseline is
-charged under, so the comparison in Figs 14–15 is apples-to-apples.
+charged under, so the comparison in Figs 14–15 is apples-to-apples.  The
+summary build itself is not charged (see :meth:`RangeQueryEngine._bind`).
 
 The backbone plan (:meth:`RangeQueryEngine.backbone_query`) is the same
 pipeline without the index: step 2 without summary pruning, and step 4
@@ -123,20 +134,36 @@ class RangeQueryEngine:
 
     def _bind(self, context: QueryContext) -> None:
         self.context = context
-        # Directional backbone summaries: (a, b) -> covering ball of every
-        # cluster member on b's side of the edge.  Built once; the build
-        # would cost one (dim+1) message per backbone edge direction, which
-        # the clustering experiments account with the backbone build.
+        # Directional backbone summaries: (src, dst) -> a ball centred on
+        # dst's routing feature covering every cluster ball on dst's side of
+        # the edge, built from dst's row as the module docstring describes.
+        # The row equals the scalar distances bit for bit and max is exact,
+        # so every radius equals a per-pair loop's.  Building the summaries
+        # in the network would cost one (dim+1)-value message per direction;
+        # nothing charges it, as build_backbone charges only its 2-value
+        # leader handshake per hop.
         self._summaries: dict[tuple[Hashable, Hashable], tuple[np.ndarray, float]] = {}
-        for a, b in context.backbone.tree.edges:
-            for src, dst in ((a, b), (b, a)):
-                center = context.mtree.routing_feature[dst]
-                radius = 0.0
-                for root in context.far_side(src, dst):
-                    root_center, root_radius = context.routing_ball(root)
-                    d = context.metric.distance(center, root_center)
-                    radius = max(radius, d + root_radius)
-                self._summaries[(src, dst)] = (center, radius)
+        tree, routing_feature = context.backbone.tree, context.mtree.routing_feature
+        components, spans = context.preorder()
+        for order in components:
+            if len(order) < 2:
+                continue  # no backbone edge, no summary
+            balls = [context.routing_ball(node) for node in order]
+            centers = np.array([center for center, _ in balls], dtype=np.float64)
+            radii = np.array([radius for _, radius in balls], dtype=np.float64)
+            for dst in order:
+                center = routing_feature[dst]
+                row = context.metric.distance_row(center, centers) + radii
+                _, dst_in, dst_out = spans[dst]
+                for src in tree.neighbors(dst):
+                    _, src_in, src_out = spans[src]
+                    if src_in < dst_in:  # src is dst's parent
+                        radius = row[dst_in:dst_out].max(initial=0.0)
+                    else:
+                        radius = max(
+                            row[:src_in].max(initial=0.0), row[src_out:].max(initial=0.0)
+                        )
+                    self._summaries[(src, dst)] = (center, float(radius))
 
     def _pruner(self, q: np.ndarray, radius: float):
         """Prune a backbone edge whose far-side ball misses the query ball.

@@ -9,6 +9,7 @@ from repro.features import (
     EuclideanMetric,
     ManhattanMetric,
     MatrixMetric,
+    Metric,
     TAO_WEIGHTS,
     WeightedEuclideanMetric,
     as_feature,
@@ -144,6 +145,72 @@ def test_pairwise_empty_rejected():
 
 
 # ----------------------------------------------------------------------
+# distance_row: element i is distance(center, matrix[i]), bit for bit
+# ----------------------------------------------------------------------
+_MAX = np.finfo(np.float64).max
+_TINY = np.finfo(np.float64).tiny  # smallest normal; below it, subnormals
+#: Signed zeros, subnormals, the normal boundary and values near ±1e308.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, _TINY, -_TINY, 1e308, -1e308, _MAX, -_MAX, 1.0)
+row_floats = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(min_value=-_TINY, max_value=_TINY),
+    st.floats(min_value=1e307, max_value=_MAX) | st.floats(min_value=-_MAX, max_value=-1e307),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _row_metric(kind, weights):
+    if kind == "euclidean":
+        return EuclideanMetric()
+    if kind == "manhattan":
+        return ManhattanMetric()
+    return WeightedEuclideanMetric(weights)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 4, 64))
+@pytest.mark.parametrize("kind", ("euclidean", "weighted", "manhattan"))
+@given(
+    data=st.data(),
+    rows=st.sampled_from((0, 1, 5, 64)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.sampled_from((1e-300, 1e-3, 1.0, 1e3, 1e200)),
+)
+@settings(max_examples=25, deadline=None)
+def test_distance_row_equals_scalar_distance_bitwise(kind, dim, data, rows, seed, scale):
+    # Rows of normal features at a drawn scale (1e-300 underflows the
+    # squares, 1e200 overflows them) plus 32 unit-scale rows, on which any
+    # reordered k-d sum misses the scalar value in the last bit somewhere;
+    # then a few coordinates are overwritten with drawn edge values.
+    rng = np.random.default_rng(seed)
+    center = rng.normal(size=dim) * scale
+    matrix = np.vstack([rng.normal(size=(rows, dim)) * scale, rng.normal(size=(32, dim))])
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2 * dim), label="edits")):
+        row = data.draw(st.integers(min_value=-1, max_value=len(matrix) - 1), label="row")
+        target = center if row < 0 else matrix[row]
+        target[data.draw(st.integers(min_value=0, max_value=dim - 1))] = data.draw(row_floats)
+    weights = rng.uniform(1e-3, 1e3, size=dim)
+    metric = _row_metric(kind, weights)
+    with np.errstate(over="ignore"):  # the scalar k-d path overflows to inf too
+        got = metric.distance_row(center, matrix)
+        expected = np.array([metric.distance(center, m) for m in matrix], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (rows + 32,)
+    assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("dim", (1, 4))
+@pytest.mark.parametrize("kind", ("euclidean", "weighted", "manhattan"))
+def test_distance_row_of_no_rows_is_empty(kind, dim):
+    row = _row_metric(kind, np.ones(dim)).distance_row(np.zeros(dim), np.zeros((0, dim)))
+    assert row.dtype == np.float64 and row.shape == (0,)
+
+
+def test_distance_row_is_vectorised_only_for_one_d_euclidean():
+    assert EuclideanMetric.distance_row is not Metric.distance_row
+    for metric_type in (ManhattanMetric, WeightedEuclideanMetric, MatrixMetric):
+        assert metric_type.distance_row is Metric.distance_row
+
+
+# ----------------------------------------------------------------------
 # MatrixMetric
 # ----------------------------------------------------------------------
 def fig3_metric():
@@ -169,6 +236,13 @@ def test_matrix_metric_unknown_pair():
     metric = fig3_metric()
     with pytest.raises(KeyError):
         metric.distance("a", "z")
+
+
+def test_matrix_metric_distance_row_loops_over_ids():
+    metric = fig3_metric()
+    row = metric.distance_row("a", ["a", "b", "c", "d", "e"])
+    assert row.dtype == np.float64
+    assert row.tolist() == [0.0, 2.0, 4.0, 5.0, 1.0]
 
 
 def test_matrix_metric_rejects_triangle_violation():
