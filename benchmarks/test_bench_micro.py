@@ -195,12 +195,15 @@ def _generation_input(name):
 
 
 @pytest.mark.parametrize("layer", ["edges", "stitch"])
-@pytest.mark.parametrize("name", ["geometric_2500", "geometric_40000", "death_valley_5000"])
+@pytest.mark.parametrize(
+    "name", ["geometric_2500", "geometric_40000", "geometric_100000", "death_valley_5000"]
+)
 def test_topology_generation(benchmark, name, layer):
     """The two generation layers: topology edges (the cell join and graph
     build) and component stitching, at the first ``--max-n`` rung, the
-    scale_40k size (cell-grouped order, centroid-MST stitch) and Death
-    Valley's largest scatter."""
+    scale_40k size and the 10⁵ rung (cell-grouped order, centroid-MST
+    stitch over 2,310 and 5,575 components) and Death Valley's largest
+    scatter."""
     ids, coords, radio = _generation_input(name)
     grouped = name.startswith("geometric") and len(ids) >= SPATIAL_HASH_MIN_N
     if layer == "edges":

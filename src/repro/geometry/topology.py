@@ -14,6 +14,7 @@ bounding box — everything the quadtree decomposition and the simulator need.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -31,9 +32,11 @@ from repro.perf.cache import cached_artifact
 #: ascending ``(i, j)`` order and components are stitched nearest node
 #: first (:func:`_stitch_components`); at and above it the edges go in
 #: grouped by radio-range cell and components are stitched along a
-#: centroid MST (:func:`_stitch_components_grid`).  Each side keeps the
-#: graphs the generator has always built at its sizes, so every pinned
-#: table stays byte-identical.
+#: minimum spanning tree of their centroids (:func:`_stitch_components_grid`),
+#: whose Prim runs over the centroid pairs the same cell join finds within
+#: a growing radius and adds the edges a dense O(C²) Prim would.  Each side
+#: keeps the graphs the generator has always built at its sizes, so every
+#: pinned table stays byte-identical.
 SPATIAL_HASH_MIN_N = 4096
 
 
@@ -380,10 +383,10 @@ def _stitch_components_grid(graph: nx.Graph, coords: np.ndarray) -> None:
     giant component: a 10⁵-node graph fragments into thousands of
     components, some with thousands of members, and the legacy
     round-by-round core×rest distance matrix is hopeless.  Instead this
-    builds a minimum spanning tree over component *centroids* (dense
-    vectorized Prim, O(C²) for C components) and realizes each MST edge as
-    the closest actual node pair between the two components — one stitch
-    edge per MST edge, connected by construction in a single pass.
+    builds a minimum spanning tree over component *centroids*
+    (:func:`_centroid_tree`) and realizes each tree edge, in Prim order,
+    as the closest actual node pair between the two components — one
+    stitch edge per tree edge, connected by construction in a single pass.
 
     Deterministic: components are indexed largest-first (ties on smallest
     member id), centroids average members in ascending id order, Prim
@@ -391,32 +394,20 @@ def _stitch_components_grid(graph: nx.Graph, coords: np.ndarray) -> None:
     component index, and closest-pair ties resolve row-major over the
     ascending member-id matrix.
     """
-    components = list(nx.connected_components(graph))
-    if len(components) <= 1:
+    by_size = sorted(nx.connected_components(graph), key=lambda comp: (-len(comp), min(comp)))
+    if len(by_size) <= 1:
         return
-    components.sort(key=lambda comp: (-len(comp), min(comp)))
-    members = [np.asarray(sorted(comp), dtype=np.int64) for comp in components]
+    members = [np.asarray(sorted(comp), dtype=np.int64) for comp in by_size]
+    # The sets hold every node again: free them before the tree's candidate
+    # pairs are built (at 10⁶ nodes, peak RSS 1,010 MB with them, 967 without).
+    del by_size
     centroids = np.asarray([coords[m].mean(axis=0) for m in members])
-    n_comp = len(components)
-
-    # Prim over the complete centroid graph.
-    in_tree = np.zeros(n_comp, dtype=bool)
-    best_dist = np.full(n_comp, np.inf)
-    best_from = np.zeros(n_comp, dtype=np.int64)
-    current = 0
-    in_tree[0] = True
-    for _ in range(n_comp - 1):
-        deltas = centroids - centroids[current]
-        dists = np.hypot(deltas[:, 0], deltas[:, 1])
-        closer = ~in_tree & (dists < best_dist)
-        best_dist[closer] = dists[closer]
-        best_from[closer] = current
-        nxt = int(np.argmin(np.where(in_tree, np.inf, best_dist)))
-        # Realize the MST edge (best_from[nxt], nxt) as the closest
-        # cross-component node pair.  Chunked over the first component so
-        # two large components never materialize a giant |A|×|B| matrix;
-        # strict < keeps the row-major tie-break across chunks.
-        ma, mb = members[best_from[nxt]], members[nxt]
+    for source, target in _centroid_tree(centroids):
+        # Realize the tree edge as the closest cross-component node pair.
+        # Chunked over the first component so two large components never
+        # materialize a giant |A|×|B| matrix; strict < keeps the row-major
+        # tie-break across chunks.
+        ma, mb = members[source], members[target]
         pts_b = coords[mb]
         pair_best = np.inf
         a = b = 0
@@ -429,9 +420,82 @@ def _stitch_components_grid(graph: nx.Graph, coords: np.ndarray) -> None:
                 pair_best = float(pair_dists[i, j])
                 a, b = start + int(i), int(j)
         graph.add_edge(int(ma[a]), int(mb[b]))
-        in_tree[nxt] = True
-        best_dist[nxt] = np.inf
-        current = nxt
+
+
+def _centroid_tree(centroids: np.ndarray) -> list[tuple[int, int]]:
+    """The edges ``(from, to)`` of a minimum spanning tree, in Prim order.
+
+    The result is the dense Prim's over the complete graph of *centroids*,
+    ties included: start from centroid 0; each step adds the outside
+    centroid with the least ``(distance to the tree, index)``, joined to
+    the first tree centroid, in insertion order, at that distance.  It is
+    computed by :func:`_radius_prim` over only the pairs within a radius,
+    which is started at about 2 ln C expected neighbours of a uniform
+    point in the centroids' bounding box and grown by √2 until the run
+    reaches every centroid.  A radius at the box diagonal links every pair,
+    so the loop ends.
+    """
+    count = centroids.shape[0]
+    width, height = (centroids.max(axis=0) - centroids.min(axis=0)).tolist()
+    diagonal = math.hypot(width, height)
+    # A uniform point in the box expects (C - 1) π r² / area neighbours.
+    radius = math.sqrt(2.0 * math.log(count) * width * height / (math.pi * (count - 1)))
+    if not 0.0 < radius < diagonal:  # a flat box, or an area past the float range
+        radius = diagonal
+    while (tree := _radius_prim(centroids, radius)) is None:
+        radius *= math.sqrt(2.0)
+    return tree
+
+
+def _radius_prim(centroids: np.ndarray, radius: float) -> list[tuple[int, int]] | None:
+    """:func:`_centroid_tree` over the pairs within *radius*, or ``None``.
+
+    While some pair within *radius* leaves the tree, the complete graph's
+    cheapest leaving edge weighs at most *radius*, so it and every edge
+    that ties it are among the pairs, and the run picks what the dense
+    Prim picks: tree centroids relax their neighbours in insertion order
+    with a strict ``<``, the heap is keyed on ``(distance, index)``, and
+    each distance is ``np.hypot`` of the difference the dense Prim takes,
+    up to sign.  Returns ``None`` when no pair leaves the tree before it
+    spans every centroid.  The pairs stay in arrays (CSR rows), so the
+    candidate graph costs a few dozen bytes per pair.
+    """
+    count = centroids.shape[0]
+    first, second = _cell_join(centroids, radius)
+    xs, ys = centroids[:, 0], centroids[:, 1]
+    weight = np.hypot(xs[second] - xs[first], ys[second] - ys[first])
+    source = np.concatenate((first, second))
+    order = np.argsort(source, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(source, minlength=count)))).tolist()
+    del source
+    neighbour = np.concatenate((second, first)).astype(np.int32)[order]
+    del first, second
+    weight = np.concatenate((weight, weight))[order]
+    del order
+
+    in_tree = bytearray(count)
+    best = [math.inf] * count
+    best_from = [0] * count
+    heap: list[tuple[float, int]] = []
+    tree = []
+    current = 0
+    in_tree[0] = True
+    for _ in range(count - 1):
+        lo, hi = bounds[current], bounds[current + 1]
+        for node, dist in zip(neighbour[lo:hi].tolist(), weight[lo:hi].tolist()):
+            if dist < best[node] and not in_tree[node]:
+                best[node] = dist
+                best_from[node] = current
+                heapq.heappush(heap, (dist, node))
+        while heap:
+            current = heapq.heappop(heap)[1]
+            if not in_tree[current]:
+                break
+        else:
+            return None
+        in_tree[current] = True
+        tree.append((best_from[current], current))
+    return tree
 
 
 def _stitch_components(graph: nx.Graph, coords: np.ndarray, ids: Sequence[Hashable]) -> None:

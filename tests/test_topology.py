@@ -221,6 +221,29 @@ def test_stitch_ties_do_not_depend_on_hash_seed():
     assert edges == expected
 
 
+_SCIPY_MODULES = """
+import sys
+from repro.datasets.death_valley import generate_death_valley_dataset
+from repro.geometry import random_geometric_topology
+random_geometric_topology(5_000, seed=3)
+generate_death_valley_dataset(seed=11, num_sensors=2_500)
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_generation_does_not_import_scipy():
+    """scipy is no dependency, and importing it adds ~29 MB of RSS: both
+    stitchers (centroid MST above the threshold, Death Valley's scatter
+    below it) run without it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("REPRO_CACHE", None)  # generate, do not read a cached artifact
+    run = subprocess.run(
+        [sys.executable, "-c", _SCIPY_MODULES], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
+
+
 # ----------------------------------------------------------------------
 # spatial-hash fast path (n >= SPATIAL_HASH_MIN_N)
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Topology generation equals the pairwise formulation it replaced.
 
 ``tests/topology_oracle.py`` keeps the original generators: O(n²) range
-loops, the per-member spatial hash and the round-by-round stitch.  Every
-case here checks that the cell join and the incremental stitch
+loops, the per-member spatial hash, the round-by-round stitch and the
+centroid-MST stitch with its dense O(C²) Prim.  Every case here checks
+that the cell join, the incremental stitch and the radius-graph Prim
 reproduce their graphs exactly: node order and every neighbour order,
-which ELink's BFS tie-breaks read.
+which ELink's BFS tie-breaks read.  A property over lattices, collinear
+and coincident centroids certifies that the radius-graph Prim adds the
+dense Prim's tree edges in its order, ties included.
 
 The stitch breaks an exact tie at a round's minimum distance by ``ids``
 order, where the oracle used set iteration order.  So the graphs can
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import death_valley
 from repro.geometry import random_geometric_topology, scatter_topology
-from repro.geometry.topology import SPATIAL_HASH_MIN_N
+from repro.geometry.topology import SPATIAL_HASH_MIN_N, _centroid_tree
 from tests import topology_oracle
 from tests.test_topology import _predicate_pairs
 
@@ -201,3 +204,60 @@ def test_scatter_matches_predicate_and_oracle(case):
     if tied_rounds(new, radio) == 0:
         old = topology_oracle.scatter_topology(points, radio_range=radio, connect=connect)
         assert adjacency(new.graph) == adjacency(old.graph)
+
+
+# ----------------------------------------------------------------------
+# property: the centroid tree is the dense Prim's, ties included
+# ----------------------------------------------------------------------
+class _EdgeLog(nx.Graph):
+    """A graph that records its ``add_edge`` calls in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def add_edge(self, u, v, **attr):
+        self.log.append((u, v))
+        super().add_edge(u, v, **attr)
+
+
+def dense_prim(centroids):
+    """The oracle's tree edges ``(from, to)`` over *centroids*, in order.
+
+    One isolated node per centroid makes every component a singleton whose
+    centroid is its point, so each stitch edge the oracle adds is one
+    edge of its dense Prim.
+    """
+    graph = _EdgeLog()
+    graph.add_nodes_from(range(len(centroids)))
+    topology_oracle._stitch_components_grid(graph, centroids)
+    return graph.log
+
+
+@st.composite
+def centroid_sets(draw):
+    """2 to 150 centroids: uniform, lattices, collinear, coincident, ±1e15."""
+    count = draw(st.integers(2, 150))
+    kind = draw(st.sampled_from(["uniform", "lattice", "collinear", "coincident", "wide"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        return rng.uniform(0.0, draw(st.sampled_from([1.0, 100.0, 1e6])), size=(count, 2))
+    if kind == "lattice":  # many equal distances, and duplicates
+        side = draw(st.integers(1, 12))
+        return rng.integers(0, side, size=(count, 2)) * draw(st.sampled_from([1.0, 0.5, 3.0]))
+    if kind == "collinear":  # duplicates once the span is below the count
+        steps = rng.integers(0, draw(st.integers(1, 2 * count)), size=count)
+        direction = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (3.0, -4.0)]))
+        return np.outer(steps, direction) + rng.integers(-50, 50, size=2)
+    if kind == "coincident":
+        return np.tile(rng.uniform(-1e3, 1e3, size=2), (count, 1))
+    coords = rng.uniform(-1e15, 1e15, size=(count, 2))
+    half = count // 2
+    coords[half:] = coords[: count - half] + rng.uniform(-1.0, 1.0, size=(count - half, 2))
+    return coords
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(centroid_sets())
+def test_centroid_tree_is_the_dense_prim(centroids):
+    assert _centroid_tree(centroids) == dense_prim(centroids)

@@ -4,13 +4,15 @@ This is the original generation code of ``repro.geometry.topology``,
 unchanged: ``random_geometric_topology`` with its O(n²) range loop below
 ``SPATIAL_HASH_MIN_N`` nodes and the spatial hash (``_hash_cells`` and the
 per-member loop of ``_range_edges_grid``) at and above it,
-``scatter_topology`` with its O(n²) range loop, and the round-by-round
+``scatter_topology`` with its O(n²) range loop, the round-by-round
 ``_stitch_components``, which recomputes the components and a full
-core×rest distance matrix for every stitch edge.  Only the artifact-cache
-decorator is left off.  The centroid-MST stitcher above the threshold is
-unchanged and imported.  The production generators must reproduce these
-graphs exactly, node order and every neighbour order included
-(``tests/test_topology_identity.py``); nothing under ``src/`` imports it.
+core×rest distance matrix for every stitch edge, and the centroid-MST
+``_stitch_components_grid`` above the threshold, whose Prim measures every
+centroid against the one last added (O(C²) for C components).  Only the
+artifact-cache decorator is left off.  The production generators must
+reproduce these graphs exactly, node order and every neighbour order
+included (``tests/test_topology_identity.py``); nothing under ``src/``
+imports it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import networkx as nx
 import numpy as np
 
 from repro._validation import require_int_at_least, require_positive
-from repro.geometry.topology import SPATIAL_HASH_MIN_N, Topology, _stitch_components_grid
+from repro.geometry.topology import SPATIAL_HASH_MIN_N, Topology
 
 
 def random_geometric_topology(
@@ -145,6 +147,68 @@ def _range_edges_grid(graph: nx.Graph, coords: np.ndarray, radio_range: float) -
             close = np.hypot(deltas[:, 0], deltas[:, 1]) <= radio_range
             for j in cand[close & (cand > i)].tolist():
                 add_edge(i, j)
+
+
+def _stitch_components_grid(graph: nx.Graph, coords: np.ndarray) -> None:
+    """Scalable variant of :func:`_stitch_components` for large n.
+
+    At the paper's target degree (~4) a geometric graph sits *below* the
+    continuum-percolation threshold (mean degree ≈ 4.51), so there is no
+    giant component: a 10⁵-node graph fragments into thousands of
+    components, some with thousands of members, and the legacy
+    round-by-round core×rest distance matrix is hopeless.  Instead this
+    builds a minimum spanning tree over component *centroids* (dense
+    vectorized Prim, O(C²) for C components) and realizes each MST edge as
+    the closest actual node pair between the two components — one stitch
+    edge per MST edge, connected by construction in a single pass.
+
+    Deterministic: components are indexed largest-first (ties on smallest
+    member id), centroids average members in ascending id order, Prim
+    starts from component 0 and breaks distance ties on the lowest
+    component index, and closest-pair ties resolve row-major over the
+    ascending member-id matrix.
+    """
+    components = list(nx.connected_components(graph))
+    if len(components) <= 1:
+        return
+    components.sort(key=lambda comp: (-len(comp), min(comp)))
+    members = [np.asarray(sorted(comp), dtype=np.int64) for comp in components]
+    centroids = np.asarray([coords[m].mean(axis=0) for m in members])
+    n_comp = len(components)
+
+    # Prim over the complete centroid graph.
+    in_tree = np.zeros(n_comp, dtype=bool)
+    best_dist = np.full(n_comp, np.inf)
+    best_from = np.zeros(n_comp, dtype=np.int64)
+    current = 0
+    in_tree[0] = True
+    for _ in range(n_comp - 1):
+        deltas = centroids - centroids[current]
+        dists = np.hypot(deltas[:, 0], deltas[:, 1])
+        closer = ~in_tree & (dists < best_dist)
+        best_dist[closer] = dists[closer]
+        best_from[closer] = current
+        nxt = int(np.argmin(np.where(in_tree, np.inf, best_dist)))
+        # Realize the MST edge (best_from[nxt], nxt) as the closest
+        # cross-component node pair.  Chunked over the first component so
+        # two large components never materialize a giant |A|×|B| matrix;
+        # strict < keeps the row-major tie-break across chunks.
+        ma, mb = members[best_from[nxt]], members[nxt]
+        pts_b = coords[mb]
+        pair_best = np.inf
+        a = b = 0
+        for start in range(0, len(ma), 1024):
+            block = ma[start : start + 1024]
+            pair = coords[block][:, None, :] - pts_b[None, :, :]
+            pair_dists = np.hypot(pair[..., 0], pair[..., 1])
+            i, j = np.unravel_index(np.argmin(pair_dists), pair_dists.shape)
+            if pair_dists[i, j] < pair_best:
+                pair_best = float(pair_dists[i, j])
+                a, b = start + int(i), int(j)
+        graph.add_edge(int(ma[a]), int(mb[b]))
+        in_tree[nxt] = True
+        best_dist[nxt] = np.inf
+        current = nxt
 
 
 def _stitch_components(graph: nx.Graph, coords: np.ndarray, ids: list | None = None) -> None:
