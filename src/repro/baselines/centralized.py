@@ -43,9 +43,13 @@ import networkx as nx
 import numpy as np
 
 from repro._validation import require_int_at_least, require_positive
-from repro.core.delta import Clustering, check_delta_compact, clustering_from_assignment
+from repro.core.delta import (
+    Clustering,
+    _member_components,
+    check_delta_compact,
+    clustering_from_assignment,
+)
 from repro.features.metrics import Metric
-from repro.perf.cache import get_cache
 
 #: Slop used by every δ-compactness comparison (matches check_delta_compact).
 _DELTA_TOLERANCE = 1e-9
@@ -106,7 +110,7 @@ class SpectralSolver:
             raise ValueError("graph must have at least one node")
         self.index_of = {node: i for i, node in enumerate(self.nodes)}
         self._affinity_matrix: np.ndarray | None = None
-        self._embedding_cache: dict[str, np.ndarray] = {}
+        self._eigvecs: np.ndarray | None = None
         # Per-k caches (everything here is δ-independent).
         self._assignments: dict[int, dict[Hashable, Hashable]] = {}
         self._member_indices: dict[int, list[np.ndarray]] = {}
@@ -138,11 +142,34 @@ class SpectralSolver:
             )
         return self._affinity_matrix
 
+    def _spectral_labels(self, k: int) -> np.ndarray:
+        """NJW: normalized Laplacian -> top-k eigenvectors -> k-means labels."""
+        n = len(self.nodes)
+        if k >= n:
+            return np.arange(n)
+        if k == 1:
+            return np.zeros(n, dtype=int)
+        if self._eigvecs is None:
+            # The O(N³) heart of the solver: one eigh per solver, shared by
+            # every k (eigh at N=2500 takes 2–3 s on a 2-CPU host).
+            affinity = self.affinity_matrix()
+            degree = affinity.sum(axis=1)
+            inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.maximum(degree, 1e-12)), 0.0)
+            lsym = inv_sqrt[:, None] * affinity * inv_sqrt[None, :]
+            _eigvals, eigvecs = np.linalg.eigh(lsym)
+            self._eigvecs = eigvecs[:, ::-1]
+        # Cap the embedding dimension: for large k the extra eigenvectors add
+        # little but make k-means quadratically slower (standard practice).
+        embedding = self._eigvecs[:, : min(k, 32)]
+        norms = np.linalg.norm(embedding, axis=1, keepdims=True)
+        embedding = embedding / np.maximum(norms, 1e-12)
+        return _kmeans(embedding, k, self.seed)
+
     def _partition_members(self, k: int) -> tuple[list[np.ndarray], list[list[Hashable]]]:
         """Connected components of the k-way spectral partition, as index
         arrays (for the vectorized δ-check) and node lists."""
         if k not in self._member_indices:
-            labels = _spectral_partition(self.affinity_matrix(), k, self.seed, self._embedding_cache)
+            labels = self._spectral_labels(k)
             assignment = _components_assignment(self.graph, self.nodes, labels)
             members: dict[Hashable, list[Hashable]] = {}
             for node, root in assignment.items():
@@ -317,44 +344,6 @@ def _edge_affinity(
     return out
 
 
-def _spectral_partition(
-    affinity: np.ndarray, k: int, seed: int, cache: dict[str, np.ndarray]
-) -> np.ndarray:
-    """NJW: normalized Laplacian -> top-k eigenvectors -> k-means labels."""
-    n = affinity.shape[0]
-    if k >= n:
-        return np.arange(n)
-    if k == 1:
-        return np.zeros(n, dtype=int)
-    if "eigvecs" not in cache:
-
-        def compute() -> np.ndarray:
-            degree = affinity.sum(axis=1)
-            inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.maximum(degree, 1e-12)), 0.0)
-            lsym = inv_sqrt[:, None] * affinity * inv_sqrt[None, :]
-            eigvals, eigvecs = np.linalg.eigh(lsym)
-            return eigvecs[:, ::-1]
-
-        # The eigendecomposition is the O(N³) heart of the solver and a
-        # pure function of the affinity matrix; with REPRO_CACHE set it is
-        # content-addressed by that matrix (hashing N² floats costs
-        # milliseconds, eigh at N=2500 takes 2–3 s on a 2-CPU host).
-        artifact = get_cache()
-        if artifact is None:
-            cache["eigvecs"] = compute()
-        else:
-            cache["eigvecs"] = artifact.get_or_compute(
-                "spectral_eigvecs", {"affinity": affinity}, compute, salt="1"
-            )
-    eigvecs = cache["eigvecs"]
-    # Cap the embedding dimension: for large k the extra eigenvectors add
-    # little but make k-means quadratically slower (standard practice).
-    embedding = eigvecs[:, : min(k, 32)]
-    norms = np.linalg.norm(embedding, axis=1, keepdims=True)
-    embedding = embedding / np.maximum(norms, 1e-12)
-    return _kmeans(embedding, k, seed)
-
-
 def _kmeans(points: np.ndarray, k: int, seed: int, iterations: int = 50) -> np.ndarray:
     """Plain Lloyd's k-means with k-means++ seeding (deterministic per seed)."""
     rng = np.random.default_rng(seed)
@@ -414,10 +403,11 @@ def _components_assignment(
 ) -> dict[Hashable, Hashable]:
     """Split each spectral part into connected components; root = min-id.
 
-    Components are found with a BFS that mirrors
-    ``nx.connected_components`` on the induced subgraph — same seed order
-    (graph node order filtered to the part) and same set-construction
-    order — without materializing a subgraph view per part.
+    Each part goes through one component sweep
+    (:func:`repro.core.delta._member_components`) in graph node order —
+    *nodes* is the graph's node order — without materializing a subgraph
+    view per part.  The components equal ``nx.connected_components`` on
+    the induced subgraph as sets, not necessarily in its order.
     """
     assignment: dict[Hashable, Hashable] = {}
     by_label: dict[int, list[Hashable]] = {}
@@ -425,33 +415,8 @@ def _components_assignment(
         by_label.setdefault(int(label), []).append(node)
     adj = graph._adj
     for cluster_nodes in by_label.values():
-        member_set = set(cluster_nodes)
-        done: set[Hashable] = set()
-        for source in cluster_nodes:
-            if source in done:
-                continue
-            component = _member_bfs(adj, member_set, source)
-            done |= component
+        for component in _member_components(adj, set(cluster_nodes), cluster_nodes, set()):
             root = min(component, key=repr)
             for node in component:
                 assignment[node] = root
     return assignment
-
-
-def _member_bfs(
-    adj: Mapping[Hashable, Mapping[Hashable, dict]],
-    member_set: set[Hashable],
-    source: Hashable,
-) -> set[Hashable]:
-    """BFS within *member_set*; replicates ``nx._plain_bfs`` add order."""
-    seen = {source}
-    nextlevel = [source]
-    while nextlevel:
-        thislevel = nextlevel
-        nextlevel = []
-        for v in thislevel:
-            for w in adj[v]:
-                if w in member_set and w not in seen:
-                    seen.add(w)
-                    nextlevel.append(w)
-    return seen

@@ -12,7 +12,6 @@ Usage (also available as ``python -m repro``):
     repro experiment fig10
     repro trace chaos.jsonl --repairs
     repro verify --replay --n 49 --crash 0.08 --seed 11
-    repro cache stats --dir .repro-cache
     repro serve --n 48 --rounds 120 --checkpoint-dir ckpt --checkpoint-every 5s
     repro info
 
@@ -24,15 +23,12 @@ over a saved state; ``experiment`` regenerates a paper figure; ``trace``
 inspects a recorded JSONL trace (see docs/OBSERVABILITY.md); ``verify``
 runs the correctness oracle — invariant-monitored chaos runs and the
 ``--replay`` determinism differ (see docs/ARCHITECTURE.md,
-"Verification"); ``cache`` inspects or clears the content-addressed
-artifact cache used by the experiment runner's ``--cache`` flag (see
-docs/ARCHITECTURE.md, "Performance layer"); ``serve`` runs the
-long-running supervised clustering service — streaming ingest,
-checkpoint/restore, chaos hooks and a query API (see docs/SERVING.md);
-``query-bench`` replays seed-deterministic zipfian workloads through the
-cost-model query planner and records p50/p99 latency, queries/sec and
-messages/query in the BENCH schema-5 ``queries`` block (see
-docs/QUERYING.md).
+"Verification"); ``serve`` runs the long-running supervised clustering
+service — streaming ingest, checkpoint/restore, chaos hooks and a query
+API (see docs/SERVING.md); ``query-bench`` replays seed-deterministic
+zipfian workloads through the cost-model query planner and records
+p50/p99 latency, queries/sec and messages/query in the BENCH schema-5
+``queries`` block (see docs/QUERYING.md).
 """
 
 from __future__ import annotations
@@ -112,16 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("name", help="fig08..fig15, complexity, path_query, or 'all'")
     experiment.add_argument("--quick", action="store_true")
 
-    # Listed here for --help; 'trace', 'verify', 'cache' and 'serve' are
-    # dispatched before this parser runs because each owns its own argument
-    # set (repro.obs.inspect / repro.verify.cli / repro.perf.cli /
-    # repro.serve.cli).
+    # Listed here for --help; 'trace', 'verify', 'serve' and 'query-bench'
+    # are dispatched before this parser runs because each owns its own
+    # argument set (repro.obs.inspect / repro.verify.cli / repro.serve.cli /
+    # repro.queries.load).
     commands.add_parser("trace", help="inspect a JSONL protocol trace", add_help=False)
     commands.add_parser(
         "verify", help="run the correctness oracle (invariants / --replay differ)", add_help=False
-    )
-    commands.add_parser(
-        "cache", help="inspect or clear the artifact cache (stats / clear)", add_help=False
     )
     commands.add_parser(
         "serve", help="run the resilient live clustering service", add_help=False
@@ -162,10 +155,6 @@ def _dispatch(argv: list[str]) -> int:
         from repro.verify.cli import main as verify_main
 
         return verify_main(argv[1:])
-    if argv and argv[0] == "cache":
-        from repro.perf.cli import main as cache_main
-
-        return cache_main(argv[1:])
     if argv and argv[0] == "serve":
         from repro.serve.cli import main as serve_main
 

@@ -294,9 +294,9 @@ def clustering_from_assignment(
     final_root_features: dict[Hashable, np.ndarray] = {}
 
     # Components and BFS trees are computed with plain dict-adjacency BFS
-    # mirroring the networkx equivalents on induced subgraph views (same
-    # seed order — graph node order filtered to the cluster — and same
-    # traversal order), without building a subgraph view per cluster.
+    # in graph order — seeds in graph node order filtered to the cluster,
+    # neighbours in adjacency order — without building a subgraph view
+    # per cluster.
     adj = graph._adj
     graph_order = {node: i for i, node in enumerate(graph.nodes)}
 
@@ -342,10 +342,14 @@ def _member_components(
 ) -> list[set[Hashable]]:
     """Connected components of the subgraph induced by *member_set*.
 
-    Mirrors ``nx.connected_components`` on ``graph.subgraph(member_set)``:
-    *seeds* must be in graph node order, and the BFS replicates
-    ``nx._plain_bfs`` set-construction order so downstream iteration over
-    the component sets matches the networkx implementation exactly.
+    One BFS per unvisited seed, in *seeds* order (callers pass graph node
+    order filtered to the members), each node's neighbours in adjacency
+    order.  The components equal those of ``nx.connected_components`` on
+    ``graph.subgraph(member_set)`` as sets, but not always in its order:
+    networkx's filtered views iterate their hash-ordered node set when it
+    is under half the map they filter, so its components and their
+    members can come out in another order.  This sweep runs in graph
+    node order, and the dicts built from its components follow it.
     """
     components: list[set[Hashable]] = []
     for source in seeds:
@@ -397,8 +401,7 @@ def _component_tree(
         if valid:
             return candidate
     # BFS tree over the induced subgraph: each child's parent is the first
-    # node (in FIFO order, adjacency order within a node) that reaches it —
-    # the same assignment ``nx.bfs_predecessors`` produces on the subgraph.
+    # node (in FIFO order, adjacency order within a node) that reaches it.
     adj = graph._adj
     tree = {comp_root: comp_root}
     visited = {comp_root}

@@ -25,7 +25,6 @@ import numpy as np
 from repro._validation import require_in_range, require_int_at_least
 from repro.features import EuclideanMetric
 from repro.geometry.topology import Topology, scatter_topology
-from repro.perf.cache import cached_artifact
 
 #: Published elevation range of the Death Valley grid (metres).
 ELEVATION_RANGE = (175.0, 1996.0)
@@ -89,7 +88,6 @@ def diamond_square(size_exponent: int, *, roughness: float = 0.55, seed: int = 0
     return grid
 
 
-@cached_artifact("1")
 def generate_death_valley_dataset(
     *,
     seed: int = 11,
@@ -102,8 +100,7 @@ def generate_death_valley_dataset(
 
     The per-seed terrain AND topology both vary with *seed*, matching the
     paper's "averaged over 5 different random topologies".  Deterministic
-    per parameter set, so the output is served from the artifact cache
-    when ``REPRO_CACHE`` is set (see :mod:`repro.perf.cache`).
+    per parameter set.
     """
     require_int_at_least(num_sensors, 2, "num_sensors")
     rng = np.random.default_rng(seed)

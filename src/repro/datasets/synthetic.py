@@ -33,7 +33,6 @@ import numpy as np
 from repro._validation import require_in_range, require_int_at_least
 from repro.features import EuclideanMetric
 from repro.geometry.topology import Topology, random_geometric_topology
-from repro.perf.cache import cached_artifact
 
 #: The paper's α range for the per-node AR(1) coefficient.
 ALPHA_RANGE = (0.4, 0.8)
@@ -117,7 +116,6 @@ class SyntheticDataset:
         return list(self.topology.graph.nodes)
 
 
-@cached_artifact("1")
 def generate_synthetic_dataset(
     n: int,
     *,
@@ -130,8 +128,7 @@ def generate_synthetic_dataset(
     *readings* is the number of streamed measurements used to fit each
     node's AR(1) model (the paper streams 100,000; a couple of thousand
     already converges the estimate to ~2 decimals, so tests and benchmarks
-    default lower).  Deterministic per parameter set, so served from the
-    artifact cache when ``REPRO_CACHE`` is set.
+    default lower).  Deterministic per parameter set.
     """
     require_int_at_least(n, 1, "n")
     require_in_range(density, 0.1, 2.0, "density")

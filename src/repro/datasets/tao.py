@@ -38,7 +38,6 @@ from repro._validation import require_int_at_least, require_non_negative
 from repro.features import TAO_WEIGHTS, WeightedEuclideanMetric
 from repro.geometry.topology import Topology, grid_topology
 from repro.models.seasonal import SEASONAL_LAGS, TaoNodeModel
-from repro.perf.cache import cached_artifact, get_cache
 
 #: Grid shape of the TAO buoy array used by the paper.
 TAO_ROWS, TAO_COLS = 6, 9
@@ -90,7 +89,6 @@ class TaoDataset:
         return WeightedEuclideanMetric(TAO_WEIGHTS)
 
 
-@cached_artifact("1")
 def generate_tao_dataset(
     *,
     seed: int = 7,
@@ -212,26 +210,8 @@ def fit_features(
     """Initialize every node's seasonal model from the training month.
 
     Returns (models, features); *features* maps each node to its fitted
-    ``(α1, β1, β2, β3)`` coefficient vector.  The fit is a pure function
-    of the training series, so with ``REPRO_CACHE`` set the fitted models
-    and features are content-addressed by the training data itself and a
-    warm run skips the per-node RLS batch solves entirely.
+    ``(α1, β1, β2, β3)`` coefficient vector.
     """
-    cache = get_cache()
-    if cache is not None:
-        params = {
-            "training": dataset.training,
-            "samples_per_day": dataset.samples_per_day,
-        }
-        return cache.get_or_compute(
-            "fit_features", params, lambda: _fit_features(dataset), salt="1"
-        )
-    return _fit_features(dataset)
-
-
-def _fit_features(
-    dataset: TaoDataset,
-) -> tuple[dict[Hashable, TaoNodeModel], dict[Hashable, np.ndarray]]:
     models: dict[Hashable, TaoNodeModel] = {}
     features: dict[Hashable, np.ndarray] = {}
     for node in dataset.topology.graph.nodes:

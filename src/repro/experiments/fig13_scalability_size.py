@@ -15,8 +15,7 @@ rounds; the reported cost is clustering + update handling:
 
 Decomposed into one **trial per network size N** — the loop body was
 already independent per N, so each trial regenerates its own dataset
-(served by the artifact cache when enabled) and streams its own update
-rounds.
+and streams its own update rounds.
 """
 
 from __future__ import annotations

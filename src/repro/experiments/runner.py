@@ -8,8 +8,8 @@ Usage::
     python -m repro.experiments.runner --jobs 4       # process-pool parallel
 
 Parallelism (``--jobs N``) fans independent work units out over a
-persistent warm process pool (workers pre-import :mod:`repro` and open
-the artifact cache once, at fork time — see :mod:`repro.perf.pool`).
+persistent warm process pool (workers pre-import :mod:`repro` once, at
+startup — see :mod:`repro.perf.pool`).
 The unit is one experiment, except for experiments that declare a finer
 decomposition (``trial_specs`` / ``run_trial`` / ``combine_trials``
 module attributes — one trial per topology, per N, per γ, …).  Every
@@ -18,14 +18,6 @@ parallel and serial runs produce **identical tables** — only wall-clock
 changes.  Output is printed in submission order regardless of completion
 order, and the runner reports both the summed serial wall and the real
 elapsed wall (their ratio is the suite speedup).
-
-``--cache [DIR]`` enables the content-addressed artifact cache
-(:mod:`repro.perf.cache`) for dataset generation, feature fitting, and
-spectral eigendecompositions by exporting ``REPRO_CACHE`` — worker
-processes inherit it.  DIR defaults to ``.repro-cache``.  Cached values
-are keyed by function, canonicalized parameters, and a code-version
-salt, so warm hits are byte-identical to cold computes and tables do not
-change; the cache is off unless requested.
 
 Every run also writes a ``BENCH_results.json`` artifact (``--bench-out``
 to relocate, ``--no-bench`` to skip) recording per-experiment wall time
@@ -170,11 +162,10 @@ def _bench_payload(
     jobs: int,
     total_wall: float,
 ) -> dict:
-    from repro.perf import get_cache
     from repro.perf.meta import environment_metadata
 
     serial_wall = sum(wall for _name, _table, wall, _elapsed in results)
-    payload = {
+    return {
         "schema": 5,
         "profile": profile,
         "jobs": jobs,
@@ -191,10 +182,6 @@ def _bench_payload(
             for name, table, wall, elapsed in results
         },
     }
-    cache = get_cache()
-    if cache is not None:
-        payload["cache"] = cache.stats()
-    return payload
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -233,16 +220,6 @@ def main(argv: list[str] | None = None) -> int:
         "replaces the regular experiment list",
     )
     parser.add_argument(
-        "--cache",
-        nargs="?",
-        const=".repro-cache",
-        default=None,
-        metavar="DIR",
-        help="enable the content-addressed artifact cache in DIR (default "
-        ".repro-cache when the flag is given without a value); exported as "
-        "REPRO_CACHE so --jobs workers inherit it",
-    )
-    parser.add_argument(
         "--verify",
         action="store_true",
         help="run every ELink run fully verified (online invariant monitors + "
@@ -266,16 +243,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.kernel_profile and args.jobs > 1:
         parser.error("--profile requires --jobs 1 (workers cannot report into the parent)")
     profile = "quick" if args.quick else "full"
-    # Cache policy: --cache exports REPRO_CACHE so both this process and any
-    # --jobs workers (which inherit the environment at fork) resolve the
-    # same directory; an explicit REPRO_CACHE in the caller's environment
-    # also works without the flag.
-    from repro.perf.cache import CACHE_ENV
-
-    if args.cache is not None:
-        os.environ[CACHE_ENV] = args.cache
-    if os.environ.get(CACHE_ENV):
-        print(f"[artifact cache: {os.environ[CACHE_ENV]}]")
     # Verification policy: --verify arms the full oracle; --quick defaults
     # to the cheap end-of-run checks (they cost one clustering validation
     # per run and never alter a table).  The level travels through the

@@ -24,7 +24,6 @@ import networkx as nx
 import numpy as np
 
 from repro._validation import require_int_at_least, require_positive
-from repro.perf.cache import cached_artifact
 
 #: Node count at which :func:`random_geometric_topology` changes edge order
 #: and stitcher.  Both sides find their edges with the same cell join
@@ -154,9 +153,6 @@ def grid_topology(rows: int, cols: int, *, spacing: float = 1.0) -> Topology:
 _BLOCK = 1 << 16
 
 
-# Code-version salt "3": 10⁶-node topologies from the vectorised quadtree/
-# scale work must not collide with cache entries written by older builds.
-@cached_artifact("3")
 def random_geometric_topology(
     n: int,
     *,

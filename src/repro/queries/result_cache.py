@@ -1,11 +1,10 @@
 """Per-query result cache with maintenance-driven generation invalidation.
 
-:class:`QueryResultCache` memoizes planned query answers in memory, keyed
-through the same content-addressing machinery as the on-disk artifact
-cache (:func:`repro.perf.cache.cache_key`): the key is a SHA-256 over the
-operation name and its canonicalized parameters — query feature arrays
-included — so two textually different but semantically identical requests
-share one entry.
+:class:`QueryResultCache` memoizes planned query answers in memory under a
+content-addressed key (:func:`cache_key`): a SHA-256 over the operation
+name and its canonicalized parameters (:func:`canonicalize`) — query
+feature arrays included — so two textually different but semantically
+identical requests share one entry.
 
 **Invalidation contract.**  Every entry records the *structure generation*
 it was computed at.  :class:`~repro.core.maintenance.MaintenanceSession`
@@ -29,11 +28,17 @@ capacity evictions).  The planner mirrors hits/misses/invalidations into
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import OrderedDict
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.cache import cache_key
+
+#: Bump to invalidate every key at once (key-schema version).
+_KEY_SCHEMA = 1
 
 #: Key-schema salt for query-result entries; bump when the planned result
 #: representation (or the key schema itself) changes shape.  2: keys
@@ -45,6 +50,50 @@ _RESULT_SALT = "query-result-2"
 #: sets plus plan metadata), so a few thousand entries cover a zipfian
 #: working set while bounding memory.
 DEFAULT_CAPACITY = 4096
+
+
+def canonicalize(value: Any) -> Any:
+    """Reduce *value* to a deterministic JSON-able structure for hashing.
+
+    Scalars pass through (floats via ``repr`` so 0.1 and 0.1000...1
+    differ), mappings are sorted by key, sequences keep order, and numpy
+    arrays collapse to (dtype, shape, sha256 of their bytes) — content
+    addressing without embedding megabytes into the key.
+    """
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        return ("f", repr(value))
+    if isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value)
+        return (
+            "ndarray",
+            str(data.dtype),
+            list(data.shape),
+            hashlib.sha256(data.tobytes()).hexdigest(),
+        )
+    if isinstance(value, np.generic):
+        return canonicalize(value.item())
+    if isinstance(value, Mapping):
+        return ("map", sorted((repr(k), canonicalize(v)) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return ("seq", [canonicalize(v) for v in value])
+    raise TypeError(f"cannot canonicalize {type(value).__name__} for a cache key")
+
+
+def cache_key(func_name: str, params: Mapping[str, Any], salt: str) -> str:
+    """The content-addressed key: sha256 over name, salt and parameters."""
+    payload = json.dumps(
+        {
+            "schema": _KEY_SCHEMA,
+            "func": func_name,
+            "salt": salt,
+            "params": canonicalize(params),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class QueryResultCache:

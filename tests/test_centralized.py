@@ -1,9 +1,13 @@
 """Tests for the centralized spectral baseline."""
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import centralized_collection_cost, spectral_clustering_search
+from repro.baselines.centralized import _components_assignment
 from repro.core import validate_clustering
 from repro.features import EuclideanMetric
 from repro.geometry import grid_topology
@@ -115,3 +119,31 @@ def test_singleton_fallback_when_nothing_feasible():
         topology.graph, features, EuclideanMetric(), 1.0, max_k=1
     )
     assert result.num_clusters == 4
+
+
+_RELABEL = {
+    "int": lambda v: v,
+    "str": lambda v: f"n{v}",
+    "tuple": lambda v: (v % 7, v),
+}
+
+
+@given(seed=st.integers(0, 2**31 - 1), ids=st.sampled_from(sorted(_RELABEL)))
+@settings(derandomize=True, deadline=None, max_examples=100)
+def test_components_assignment_matches_networkx(seed, ids):
+    """Each spectral part splits into the components networkx finds on the
+    induced subgraph, each rooted at its min-repr member.  Compared as
+    dicts: the sweep runs in graph node order, networkx's filtered views
+    do not always."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    graph = nx.gnp_random_graph(n, float(rng.uniform(0.02, 0.3)), seed=seed)
+    graph = nx.relabel_nodes(graph, {v: _RELABEL[ids](v) for v in graph})
+    nodes = list(graph.nodes)
+    labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+    expected = {}
+    for part in set(labels.tolist()):
+        members = [v for v, label in zip(nodes, labels) if label == part]
+        for component in nx.connected_components(graph.subgraph(members)):
+            expected.update(dict.fromkeys(component, min(component, key=repr)))
+    assert _components_assignment(graph, nodes, labels) == expected

@@ -175,7 +175,7 @@ def pipe_artifacts(tmp_path_factory):
             "--save", str(state), "--trace", str(trace),
         ]
     ) == 0
-    return {"state": str(state), "trace": str(trace), "cachedir": str(root / "cache")}
+    return {"state": str(state), "trace": str(trace)}
 
 
 _PIPE_CASES = {
@@ -196,7 +196,6 @@ _PIPE_CASES = {
     "experiment": lambda art: ["experiment", "complexity", "--quick"],
     "trace": lambda art: ["trace", art["trace"]],
     "verify": lambda art: ["verify", "--n", "9", "--crash", "0.0"],
-    "cache": lambda art: ["cache", "stats", "--dir", art["cachedir"]],
     "serve": lambda art: ["serve", "--n", "16", "--rounds", "2", "--bootstrap-rounds", "2"],
 }
 

@@ -1,33 +1,19 @@
-"""Performance layer: trial decomposition parity and the artifact cache.
+"""Performance layer: trial decomposition parity.
 
-Two contracts from docs/ARCHITECTURE.md ("Performance layer"):
-
-1. every experiment that declares the trial protocol produces the same
-   table row-for-row whether run monolithically or as recombined trials
-   (this is what makes ``--jobs N`` byte-identical to serial), and
-2. the content-addressed cache is invisible — off unless ``REPRO_CACHE``
-   is set, byte-identical outputs when it is, size-bounded on disk.
+Every experiment that declares the trial protocol produces the same
+table row-for-row whether run monolithically or as recombined trials
+(docs/ARCHITECTURE.md, "Performance layer") — this is what makes
+``--jobs N`` byte-identical to serial.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import re
 
-import numpy as np
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import supports_trials
-from repro.perf.cache import (
-    CACHE_ENV,
-    ArtifactCache,
-    cache_key,
-    cached_artifact,
-    canonicalize,
-    get_cache,
-)
 
 TRIAL_MODULES = sorted(
     name for name, module in ALL_EXPERIMENTS.items() if supports_trials(module)
@@ -71,201 +57,3 @@ def test_trial_specs_are_picklable(name):
     blob = pickle.dumps(specs)
     # Lightweight by construction: specs carry parameters, never datasets.
     assert len(blob) < 100_000
-
-
-# ----------------------------------------------------------------------
-# cache keys
-# ----------------------------------------------------------------------
-def test_cache_key_sensitivity():
-    base = cache_key("gen", {"n": 100, "seed": 7}, salt="1")
-    assert cache_key("gen", {"n": 100, "seed": 7}, salt="1") == base
-    assert cache_key("gen", {"n": 101, "seed": 7}, salt="1") != base
-    assert cache_key("gen", {"n": 100, "seed": 8}, salt="1") != base
-    assert cache_key("gen", {"n": 100, "seed": 7}, salt="2") != base
-    assert cache_key("other", {"n": 100, "seed": 7}, salt="1") != base
-
-
-def test_canonicalize_ndarray_is_content_addressed():
-    a = np.arange(6, dtype=float).reshape(2, 3)
-    assert canonicalize(a) == canonicalize(a.copy())
-    assert canonicalize(a) != canonicalize(a + 1)
-    assert canonicalize(a) != canonicalize(a.astype(np.float32))
-    assert canonicalize(a) != canonicalize(a.reshape(3, 2))
-
-
-def test_canonicalize_floats_and_maps():
-    assert canonicalize(0.1) == ("f", "0.1")
-    assert canonicalize({"b": 1, "a": 2}) == canonicalize({"a": 2, "b": 1})
-    with pytest.raises(TypeError):
-        canonicalize(object())
-
-
-# ----------------------------------------------------------------------
-# cache store
-# ----------------------------------------------------------------------
-def test_cache_round_trip(tmp_path):
-    cache = ArtifactCache(tmp_path)
-    value = {"arr": np.arange(10.0), "n": 3}
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return value
-
-    cold = cache.get_or_compute("thing", {"n": 3}, compute)
-    warm = cache.get_or_compute("thing", {"n": 3}, compute)
-    assert len(calls) == 1
-    assert np.array_equal(cold["arr"], warm["arr"]) and warm["n"] == 3
-    assert cache.hits == 1 and cache.misses == 1
-
-
-def test_cache_eviction_respects_bound(tmp_path):
-    cache = ArtifactCache(tmp_path, max_bytes=5_000)
-    for i in range(10):
-        cache.put(cache_key("blob", {"i": i}, "1"), np.zeros(128))  # ~1.2 KiB each
-    stats = cache.stats()
-    assert stats["bytes"] <= 5_000
-    assert 0 < stats["entries"] < 10
-
-
-def test_cache_corrupt_entry_is_quarantined_miss(tmp_path):
-    cache = ArtifactCache(tmp_path)
-    key = cache_key("thing", {"n": 1}, "1")
-    cache.put(key, {"ok": True})
-    path = tmp_path / f"{key}.pkl"
-    path.write_bytes(b"\x80\x05not a pickle at all")
-    hit, value = cache.get(key)
-    assert not hit and value is None
-    assert cache.quarantined == 1
-    assert not path.exists()
-    assert path.with_suffix(".corrupt").exists()
-    # quarantined file is out of the key space: next lookup is a plain miss
-    hit, _ = cache.get(key)
-    assert not hit and cache.quarantined == 1
-
-
-def test_cache_put_retries_transient_rename_failure(tmp_path, monkeypatch):
-    cache = ArtifactCache(tmp_path)
-    sleeps = []
-    cache._retry_sleep = sleeps.append
-    real_replace = os.replace
-    failures = {"left": 2}
-
-    def flaky_replace(src, dst):
-        if str(dst).endswith(".pkl") and failures["left"] > 0:
-            failures["left"] -= 1
-            raise OSError("transient")
-        return real_replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", flaky_replace)
-    key = cache_key("thing", {"n": 2}, "1")
-    cache.put(key, 42)
-    assert sleeps == [0.02, 0.04]  # exponential backoff between attempts
-    assert cache.write_failures == 0
-    assert cache.get(key) == (True, 42)
-
-
-def test_cache_put_swallows_persistent_failure(tmp_path, monkeypatch):
-    cache = ArtifactCache(tmp_path)
-    cache._retry_sleep = lambda _: None
-
-    def always_fail(src, dst):
-        raise OSError("disk on fire")
-
-    monkeypatch.setattr(os, "replace", always_fail)
-    cache.put(cache_key("thing", {"n": 3}, "1"), 42)  # must not raise
-    assert cache.write_failures == 1
-    assert cache.stats()["write_failures"] == 1
-
-
-def test_cached_artifact_off_without_env(tmp_path, monkeypatch):
-    """With REPRO_CACHE unset the decorator must be a transparent no-op."""
-    monkeypatch.delenv(CACHE_ENV, raising=False)
-    calls = []
-
-    @cached_artifact("1", name="probe")
-    def probe(n, *, seed=0):
-        calls.append((n, seed))
-        return n + seed
-
-    assert probe(1) == 1 and probe(1) == 1
-    assert len(calls) == 2  # no caching
-    assert get_cache() is None
-    assert not any(tmp_path.iterdir())
-
-
-def test_cached_artifact_binds_arguments(tmp_path, monkeypatch):
-    """f(100) and f(n=100) must share one entry (defaults applied)."""
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    calls = []
-
-    @cached_artifact("1", name="probe2")
-    def probe(n, *, seed=0):
-        calls.append((n, seed))
-        return np.full(4, n + seed)
-
-    first = probe(100)
-    second = probe(n=100, seed=0)
-    assert np.array_equal(first, second)
-    assert len(calls) == 1
-    assert probe(100, seed=1)[0] == 101 and len(calls) == 2
-
-
-def test_dataset_generation_warm_hit_is_equal(tmp_path, monkeypatch):
-    """Cold compute, warm unpickle, and uncached runs all agree exactly."""
-    from repro.datasets import generate_synthetic_dataset
-
-    monkeypatch.delenv(CACHE_ENV, raising=False)
-    plain = generate_synthetic_dataset(40, seed=5)
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    cold = generate_synthetic_dataset(40, seed=5)
-    warm = generate_synthetic_dataset(40, seed=5)
-    for node in plain.nodes:
-        assert np.array_equal(plain.features[node], cold.features[node])
-        assert np.array_equal(cold.features[node], warm.features[node])
-    cache = get_cache()
-    assert cache is not None and cache.hits >= 1
-
-
-# ----------------------------------------------------------------------
-# runner integration
-# ----------------------------------------------------------------------
-def _normalized(capsys):
-    out = capsys.readouterr().out
-    out = re.sub(r"finished in [0-9.]+s", "finished in Xs", out)
-    return re.sub(r"\[suite: [^\]]*\]\n", "", out)
-
-
-def test_runner_cache_byte_identical_and_inherited(tmp_path, capsys, monkeypatch):
-    """Two cached quick runs print identical tables, and --jobs workers
-    inherit REPRO_CACHE (the parent never generates datasets in pool mode,
-    so on-disk entries prove the workers wrote them)."""
-    from repro.experiments import runner
-
-    cache_dir = tmp_path / "cache"
-    monkeypatch.setenv(CACHE_ENV, str(cache_dir))  # restored at teardown
-    argv = ["--quick", "--only", "fig13", "--jobs", "2", "--no-bench"]
-    assert runner.main(argv) == 0
-    first = _normalized(capsys)
-    assert runner.main(argv) == 0
-    second = _normalized(capsys)
-    assert first == second
-    assert any(cache_dir.glob("*.pkl"))
-
-    # And cache-off output matches cache-on output (minus the banner).
-    monkeypatch.delenv(CACHE_ENV)
-    assert runner.main(argv) == 0
-    uncached = _normalized(capsys)
-    assert uncached == first.replace(f"[artifact cache: {cache_dir}]\n", "")
-
-
-def test_cache_cli(tmp_path, capsys):
-    from repro.perf.cli import main as cache_main
-
-    cache = ArtifactCache(tmp_path)
-    cache.put(cache_key("x", {"i": 1}, "1"), list(range(100)))
-    assert cache_main(["stats", "--dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert re.search(r"entries:\s+1\b", out)
-    assert cache_main(["clear", "--dir", str(tmp_path)]) == 0
-    assert not list(tmp_path.glob("*.pkl"))

@@ -9,7 +9,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.queries.load import ScenarioSpec, WorkloadSpec, build_scenario, generate_workload
 from repro.queries.planner import PLAN_BACKENDS, QueryPlanner, canonical_answer
-from repro.queries.result_cache import QueryResultCache
+from repro.queries.result_cache import QueryResultCache, cache_key, canonicalize
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +444,49 @@ def test_cache_key_distinguishes_degraded_contexts():
     )
     # The fault-free default context hashes exactly as no context.
     assert plain == cache.key("range", params, context=None)
+
+
+# ----------------------------------------------------------------------
+# result cache: content-addressed keys
+# ----------------------------------------------------------------------
+
+
+def test_cache_key_sensitivity():
+    base = cache_key("gen", {"n": 100, "seed": 7}, salt="1")
+    assert cache_key("gen", {"n": 100, "seed": 7}, salt="1") == base
+    assert cache_key("gen", {"n": 101, "seed": 7}, salt="1") != base
+    assert cache_key("gen", {"n": 100, "seed": 8}, salt="1") != base
+    assert cache_key("gen", {"n": 100, "seed": 7}, salt="2") != base
+    assert cache_key("other", {"n": 100, "seed": 7}, salt="1") != base
+
+
+def test_canonicalize_ndarray_is_content_addressed():
+    a = np.arange(6, dtype=float).reshape(2, 3)
+    assert canonicalize(a) == canonicalize(a.copy())
+    assert canonicalize(a) != canonicalize(a + 1)
+    assert canonicalize(a) != canonicalize(a.astype(np.float32))
+    assert canonicalize(a) != canonicalize(a.reshape(3, 2))
+
+
+def test_canonicalize_floats_and_maps():
+    assert canonicalize(0.1) == ("f", "0.1")
+    assert canonicalize({"b": 1, "a": 2}) == canonicalize({"a": 2, "b": 1})
+    with pytest.raises(TypeError):
+        canonicalize(object())
+
+
+def test_result_cache_keys_are_pinned():
+    """Keys are SHA-256 digests of a fixed payload layout; any change to
+    canonicalization, the key schema or the result salt moves them."""
+    cache = QueryResultCache()
+    range_key = cache.key("range", {"q": np.array([0.5]), "radius": 1.0, "initiator": 3})
+    assert range_key == "4da5aaea79582c0b30b284f9f877d607f696f311831ea38ed15630da72548b14"
+    path_key = cache.key(
+        "path",
+        {"source": (0, 1), "destination": "a", "danger": np.array([1.0, 2.0]), "gamma": 0.25},
+        context={"dead": [4], "root_replacements": [(4, 5)]},
+    )
+    assert path_key == "496d941f121a3153bbd0284f17fe838f316d43ef42ba0f1cd2cc218214b59a02"
 
 
 def test_planner_emits_queries_trace_events():

@@ -8,7 +8,6 @@ from repro.datasets import fit_features
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.streaming import replay, tao_features, tao_stream
 from repro.models.seasonal import TaoNodeModel
-from repro.perf.cache import CACHE_ENV
 from repro.perf.memo import clear_process_memo
 
 #: Every experiment that reads the Tao dataset.
@@ -108,7 +107,6 @@ def test_tao_experiments_build_their_inputs_once(monkeypatch):
 
     monkeypatch.setattr(TaoNodeModel, "fit", counted_fit)
     monkeypatch.setattr(TaoNodeModel, "observe", counted_observe)
-    monkeypatch.delenv(CACHE_ENV, raising=False)  # a warm cache would skip the fits
     clear_process_memo()
     for name in TAO_EXPERIMENTS:
         ALL_EXPERIMENTS[name].run(profile="quick")
