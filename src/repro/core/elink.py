@@ -30,6 +30,13 @@ reports ``ack2`` to the old parent.  Completion detection therefore stays
 exact — and deadlock-free — under arbitrary bounded switching, with no
 message kinds beyond the paper's.
 
+Two engines run the protocol: the per-message handlers below
+(:class:`ELinkNode`) and the batched round processor of
+:mod:`repro.core.elink_vec`, which runs whenever its legality gate passes.
+Both hand their final node state (:class:`FinalState`) to one assembly in
+:func:`run_elink`, which builds the clustering, the timings and the
+:class:`ELinkResult` and runs the end-of-run checks for either engine.
+
 Because a switching node does not drag its cluster-tree subtree along, a
 cluster's *membership* can in rare cases lose connectivity; the result
 assembly repairs this by splitting stray components into their own clusters
@@ -85,7 +92,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, Literal, Mapping
+from typing import TYPE_CHECKING, Hashable, Literal, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
@@ -142,13 +149,6 @@ class ELinkConfig:
         Bounded-retry budget shared by the repair machinery: escalation
         rounds per stalled episode, and deadline extensions per quadtree
         round, before force-completing/forgiving.
-    vectorized:
-        Select the batched round processor (DESIGN.md §8.2).  ``True``
-        (default) engages it whenever the scenario is eligible
-        (jitter-free, loss-free, untraced, fault-free implicit/explicit
-        runs over 1-d features); ``False`` forces the per-message handler
-        path.  Ineligible scenarios always fall back to the handler path —
-        results are certified identical either way.
     """
 
     delta: float
@@ -159,7 +159,6 @@ class ELinkConfig:
     ack_window: float = 2.5
     failure_detection: bool = False
     ack_retries: int = 3
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         require_positive(self.delta, "delta")
@@ -177,8 +176,6 @@ class ELinkConfig:
             raise ValueError(f"ack_window must exceed 2 hop delays, got {self.ack_window}")
         if self.ack_retries < 1:
             raise ValueError(f"ack_retries must be >= 1, got {self.ack_retries}")
-        if not isinstance(self.vectorized, bool):
-            raise TypeError(f"vectorized must be a bool, got {self.vectorized!r}")
 
     @property
     def switch_threshold(self) -> float:
@@ -904,6 +901,26 @@ def implicit_schedule(n: int, depth: int, gamma: float, hop_delay: float = 1.0) 
     return starts
 
 
+class FinalState(NamedTuple):
+    """How either engine's run ended, handed to the one assembly.
+
+    Per node, in graph order: its cluster root (``None`` if it never joined
+    a cluster), its cluster-tree parent (``None`` at a root), its feature,
+    the root feature it holds, when it last joined a cluster and the
+    switches it spent.  *protocol_done* holds when the quadtree root
+    learned the final round finished (explicit signalling only).
+    """
+
+    nodes: Sequence[Hashable]
+    roots: Sequence[Hashable | None]
+    parents: Sequence[Hashable | None]
+    features: Sequence[np.ndarray]
+    root_features: Sequence[np.ndarray | None]
+    clustered_at: Sequence[float | None]
+    switches: Sequence[int]
+    protocol_done: Sequence[float]
+
+
 def run_elink(
     topology: Topology,
     features: Mapping[Hashable, np.ndarray],
@@ -931,8 +948,9 @@ def run_elink(
     run, the clustering is assembled over the *surviving* subgraph only
     (crashed roots keep contributing their feature as the pruning feature
     of their stranded members, so every emitted cluster is still a valid
-    δ-cluster).  An empty plan schedules nothing: byte-identical to no
-    injector at all.
+    δ-cluster).  A node that never joined a cluster (a fault cut it off
+    from every start signal and expansion) becomes a singleton.  An empty
+    plan schedules nothing: byte-identical to no injector at all.
 
     With *tracer* (a :class:`repro.obs.trace.Tracer`), the run is traced
     end to end — message traffic, timers, faults, ELink phase transitions
@@ -967,34 +985,98 @@ def run_elink(
     if injector is not None:
         injector.arm()
 
-    if config.vectorized and injector is None:
-        # Batched round processor (DESIGN.md §8.2).  Declines — returning
-        # None with nothing consumed — whenever the scenario needs
-        # per-message handlers (jitter, loss, faults, tracing, unordered
-        # signalling, k-d features); certified identical when it engages.
-        from repro.core.elink_vec import try_run_vectorized
+    # Looked up on the module at call time, so a wrapper installed there
+    # sees every call.  A None return consumed nothing.
+    from repro.core import elink_vec
 
-        vec_result = try_run_vectorized(
-            topology,
-            features,
-            metric,
-            config,
-            quadtree=quadtree,
-            network=network,
-            start_stats=start_stats,
+    end = elink_vec.try_run_vectorized(
+        topology, features, metric, config, quadtree=quadtree, network=network, injector=injector
+    )
+    if end is None:
+        end = _run_handlers(topology, features, metric, config, quadtree, network, injector)
+
+    # The one assembly of both engines' final state.  Dead nodes drop out;
+    # a dead root's feature survives as the copy its members hold, so its
+    # stranded members keep their δ/2 pruning guarantee.
+    dead = network.dead_nodes
+    assignment: dict[Hashable, Hashable] = {}
+    parents: dict[Hashable, Hashable] = {}
+    feature_map: dict[Hashable, np.ndarray] = {}
+    root_feature_map: dict[Hashable, np.ndarray] = {}
+    for node_id, root, parent, feature, root_feature in zip(
+        end.nodes, end.roots, end.parents, end.features, end.root_features
+    ):
+        if node_id in dead:
+            continue
+        if root is None:
+            root, root_feature = node_id, feature
+        assignment[node_id] = root
+        parents[node_id] = node_id if parent is None else parent
+        feature_map[node_id] = feature
+        root_feature_map.setdefault(root, root_feature)
+    # The clustering and its checks cover the population it was assembled
+    # on: the surviving subgraph after a crash, the full topology otherwise.
+    graph = network.graph if dead else topology.graph
+    clustering = clustering_from_assignment(
+        graph, assignment, feature_map, root_features=root_feature_map, parents=parents
+    )
+    repaired = clustering.num_clusters - len(set(assignment.values()))
+
+    completion_time = max(
+        (t for v, t in zip(end.nodes, end.clustered_at) if t is not None and v not in dead),
+        default=0.0,
+    )
+    n, depth = topology.num_nodes, quadtree.depth
+    if config.signalling == "implicit":
+        kappa = compute_kappa(n, config.gamma, network.hop_delay)
+        starts = implicit_schedule(n, depth, config.gamma, network.hop_delay)
+        protocol_time = starts[-1] + kappa * (2.0 - 2.0 ** (-depth))
+    elif config.signalling == "unordered":
+        # §5: simultaneous expansion finishes within 2κ — the measured
+        # completion time is the protocol time.
+        protocol_time = completion_time
+    else:
+        protocol_time = end.protocol_done[0] if end.protocol_done else network.kernel.now
+
+    if network._tracer is not None:
+        network._tracer.emit(
+            network.kernel.now,
+            "elink.assembled",
+            None,
+            clusters=clustering.num_clusters,
+            survivors=len(assignment),
+            dead=len(dead),
         )
-        if vec_result is not None:
-            if verifier is not None:
-                verifier.finish(
-                    network=network,
-                    graph=topology.graph,
-                    clustering=vec_result.clustering,
-                    features=features,
-                    metric=metric,
-                    delta=config.delta,
-                )
-            return vec_result
+    if verifier is not None:
+        verifier.finish(
+            network=network,
+            graph=graph,
+            clustering=clustering,
+            features=feature_map,
+            metric=metric,
+            delta=config.delta,
+        )
+    return ELinkResult(
+        clustering=clustering,
+        stats=network.stats.diff(start_stats),
+        completion_time=completion_time,
+        protocol_time=protocol_time,
+        total_switches=sum(s for v, s in zip(end.nodes, end.switches) if v not in dead),
+        repaired_components=max(repaired, 0),
+        config=config,
+    )
 
+
+def _run_handlers(
+    topology: Topology,
+    features: Mapping[Hashable, np.ndarray],
+    metric: Metric,
+    config: ELinkConfig,
+    quadtree: QuadTreeDecomposition,
+    network: Network,
+    injector: "FaultInjector | None",
+) -> FinalState:
+    """Run the per-message handler engine to quiescence; its final state."""
     # Subtree max levels for the phase1 expectation counts (a fresh dict:
     # sentinel takeovers write into it).
     subtree_max = quadtree.subtree_max_levels()
@@ -1064,102 +1146,14 @@ def run_elink(
         event_budget *= 4  # heartbeats/probes/watchdogs add bounded traffic
     network.run(max_events=event_budget)
 
-    # Assemble the clustering from final node states.
-    if network.dead_nodes:
-        # Fault-aware assembly: survivors only, over the surviving graph.
-        # A dead root's feature is recovered from any member's stored copy
-        # so its stranded members keep their δ/2 pruning guarantee; nodes
-        # the faults left unclustered become singletons.
-        dead = network.dead_nodes
-        assignment = {}
-        parents = {}
-        feature_map = {}
-        root_feature_map = {}
-        for node_id, node in nodes.items():
-            if node_id in dead:
-                continue
-            root = node.root_id if node.root_id is not None else node_id
-            assignment[node_id] = root
-            parents[node_id] = node.parent if node.parent is not None else node_id
-            feature_map[node_id] = node.feature
-            root_feature_map.setdefault(
-                root, node.root_feature if node.root_feature is not None else node.feature
-            )
-        clustering = clustering_from_assignment(
-            network.graph,
-            assignment,
-            feature_map,
-            root_features=root_feature_map,
-            parents=parents,
-        )
-    else:
-        assignment = {node_id: node.root_id for node_id, node in nodes.items()}
-        parents = {
-            node_id: (node.parent if node.parent is not None else node_id)
-            for node_id, node in nodes.items()
-        }
-        root_feature_map = {
-            node_id: node.feature for node_id, node in nodes.items() if node.is_cluster_root
-        }
-        feature_map = {node_id: node.feature for node_id, node in nodes.items()}
-        clustering = clustering_from_assignment(
-            topology.graph,
-            assignment,
-            feature_map,
-            root_features=root_feature_map,
-            parents=parents,
-        )
-    repaired = clustering.num_clusters - len(set(assignment.values()))
-    if network._tracer is not None:
-        network._tracer.emit(
-            network.kernel.now,
-            "elink.assembled",
-            None,
-            clusters=clustering.num_clusters,
-            survivors=len(assignment),
-            dead=len(network.dead_nodes),
-        )
-    if verifier is not None:
-        # Verify over the population the clustering was assembled on: the
-        # surviving subgraph after faults, the full topology otherwise.
-        verifier.finish(
-            network=network,
-            graph=network.graph if network.dead_nodes else topology.graph,
-            clustering=clustering,
-            features=feature_map,
-            metric=metric,
-            delta=config.delta,
-        )
-
-    completion_time = max(
-        (
-            node.clustered_at
-            for node_id, node in nodes.items()
-            if node.clustered_at is not None and node_id not in network.dead_nodes
-        ),
-        default=0.0,
-    )
-    if config.signalling == "implicit":
-        kappa = compute_kappa(n, config.gamma, network.hop_delay)
-        starts = implicit_schedule(n, depth, config.gamma, network.hop_delay)
-        protocol_time = starts[-1] + kappa * (2.0 - 2.0 ** (-depth))
-    elif config.signalling == "unordered":
-        # §5: simultaneous expansion finishes within 2κ — the measured
-        # completion time is the protocol time.
-        protocol_time = completion_time
-    else:
-        protocol_time = protocol_done_at[0] if protocol_done_at else network.kernel.now
-
-    return ELinkResult(
-        clustering=clustering,
-        stats=network.stats.diff(start_stats),
-        completion_time=completion_time,
-        protocol_time=protocol_time,
-        total_switches=sum(
-            node.switches_used
-            for node_id, node in nodes.items()
-            if node_id not in network.dead_nodes
-        ),
-        repaired_components=max(repaired, 0),
-        config=config,
+    final = list(nodes.values())
+    return FinalState(
+        nodes=list(nodes),
+        roots=[node.root_id for node in final],
+        parents=[node.parent for node in final],
+        features=[node.feature for node in final],
+        root_features=[node.root_feature for node in final],
+        clustered_at=[node.clustered_at for node in final],
+        switches=[node.switches_used for node in final],
+        protocol_done=protocol_done_at,
     )

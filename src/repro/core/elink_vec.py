@@ -35,10 +35,13 @@ Legality gate (:func:`try_run_vectorized` returns ``None`` and the caller
 falls back to the handler engine): implicit or explicit signalling only,
 no failure detection, no fault injector, no tracer (a tracer needs
 per-message events — traced "vectorized" runs *are* handler runs), no
-jitter/loss/energy model, an unmutated network with no dead nodes, plain
-Euclidean 1-d features, and an idle kernel.  ``ELinkConfig.vectorized``
-(default ``True``) lets the batch path engage whenever the gate passes;
-``False`` forces the handler path.
+jitter or loss, an unmutated network with no dead nodes, plain Euclidean
+1-d features, and an idle kernel.  The gate alone picks the engine.
+
+The engine ends by handing its final node state
+(:class:`~repro.core.elink.FinalState`) back to
+:func:`~repro.core.elink.run_elink`, which assembles the clustering and
+the result for both engines in one place.
 
 Certification: the engine-equivalence suite diffs clusterings, parents,
 ``MessageStats`` and timing against the handler engine; traced runs take
@@ -52,16 +55,15 @@ from typing import TYPE_CHECKING, Hashable, Mapping
 
 import numpy as np
 
-from repro.core.delta import clustering_from_assignment
+from repro.core.elink import ELinkConfig, FinalState, implicit_schedule
 from repro.features.metrics import EuclideanMetric, Metric
 from repro.geometry.quadtree import QuadTreeDecomposition
 from repro.geometry.topology import Topology
 from repro.sim.messages import CATEGORY_CLUSTERING, CATEGORY_SYNC
 from repro.sim.network import Network
-from repro.sim.stats import MessageStats
 
 if TYPE_CHECKING:
-    from repro.core.elink import ELinkConfig, ELinkResult
+    from repro.sim.faults import FaultInjector
 
 __all__ = ["try_run_vectorized"]
 
@@ -89,15 +91,19 @@ class _ExpandBatch:
         self.eps: list[int] = []
 
 
-def _eligible(config: "ELinkConfig", network: Network, metric: Metric) -> bool:
+def _eligible(
+    config: ELinkConfig,
+    network: Network,
+    metric: Metric,
+    injector: "FaultInjector | None",
+) -> bool:
     """Static legality of the batch path (feature shapes checked later)."""
     return (
-        config.vectorized
-        and config.signalling in ("implicit", "explicit")
+        config.signalling in ("implicit", "explicit")
         and not config.failure_detection
+        and injector is None
         and type(network) is Network
         and network._fast
-        and network.energy is None
         and network._tracer is None
         and not network._mutated
         and not network.dead_nodes
@@ -110,27 +116,28 @@ def try_run_vectorized(
     topology: Topology,
     features: Mapping[Hashable, np.ndarray],
     metric: Metric,
-    config: "ELinkConfig",
+    config: ELinkConfig,
     *,
     quadtree: QuadTreeDecomposition,
     network: Network,
-    start_stats: MessageStats,
-) -> "ELinkResult | None":
+    injector: "FaultInjector | None",
+) -> FinalState | None:
     """Run the batch engine if the scenario is eligible, else ``None``.
 
     Called by :func:`repro.core.elink.run_elink` after network/tracer/
-    verifier setup; a ``None`` return means the caller proceeds down the
-    per-message handler path with nothing consumed or mutated.
+    verifier setup.  Returns the run's final node state exactly when the
+    engine ran; ``None`` means the caller proceeds down the per-message
+    handler path with nothing consumed or mutated.
     """
-    if not _eligible(config, network, metric):
+    if not _eligible(config, network, metric, injector):
         return None
     n = topology.num_nodes
     if n == 0:
         return None
-    run = _VectorRun(topology, features, config, quadtree, network)
+    run = _VectorRun(features, config, quadtree, network)
     if not run.load_features():
         return None  # non-1-d features: the scalar metric path owns those
-    return run.run(metric, start_stats)
+    return run.run()
 
 
 class _VectorRun:
@@ -138,13 +145,11 @@ class _VectorRun:
 
     def __init__(
         self,
-        topology: Topology,
         features: Mapping[Hashable, np.ndarray],
-        config: "ELinkConfig",
+        config: ELinkConfig,
         quadtree: QuadTreeDecomposition,
         network: Network,
     ):
-        self.topology = topology
         self.features = features
         self.config = config
         self.quadtree = quadtree
@@ -176,6 +181,8 @@ class _VectorRun:
         self.parent_idx = [-1] * self.n
         self.switches = [0] * self.n
         self.clustered_at: list[float | None] = [None] * self.n
+        #: When the quadtree root learned the final round finished.
+        self.protocol_done: list[float] = []
 
         # Calendar: timestamp -> tail entry (an _ExpandBatch accepts row
         # appends only while it is still the tail at its own timestamp).
@@ -192,7 +199,6 @@ class _VectorRun:
             self.ep_owner: list[int] = []
             self.phase1_sent = bytearray(self.n)
             self.phase1_received: dict[tuple[int, int], int] = {}
-            self.protocol_done: list[float] = []
             self.quad_parent_idx = [index[quadtree.quad_parent[v]] for v in nodes]
             self.quad_children_idx = [
                 [index[c] for c in quadtree.quad_children.get(v, [])] for v in nodes
@@ -471,9 +477,8 @@ class _VectorRun:
     # ------------------------------------------------------------------
     # the run
     # ------------------------------------------------------------------
-    def run(self, metric: Metric, start_stats: MessageStats) -> "ELinkResult":
-        from repro.core.elink import ELinkResult, compute_kappa, implicit_schedule
-
+    def run(self) -> FinalState:
+        """Post the start signals, drain the kernel; the final node state."""
         config = self.config
         network = self.network
         kernel = self.kernel
@@ -495,45 +500,18 @@ class _VectorRun:
         event_budget = 200 * n * (depth + 2) + 10_000
         network.run(max_events=event_budget)
 
-        # Assembly: same construction (and dict orders) as the handler path.
         nodes = self.nodes
-        clustered = self.clustered
-        root_idx = self.root_idx
-        parent_idx = self.parent_idx
         arrays = self.feature_arrays
-        assignment = {
-            v: (nodes[root_idx[i]] if clustered[i] else None) for i, v in enumerate(nodes)
-        }
-        parents = {
-            v: (nodes[parent_idx[i]] if parent_idx[i] >= 0 else v) for i, v in enumerate(nodes)
-        }
-        root_feature_map = {v: arrays[i] for i, v in enumerate(nodes) if self.is_root[i]}
-        feature_map = {v: arrays[i] for i, v in enumerate(nodes)}
-        clustering = clustering_from_assignment(
-            self.topology.graph,
-            assignment,
-            feature_map,
-            root_features=root_feature_map,
-            parents=parents,
-        )
-        repaired = clustering.num_clusters - len(set(assignment.values()))
-        completion_time = max(
-            (t for t in self.clustered_at if t is not None), default=0.0
-        )
-        if config.signalling == "implicit":
-            kappa = compute_kappa(n, config.gamma, network.hop_delay)
-            starts = implicit_schedule(n, depth, config.gamma, network.hop_delay)
-            protocol_time = starts[-1] + kappa * (2.0 - 2.0 ** (-depth))
-        else:
-            protocol_time = self.protocol_done[0] if self.protocol_done else kernel.now
-        return ELinkResult(
-            clustering=clustering,
-            stats=network.stats.diff(start_stats),
-            completion_time=completion_time,
-            protocol_time=protocol_time,
-            total_switches=sum(self.switches),
-            repaired_components=max(repaired, 0),
-            config=config,
+        root_idx = self.root_idx
+        return FinalState(
+            nodes=nodes,
+            roots=[nodes[r] if r >= 0 else None for r in root_idx],
+            parents=[nodes[p] if p >= 0 else None for p in self.parent_idx],
+            features=arrays,
+            root_features=[arrays[r] if r >= 0 else None for r in root_idx],
+            clustered_at=self.clustered_at,
+            switches=self.switches,
+            protocol_done=self.protocol_done,
         )
 
     def _fire_start_root(self) -> None:

@@ -35,7 +35,7 @@ next to the chosen plan's actual cost, making the model auditable query
 by query.
 
 Results are memoized through :class:`~repro.queries.result_cache.QueryResultCache`
-(content-addressed keys via :func:`~repro.queries.result_cache.cache_key`) and
+(content-addressed keys via :meth:`~repro.queries.result_cache.QueryResultCache.key`) and
 invalidated by the maintenance layer's structure generation — see the
 cache module docstring for the staleness contract.  Planning, execution,
 and cache traffic emit ``queries.*`` trace events consumed by

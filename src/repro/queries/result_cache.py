@@ -1,10 +1,11 @@
 """Per-query result cache with maintenance-driven generation invalidation.
 
 :class:`QueryResultCache` memoizes planned query answers in memory under a
-content-addressed key (:func:`cache_key`): a SHA-256 over the operation
-name and its canonicalized parameters (:func:`canonicalize`) — query
-feature arrays included — so two textually different but semantically
-identical requests share one entry.
+content-addressed key (:meth:`QueryResultCache.key`): a SHA-256 over the
+operation name and its canonicalized parameters (:func:`canonicalize`) —
+query feature arrays included — so two textually different but
+semantically identical requests share one entry.  No key outlives the
+process, so keys carry no version.
 
 **Invalidation contract.**  Every entry records the *structure generation*
 it was computed at.  :class:`~repro.core.maintenance.MaintenanceSession`
@@ -36,15 +37,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
-
-#: Bump to invalidate every key at once (key-schema version).
-_KEY_SCHEMA = 1
-
-#: Key-schema salt for query-result entries; bump when the planned result
-#: representation (or the key schema itself) changes shape.  2: keys
-#: carry the degraded context, so pre-fix fault-free entries can never
-#: alias a degraded query's key.
-_RESULT_SALT = "query-result-2"
 
 #: Default LRU capacity, in entries.  Query results are small (match-id
 #: sets plus plan metadata), so a few thousand entries cover a zipfian
@@ -79,21 +71,6 @@ def canonicalize(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return ("seq", [canonicalize(v) for v in value])
     raise TypeError(f"cannot canonicalize {type(value).__name__} for a cache key")
-
-
-def cache_key(func_name: str, params: Mapping[str, Any], salt: str) -> str:
-    """The content-addressed key: sha256 over name, salt and parameters."""
-    payload = json.dumps(
-        {
-            "schema": _KEY_SCHEMA,
-            "func": func_name,
-            "salt": salt,
-            "params": canonicalize(params),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class QueryResultCache:
@@ -143,7 +120,10 @@ class QueryResultCache:
         """
         if context:
             params = {**params, "__degraded__": context}
-        return cache_key(f"query.{op}", params, _RESULT_SALT)
+        payload = json.dumps(
+            {"op": op, "params": canonicalize(params)}, sort_keys=True, separators=(",", ":")
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def observe_generation(self, generation: int) -> int:
         """Adopt *generation*, sweeping entries from older generations.

@@ -78,14 +78,12 @@ Performance notes (see DESIGN.md §8):
   :meth:`invalidate_paths` clears all trees.  Their total size is bounded
   without a parameter: once the trees hold more than
   ``TREE_BUDGET_PER_NODE`` distances per node they are all dropped and
-  regrow on demand, which changes no answer.  Node paths are built only
-  where a consumer walks them — an attached energy model — by an uncached
-  BFS with networkx's tie-breaking (:meth:`shortest_path`).
+  regrow on demand, which changes no answer.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Protocol
 
 if TYPE_CHECKING:  # import-light: the tracer is only ever held, never built here
     from repro.obs.trace import Tracer
@@ -94,7 +92,6 @@ import networkx as nx
 import numpy as np
 
 from repro._validation import require_non_negative, require_positive
-from repro.sim.energy import EnergyModel
 from repro.sim.kernel import Event, EventKernel
 from repro.sim.messages import Message
 from repro.sim.radio import LossyLinkModel
@@ -165,8 +162,6 @@ class Network:
     jitter:
         Asynchrony: each hop takes ``hop_delay * (1 + U(0, jitter))``
         (default 0 — the paper's synchronous unit-delay model).
-    energy:
-        Optional :class:`~repro.sim.energy.EnergyModel` charged per hop.
     loss:
         Optional :class:`~repro.sim.radio.LossyLinkModel`; failed hop
         transmissions are retransmitted (ARQ), inflating cost and delay.
@@ -190,7 +185,6 @@ class Network:
         hop_delay: float = 1.0,
         jitter: float = 0.0,
         jitter_seed: int = 0,
-        energy: "EnergyModel | None" = None,
         loss: "LossyLinkModel | None" = None,
         tracer: "Tracer | None" = None,
     ):
@@ -207,7 +201,6 @@ class Network:
         self._jitter_buffer: np.ndarray | None = None
         self._jitter_cursor = 0
         self.stats = MessageStats()
-        self.energy = energy
         self.loss = loss
         #: True when the zero-overhead delivery path applies (synchronous
         #: unit-delay, reliable links — the paper's cost model).
@@ -360,17 +353,6 @@ class Network:
         self.stats.record(message, hops=attempts)
         return attempts
 
-    def _charge_energy(
-        self, sender: Hashable, receiver: Hashable, values: int, attempts: int
-    ) -> None:
-        """Charge the energy model for one hop of *attempts* transmissions:
-        every attempt burns TX at the sender; only the successful one is
-        received."""
-        energy = self.energy
-        for _ in range(attempts - 1):
-            energy.spent[sender] = energy.spent.get(sender, 0.0) + values * energy.tx_per_value
-        energy.charge_hop(sender, receiver, values)
-
     # ------------------------------------------------------------------
     # node registry
     # ------------------------------------------------------------------
@@ -423,15 +405,11 @@ class Network:
             )
         if self._fast:
             self.stats.record(message)
-            if self.energy is not None:
-                self.energy.charge_hop(src, message.dst, message.values)
             if self._tracer is not None:
                 self._trace_send(message)
             self._post_delivery(self.hop_delay, message)
             return True
         attempts = self._hop_cost(message)
-        if self.energy is not None:
-            self._charge_energy(src, message.dst, message.values, attempts)
         delay = sum(self._sample_hop_delay() for _ in range(attempts))
         if self._tracer is not None:
             self._trace_send(message, attempts=attempts)
@@ -521,17 +499,10 @@ class Network:
                 return -1
         else:
             hops = self.hop_distance(src, dst)
-        path = self.shortest_path(src, dst) if self.energy is not None else None
-        return self._traverse(message, hops, path)
+        return self._traverse(message, hops)
 
-    def _traverse(
-        self, message: Message, hops: int, path: Sequence[Hashable] | None
-    ) -> int:
-        """Charge and deliver *message* over *hops* hops; returns *hops*.
-
-        *path* (src ... dst) is walked only to charge an energy model edge
-        by edge, so it may be ``None`` when none is attached.
-        """
+    def _traverse(self, message: Message, hops: int) -> int:
+        """Charge and deliver *message* over *hops* hops; returns *hops*."""
         if self._tracer is not None:
             self._tracer.emit(
                 self.kernel.now,
@@ -545,21 +516,14 @@ class Network:
         if hops == 0:
             self._post_delivery(self.hop_delay, message)
             return 0
-        energy = self.energy
         if self._fast:
-            # One stats record covers all hops (counters are additive);
-            # energy still charges each edge's endpoints individually.
+            # One stats record covers all hops (counters are additive).
             self.stats.record(message, hops=hops)
-            if energy is not None:
-                for a, b in zip(path, path[1:]):
-                    energy.charge_hop(a, b, message.values)
             self._post_delivery(hops * self.hop_delay, message)
             return hops
         delay = 0.0
-        for i in range(hops):
+        for _ in range(hops):
             attempts = self._hop_cost(message)
-            if energy is not None:
-                self._charge_energy(path[i], path[i + 1], message.values, attempts)
             delay += sum(self._sample_hop_delay() for _ in range(attempts))
         self._post_delivery(delay, message)
         return hops
@@ -799,32 +763,6 @@ class Network:
         for node in nodes:
             if node not in self._adj and node not in self.dead_nodes:
                 raise nx.NodeNotFound(f"node {node!r} is not in the communication graph")
-
-    def shortest_path(self, src: Hashable, dst: Hashable) -> tuple[Hashable, ...]:
-        """Shortest node path from *src* to *dst* (uncached BFS).
-
-        Expansion order replicates ``networkx.single_source_shortest_path``
-        exactly, so ties break the same way and per-node energy traces do
-        not depend on this implementation.  Raises as :meth:`hop_distance`.
-        """
-        self._require_endpoints(src, dst)
-        adj = self._adj
-        parent: dict[Hashable, Hashable] = {src: src}
-        level: list[Hashable] = [src]
-        while level and dst not in parent:
-            next_level: list[Hashable] = []
-            for v in level:
-                for w in adj[v]:
-                    if w not in parent:
-                        parent[w] = v
-                        next_level.append(w)
-            level = next_level
-        if dst not in parent:
-            raise nx.NetworkXNoPath(f"no path from {src!r} to {dst!r}")
-        path = [dst]
-        while path[-1] != src:
-            path.append(parent[path[-1]])
-        return tuple(reversed(path))
 
     def invalidate_paths(self) -> None:
         """Resynchronize with ``self.graph`` after a topology mutation.

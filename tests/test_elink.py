@@ -199,8 +199,8 @@ def test_config_validation():
         ELinkConfig(delta=1.0, signalling="telepathy")
     with pytest.raises(ValueError):
         ELinkConfig(delta=1.0, ack_window=1.5)
-    with pytest.raises(TypeError, match="vectorized must be a bool"):
-        ELinkConfig(delta=1.0, vectorized=None)
+    with pytest.raises(TypeError):  # no engine switch: the legality gate picks
+        ELinkConfig(delta=1.0, vectorized=True)
 
 
 def test_config_default_phi_is_tenth_of_delta():

@@ -8,7 +8,6 @@ The vectorised round processor is diffed against the per-message
 handlers, and chaos and traced runs must fall back to those handlers.
 """
 
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -227,15 +226,22 @@ def _vec_summary(result):
     )
 
 
-def _vec_run(topology, signalling, vectorized):
+def _vec_run(topology, signalling):
     network = Network(topology.graph.copy())
     return run_elink(
         Topology(network.graph, dict(topology.positions)),
         _features(topology),
         EuclideanMetric(),
-        ELinkConfig(delta=0.6, signalling=signalling, vectorized=vectorized),
+        ELinkConfig(delta=0.6, signalling=signalling),
         network=network,
     )
+
+
+def _on_handlers(monkeypatch, run):
+    """``run()`` with the batch path declined: the per-message handlers."""
+    with monkeypatch.context() as patch:
+        patch.setattr(elink_vec, "try_run_vectorized", lambda *args, **kwargs: None)
+        return run()
 
 
 def _spy_vectorizer(monkeypatch):
@@ -255,32 +261,33 @@ def _spy_vectorizer(monkeypatch):
 @pytest.mark.parametrize("topology_kind", ["grid", "geometric"])
 @pytest.mark.parametrize("signalling", ["implicit", "explicit"])
 def test_vectorized_rounds_identical_to_handlers(topology_kind, signalling, monkeypatch):
-    engaged = _spy_vectorizer(monkeypatch)
     topology = _topology(topology_kind)
-    handler = _vec_run(topology, signalling, vectorized=False)
-    batched = _vec_run(topology, signalling, vectorized=True)
+    handler = _on_handlers(monkeypatch, lambda: _vec_run(topology, signalling))
+    engaged = _spy_vectorizer(monkeypatch)
+    batched = _vec_run(topology, signalling)
     assert engaged == [True]  # the batch path really ran, not a fallback
     assert _vec_summary(handler) == _vec_summary(batched)
 
 
 def test_chaos_falls_back_to_handler_path_identically(monkeypatch):
-    """With a fault injector armed, ``vectorized=True`` must decline —
-    without ever reaching the batch path — and match the handler run."""
-    engaged = _spy_vectorizer(monkeypatch)
-    summaries = []
-    for vectorized in (False, True):
+    """With a fault injector armed, the legality gate must decline the
+    batch path, and the run must match one forced onto the handlers."""
+
+    def chaos_run():
         spec = ScenarioSpec(crash_fraction=0.05)
         topology, features, metric, config, quadtree, network, injector = (
             build_scenario(spec)
         )
-        config = dataclasses.replace(config, vectorized=vectorized)
         result = run_elink(
             topology, features, metric, config,
             quadtree=quadtree, network=network, injector=injector,
         )
-        summaries.append(_vec_summary(result))
-    assert summaries[0] == summaries[1]
-    assert engaged == []  # injector-armed runs never call the vectorizer
+        return _vec_summary(result)
+
+    handler = _on_handlers(monkeypatch, chaos_run)
+    engaged = _spy_vectorizer(monkeypatch)
+    assert chaos_run() == handler
+    assert engaged == [False]  # the gate was asked and declined
 
 
 def test_traced_runs_stay_on_handler_path(monkeypatch):
@@ -294,7 +301,7 @@ def test_traced_runs_stay_on_handler_path(monkeypatch):
         Topology(network.graph, dict(topology.positions)),
         _features(topology),
         EuclideanMetric(),
-        ELinkConfig(delta=0.6, vectorized=True),
+        ELinkConfig(delta=0.6),
         network=network,
         tracer=tracer,
     )

@@ -333,6 +333,42 @@ def test_chaos_implicit_mode_self_heals():
     )
 
 
+def test_churn_only_run_makes_unclustered_nodes_singletons():
+    """Link flaps and no crash, explicit signalling, detection off: a node
+    the flaps cut off from every start signal and expansion ends the run
+    without a cluster.  Assembly makes it a singleton over the post-churn
+    graph; it used to pass a ``None`` root on and raise ``KeyError``."""
+    from repro.geometry import QuadTreeDecomposition, Topology
+
+    topology, features, metric = _grid_setup(7)
+    config = ELinkConfig(delta=1.0, signalling="explicit")
+    kappa = compute_kappa(topology.num_nodes, config.gamma)
+    graph = topology.graph.copy()
+    trial = Topology(graph, dict(topology.positions))
+    quadtree = QuadTreeDecomposition(trial)
+    network = Network(graph, EventKernel())
+    window = (0.05 * kappa, 0.75 * kappa)
+    plan = FaultPlan.random(
+        sorted(graph.nodes),
+        seed=9,
+        crash_fraction=0.0,
+        crash_window=window,
+        churn_edges=sorted(graph.edges),
+        churn_events=20,
+        churn_window=window,
+        churn_downtime=2.0,
+        protected=(quadtree.root,),
+    )
+    result = run_elink(
+        trial, features, metric, config,
+        quadtree=quadtree, network=network, injector=FaultInjector(network, plan),
+    )
+    assert not network.dead_nodes
+    assert set(result.clustering.assignment) == set(network.graph.nodes)
+    assert not validate_clustering(network.graph, result.clustering, features, metric, 1.0)
+    assert (result.num_clusters, result.total_messages) == (5, 237)
+
+
 def test_zero_fault_run_identical_with_and_without_injector():
     """Empty plan + detection off must be byte-identical to no injector."""
     topology, features, metric = _grid_setup(6)

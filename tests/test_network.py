@@ -229,16 +229,13 @@ def test_fast_path_matches_general_path():
     """The zero-overhead path (jitter=0, no loss) must be observationally
     identical to the general per-hop path.  A zero-probability loss model
     forces the general machinery (per-hop charging, per-attempt delays)
-    without changing any outcome, so every counter, energy charge and
-    arrival time must agree bit for bit."""
-    from repro.sim.energy import EnergyModel
+    without changing any outcome, so every counter and arrival time must
+    agree bit for bit."""
     from repro.sim.radio import LossyLinkModel
 
-    fast_net, fast_nodes = _grid_network(energy=EnergyModel())
+    fast_net, fast_nodes = _grid_network()
     assert fast_net._fast
-    general_net, general_nodes = _grid_network(
-        energy=EnergyModel(), loss=LossyLinkModel(0.0)
-    )
+    general_net, general_nodes = _grid_network(loss=LossyLinkModel(0.0))
     assert not general_net._fast
 
     _drive_mixed_traffic(fast_net)
@@ -248,7 +245,6 @@ def test_fast_path_matches_general_path():
     assert fast_net.stats.values_by_kind == general_net.stats.values_by_kind
     assert fast_net.stats.values_by_category == general_net.stats.values_by_category
     assert fast_net.stats.total_packets == general_net.stats.total_packets
-    assert fast_net.energy.spent == general_net.energy.spent
     assert _delivery_trace(fast_nodes) == _delivery_trace(general_nodes)
     assert fast_net.kernel.now == general_net.kernel.now
 
@@ -269,18 +265,6 @@ def test_jitter_deterministic_per_seed():
 # ----------------------------------------------------------------------
 # hop counts: per-source distance trees
 # ----------------------------------------------------------------------
-def test_bfs_paths_match_networkx():
-    """BFS-on-demand must reproduce networkx's exact paths (not just
-    lengths) — routed energy traces depend on the tie-breaking."""
-    graph = nx.gnp_random_graph(24, 0.15, seed=3)
-    graph.add_edges_from(nx.path_graph(24).edges)  # guarantee connectivity
-    network = Network(graph, EventKernel())
-    for src in graph.nodes:
-        expected = nx.single_source_shortest_path(graph, src)
-        for dst in graph.nodes:
-            assert tuple(network.shortest_path(src, dst)) == tuple(expected[dst])
-
-
 def _tree_size(network):
     return sum(len(depths) for depths, _, _ in network._trees.values())
 

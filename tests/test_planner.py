@@ -9,7 +9,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.queries.load import ScenarioSpec, WorkloadSpec, build_scenario, generate_workload
 from repro.queries.planner import PLAN_BACKENDS, QueryPlanner, canonical_answer
-from repro.queries.result_cache import QueryResultCache, cache_key, canonicalize
+from repro.queries.result_cache import QueryResultCache, canonicalize
 
 
 @pytest.fixture(scope="module")
@@ -452,12 +452,12 @@ def test_cache_key_distinguishes_degraded_contexts():
 
 
 def test_cache_key_sensitivity():
-    base = cache_key("gen", {"n": 100, "seed": 7}, salt="1")
-    assert cache_key("gen", {"n": 100, "seed": 7}, salt="1") == base
-    assert cache_key("gen", {"n": 101, "seed": 7}, salt="1") != base
-    assert cache_key("gen", {"n": 100, "seed": 8}, salt="1") != base
-    assert cache_key("gen", {"n": 100, "seed": 7}, salt="2") != base
-    assert cache_key("other", {"n": 100, "seed": 7}, salt="1") != base
+    key = QueryResultCache().key
+    base = key("gen", {"n": 100, "seed": 7})
+    assert key("gen", {"n": 100, "seed": 7}) == base
+    assert key("gen", {"n": 101, "seed": 7}) != base
+    assert key("gen", {"n": 100, "seed": 8}) != base
+    assert key("other", {"n": 100, "seed": 7}) != base
 
 
 def test_canonicalize_ndarray_is_content_addressed():
@@ -476,17 +476,17 @@ def test_canonicalize_floats_and_maps():
 
 
 def test_result_cache_keys_are_pinned():
-    """Keys are SHA-256 digests of a fixed payload layout; any change to
-    canonicalization, the key schema or the result salt moves them."""
+    """Keys are SHA-256 digests of a fixed payload layout, the op and the
+    canonicalized parameters; any change to either moves them."""
     cache = QueryResultCache()
     range_key = cache.key("range", {"q": np.array([0.5]), "radius": 1.0, "initiator": 3})
-    assert range_key == "4da5aaea79582c0b30b284f9f877d607f696f311831ea38ed15630da72548b14"
+    assert range_key == "98fcfefb9a53c9b14ab4052786dd8694462d86b04ff922b17bf59181744922c0"
     path_key = cache.key(
         "path",
         {"source": (0, 1), "destination": "a", "danger": np.array([1.0, 2.0]), "gamma": 0.25},
         context={"dead": [4], "root_replacements": [(4, 5)]},
     )
-    assert path_key == "496d941f121a3153bbd0284f17fe838f316d43ef42ba0f1cd2cc218214b59a02"
+    assert path_key == "3d3335da33fb94e46681eb4da3d7a892e008eee6fa3f5f319959daf7655c1b34"
 
 
 def test_planner_emits_queries_trace_events():
