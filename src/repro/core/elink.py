@@ -240,6 +240,10 @@ class _Episode:
     #: Repair episodes (orphan re-expansion) never inject phase1 — the
     #: quadtree round they would report to has moved on.
     repair: bool = False
+    #: The join's ack1 was not delivered (a link went down) and no failure
+    #: detection reacted: the parent never counted this child, so the
+    #: episode completes without an ack2.
+    unacked: bool = False
     #: Which neighbours joined under this episode (failure detection only:
     #: escalation needs identities to probe; ``children`` stays the exact
     #: completion counter).
@@ -364,12 +368,12 @@ class ELinkNode(ProtocolNode):
                 category="repair",
             )
         if self.config.signalling == "explicit":
-            if parent is not None:
-                acked = self.send(parent, "ack1", payload=parent_episode)
-                if not acked and self.config.failure_detection:
+            if parent is not None and not self.send(parent, "ack1", payload=parent_episode):
+                if self.config.failure_detection:
                     # Parent crashed between its expand and our join.
                     self._on_parent_dead(episode)
                     return
+                episode.unacked = True
             # The leaf timeout must cover an expand + ack1 round trip under
             # the worst-case per-hop delay (jitter-aware).
             self.set_timer(
@@ -493,6 +497,8 @@ class ELinkNode(ProtocolNode):
                 seq=episode.seq,
                 root=episode.parent is None,
             )
+        if episode.unacked:
+            return
         if episode.parent is not None:
             acked = self.send(episode.parent, "ack2", payload=episode.parent_episode)
             if not acked and self.config.failure_detection:

@@ -14,6 +14,9 @@ structures and about crashes, so each rule below is written once:
 - the conservative routing ball of a re-elected root: the dead root's
   ball enlarged by the feature distance between the two, sound by the
   triangle inequality (:meth:`~QueryContext.routing_ball`);
+- every cluster root's routing ball, stacked once, and the one row of
+  distances from a query to all of them (:meth:`~QueryContext.ball_distances`)
+  that the planner's estimates and the range, k-NN and path plans read;
 - the backbone's DFS preorder (:meth:`~QueryContext.preorder`), from
   which every edge direction's far side is read
   (:meth:`~QueryContext.far_side`);
@@ -102,6 +105,11 @@ class QueryContext:
         self.replaced_by = {repl: orig for orig, repl in self.replacements.items()}
         self.degraded = bool(self.dead or self.replacements)
         self._split = backbone is not None and not nx.is_connected(backbone.tree)
+        # Every cluster root's routing ball, in clustering.roots order.
+        balls = [self.routing_ball(self.effective(root)) for root in clustering.roots]
+        self.ball_centers = np.array([c for c, _ in balls], dtype=np.float64).reshape(-1, self.dim)
+        self.ball_radii = [radius for _, radius in balls]
+        self._ball_slot = {root: i for i, root in enumerate(clustering.roots)}
         # start -> (reached, hops, lost, dead relays) of the unpruned walk.
         self._reach: dict[Hashable, tuple[dict[Hashable, int], int, set[Hashable], int]] = {}
         self._preorder: Preorder | None = None
@@ -137,6 +145,21 @@ class QueryContext:
             return center, self.mtree.covering_radius[node]
         slack = self.metric.distance(center, self.mtree.routing_feature[orig])
         return center, slack + self.mtree.covering_radius[orig]
+
+    def ball_distances(self, q: np.ndarray) -> list[float]:
+        """Distance from *q* to every cluster root's ball centre, as floats.
+
+        Entry ``i`` equals ``metric.distance(q, routing_ball(effective(r))[0])``
+        for ``r = clustering.roots[i]`` bit for bit (one
+        :meth:`~repro.features.metrics.Metric.distance_row`); that ball's
+        radius is ``ball_radii[i]``.  A backbone node reads the entry of
+        the root it stands for (:meth:`ball_slot`).
+        """
+        return self.metric.distance_row(q, self.ball_centers).tolist()
+
+    def ball_slot(self, node: Hashable) -> int:
+        """Index into :meth:`ball_distances` of backbone node *node*'s cluster."""
+        return self._ball_slot[self.original(node)]
 
     def alive_members(self, node: Hashable):
         """Surviving members of the cluster backbone node *node* stands for."""

@@ -128,12 +128,9 @@ class KnnQueryEngine:
             return -best[0][0] if len(best) == k else float("inf")
 
         frontier: list[tuple[float, int, Hashable]] = []
-        for root in ctx.clustering.roots:
-            effective = ctx.effective(root)
-            if effective not in reached:
+        for root, d, r_root in zip(ctx.clustering.roots, ctx.ball_distances(q), ctx.ball_radii):
+            if ctx.effective(root) not in reached:
                 continue  # severed from the backbone: uncovered
-            center, r_root = ctx.routing_ball(effective)
-            d = ctx.metric.distance(q, center)
             bound = max(0.0, d - r_root)
             heapq.heappush(frontier, (bound, next(counter), root))
 

@@ -45,7 +45,7 @@ import networkx as nx
 import numpy as np
 
 from repro._validation import require_non_negative
-from repro.core.delta import Clustering
+from repro.core.delta import Clustering, _member_components
 from repro.features.metrics import Metric
 from repro.index.mtree import MTreeIndex
 from repro.obs.metrics import MetricsRegistry
@@ -157,7 +157,7 @@ class PathQueryEngine:
             for node, feature in ctx.features.items()
             if ctx.metric.distance(feature, danger) >= gamma
         }
-        component = nx.node_connected_component(self.graph.subgraph(safe), source)
+        component = _member_components(self.graph._adj, safe, [source], set())[0]
         ctx.charge(stats, 2, sum(self.graph.degree(node) for node in component))
         return self._route(source, destination, safe, 0, stats, 1.0, flooded=len(component))
 
@@ -195,15 +195,13 @@ class PathQueryEngine:
         safe: set[Hashable] = set()
         drilled = 0
         lost: list[Hashable] = []
-        for root in ctx.clustering.roots:
+        for root, d, radius in zip(ctx.clustering.roots, ctx.ball_distances(danger), ctx.ball_radii):
             if root in ctx.dead:
                 # The classification request to this root is undeliverable.
                 ctx.drop(stats, DROP_DEAD_ROOT)
                 lost.append(root)
                 continue
             hops += 1
-            d = ctx.metric.distance(danger, ctx.mtree.routing_feature[root])
-            radius = ctx.mtree.covering_radius[root]
             if d - radius >= gamma:
                 safe.update(ctx.clustering.members(root))
                 continue
@@ -270,12 +268,12 @@ class PathQueryEngine:
         count = len(safe) if flooded is None else flooded
         path = None
         if source in safe and destination in safe:
-            safe_sub = self.graph.subgraph(safe)
-            component = nx.node_connected_component(safe_sub, source)
+            component = _member_components(self.graph._adj, safe, [source], set())[0]
             if destination in component:
                 if flooded is None:
                     regions = {self.context.clustering.root_of(node) for node in component}
                     self.context.charge(stats, 2, len(regions))
+                safe_sub = self.graph.subgraph(safe)
                 path = list(nx.shortest_path(safe_sub.subgraph(component), source, destination))
                 self.context.charge(stats, 1, len(path) - 1)
         return PathQueryResult(

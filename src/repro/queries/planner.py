@@ -159,7 +159,6 @@ class _Stats:
     n: int
     dim: int
     num_clusters: int
-    overlay_edges: int
     mean_degree: float
     sizes: dict[Hashable, int] = field(default_factory=dict)
 
@@ -246,7 +245,6 @@ class QueryPlanner:
             n=n,
             dim=ctx.dim,
             num_clusters=clustering.num_clusters,
-            overlay_edges=self._tag.tree_edges,
             mean_degree=(2.0 * graph.number_of_edges() / n) if n else 0.0,
             sizes={root: len(ctx.alive_members(root)) for root in clustering.roots},
         )
@@ -270,21 +268,26 @@ class QueryPlanner:
                 "backbone": float(local),
                 "flood": self._flood_cost(self._tag.per_query_cost()),
             })
-        classes = self._classify_range(q, radius)
+        # Clusters neither pruned nor included by their root ball, if consultable.
+        boundary = {
+            root
+            for root, d, r_root in zip(ctx.clustering.roots, ctx.ball_distances(q), ctx.ball_radii)
+            if not (d > radius + r_root or d <= radius - r_root or ctx.unreachable(root))
+        }
         reached, hops_reach, _ = ctx.walk(ctx.effective(origin))
         boundary_all = sum(
             max(self.stats.sizes[r] - 1, 0)
-            for r, c in classes.items()
-            if c == "boundary" and ctx.effective(r) in reached
+            for r in boundary
+            if ctx.effective(r) in reached
         )
         entry_hops, visited, fanout_hops = self._range.fanout_preview(q, radius, initiator)
         # The preview walks the (possibly rerouted) backbone, so degraded
-        # it surfaces replacement ids; sizes and classes are keyed by the
-        # original roots.
+        # it surfaces replacement ids; sizes and the boundary set are keyed
+        # by the original roots.
         boundary_visited = sum(
             max(self.stats.sizes.get(ctx.original(r), 0) - 1, 0)
             for r in visited
-            if classes.get(ctx.original(r)) == "boundary"
+            if ctx.original(r) in boundary
         )
         estimates = {
             "mtree": per_edge * (entry_hops + fanout_hops)
@@ -306,24 +309,22 @@ class QueryPlanner:
             return self._choose("knn", {
                 "mtree": float(local),
                 "backbone": float(local),
-                "flood": self._flood_cost((dim + 1 + k) * self.stats.overlay_edges),
+                "flood": self._flood_cost((dim + 1 + k) * self._tag.tree_edges),
             })
         entry = ctx.entry_hops(initiator)
         routes, hops_reach, _ = ctx.walk(ctx.effective(origin))
         # Only clusters the engines can consult: a live (or re-elected)
         # representative that is not severed behind a dead backbone relay.
-        candidates = [r for r in ctx.clustering.roots if ctx.effective(r) in routes]
+        balls = {
+            r: (d, r_root)
+            for r, d, r_root in zip(ctx.clustering.roots, ctx.ball_distances(q), ctx.ball_radii)
+            if ctx.effective(r) in routes
+        }
         # Optimistic k-th-distance guess from the closest root ball: every
         # root whose optimistic bound beats it is modeled as visited.
-        balls = {r: ctx.routing_ball(ctx.effective(r)) for r in candidates}
-        d_by_root = {r: ctx.metric.distance(q, balls[r][0]) for r in candidates}
-        best = min(d_by_root, key=lambda r: (d_by_root[r], repr(r)))
-        est_kth = d_by_root[best] + balls[best][1]
-        visited = [
-            r
-            for r in candidates
-            if max(0.0, d_by_root[r] - balls[r][1]) <= est_kth
-        ]
+        best = min(balls, key=lambda r: (balls[r][0], repr(r)))
+        est_kth = balls[best][0] + balls[best][1]
+        visited = [r for r, (d, r_root) in balls.items() if max(0.0, d - r_root) <= est_kth]
         per_edge = dim + 2
         mtree_cost = per_edge * entry + sum(
             per_edge * routes[ctx.effective(r)]
@@ -332,11 +333,11 @@ class QueryPlanner:
         )
         # Cluster-tree edges the backbone scan floods (surviving members
         # of consultable clusters only).
-        scan_edges = sum(max(self.stats.sizes[r] - 1, 0) for r in candidates)
+        scan_edges = sum(max(self.stats.sizes[r] - 1, 0) for r in balls)
         estimates = {
             "mtree": float(mtree_cost),
             "backbone": (dim + 1 + k) * (entry + hops_reach + scan_edges),
-            "flood": self._flood_cost((dim + 1 + k) * self.stats.overlay_edges),
+            "flood": self._flood_cost((dim + 1 + k) * self._tag.tree_edges),
         }
         return self._choose("knn", estimates)
 
@@ -357,14 +358,12 @@ class QueryPlanner:
         safe_nodes = 0.0
         boundary_edges = 0
         classified = 0
-        for root in ctx.clustering.roots:
+        for root, d, radius in zip(ctx.clustering.roots, ctx.ball_distances(danger), ctx.ball_radii):
             if root in ctx.dead:
                 # The path engine cannot classify this cluster (its
                 # representative died); no cost, no safe members.
                 continue
             classified += 1
-            d = ctx.metric.distance(danger, ctx.mtree.routing_feature[root])
-            radius = ctx.mtree.covering_radius[root]
             size = self.stats.sizes[root]
             if d - radius >= gamma:
                 safe_nodes += size
@@ -455,7 +454,7 @@ class QueryPlanner:
 
     def _knn_flood(self, q: np.ndarray, k: int) -> KnnResult:
         """k-NN flood: every overlay edge carries the query down and k-best back."""
-        messages = (self.stats.dim + 1 + k) * self.stats.overlay_edges
+        messages = (self.stats.dim + 1 + k) * self._tag.tree_edges
         neighbors = brute_force_knn(self.context.features, self.context.metric, q, k)
         return KnnResult(neighbors, messages, self.stats.n)
 
@@ -520,25 +519,6 @@ class QueryPlanner:
             PLAN_BACKENDS, key=lambda name: (estimates[name], PLAN_BACKENDS.index(name))
         )
         return QueryPlan(op, backend, estimates, "min-cost")
-
-    def _classify_range(self, q: np.ndarray, radius: float) -> dict[Hashable, str]:
-        ctx = self.context
-        classes: dict[Hashable, str] = {}
-        for root in ctx.clustering.roots:
-            if ctx.unreachable(root):
-                # Dead unreplaced representative: the degraded engines
-                # cannot consult this cluster at all.
-                classes[root] = "lost"
-                continue
-            center, r_root = ctx.routing_ball(ctx.effective(root))
-            d = ctx.metric.distance(q, center)
-            if d > radius + r_root:
-                classes[root] = "pruned"
-            elif d <= radius - r_root:
-                classes[root] = "included"
-            else:
-                classes[root] = "boundary"
-        return classes
 
     def _flood_cost(self, cost: float) -> float:
         # Flooding routes through every node; with dead/replaced nodes

@@ -144,13 +144,13 @@ class RangeQueryEngine:
         # leader handshake per hop.
         self._summaries: dict[tuple[Hashable, Hashable], tuple[np.ndarray, float]] = {}
         tree, routing_feature = context.backbone.tree, context.mtree.routing_feature
+        all_radii = np.array(context.ball_radii, dtype=np.float64)
         components, spans = context.preorder()
         for order in components:
             if len(order) < 2:
                 continue  # no backbone edge, no summary
-            balls = [context.routing_ball(node) for node in order]
-            centers = np.array([center for center, _ in balls], dtype=np.float64)
-            radii = np.array([radius for _, radius in balls], dtype=np.float64)
+            slots = [context.ball_slot(node) for node in order]
+            centers, radii = context.ball_centers[slots], all_radii[slots]
             for dst in order:
                 center = routing_feature[dst]
                 row = context.metric.distance_row(center, centers) + radii
@@ -165,17 +165,18 @@ class RangeQueryEngine:
                         )
                     self._summaries[(src, dst)] = (center, float(radius))
 
-    def _pruner(self, q: np.ndarray, radius: float):
+    def _pruner(self, distances: list[float], radius: float):
         """Prune a backbone edge whose far-side ball misses the query ball.
 
-        An edge without a summary (added by a repair after the build) is
-        never pruned.
+        *distances* is the query's ball row: a summary is centred on its
+        far end's ball centre.  An edge without a summary (added by a
+        repair after the build) is never pruned.
         """
-        summaries, distance = self._summaries, self.context.metric.distance
+        summaries, slot = self._summaries, self.context.ball_slot
 
         def prune(src: Hashable, dst: Hashable) -> bool:
             ball = summaries.get((src, dst))
-            return ball is not None and distance(q, ball[0]) > radius + ball[1]
+            return ball is not None and distances[slot(dst)] > radius + ball[1]
 
         return prune
 
@@ -196,7 +197,7 @@ class RangeQueryEngine:
         q = np.asarray(q, dtype=np.float64)
         ctx = self.context
         start = ctx.effective(ctx.clustering.root_of(initiator))
-        reached, hops, _ = ctx.walk(start, prune=self._pruner(q, radius))
+        reached, hops, _ = ctx.walk(start, prune=self._pruner(ctx.ball_distances(q), radius))
         return ctx.entry_hops(initiator), list(reached), hops
 
     def query(
@@ -240,7 +241,8 @@ class RangeQueryEngine:
         #    backbone subtrees whose covering ball cannot intersect the
         #    query ball.  Every traversed hop carries the query down and
         #    the aggregate back.
-        prune = self._pruner(q, radius) if indexed else None
+        distances, radii = ctx.ball_distances(q), ctx.ball_radii
+        prune = self._pruner(distances, radius) if indexed else None
         reached, hops, lost = ctx.walk(ctx.effective(origin), stats, prune)
         hops += ctx.entry_hops(initiator)
         ctx.charge(stats, query_values, hops)
@@ -251,8 +253,8 @@ class RangeQueryEngine:
         matches: set[Hashable] = set()
         pruned = included = descended = 0
         for root in reached:
-            center, r_root = ctx.routing_ball(root)
-            d_root = distance(q, center)
+            slot = ctx.ball_slot(root)
+            d_root, r_root = distances[slot], radii[slot]
             if d_root > radius + r_root:
                 pruned += 1
                 continue

@@ -52,12 +52,9 @@ class TagEngine:
         if self.base_station not in graph:
             raise KeyError(f"base station {self.base_station!r} not in graph")
         self.overlay = nx.bfs_tree(graph, self.base_station)
+        #: Number of edges in the overlay tree (it never changes).
+        self.tree_edges = self.overlay.number_of_edges()
         self._dim = int(next(iter(self.features.values())).shape[0])
-
-    @property
-    def tree_edges(self) -> int:
-        """Number of edges in the overlay tree."""
-        return self.overlay.number_of_edges()
 
     def per_query_cost(self) -> int:
         """Fixed cost: (dim+1) down + 1 up on every overlay edge."""

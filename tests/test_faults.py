@@ -333,11 +333,22 @@ def test_chaos_implicit_mode_self_heals():
     )
 
 
-def test_churn_only_run_makes_unclustered_nodes_singletons():
-    """Link flaps and no crash, explicit signalling, detection off: a node
-    the flaps cut off from every start signal and expansion ends the run
-    without a cluster.  Assembly makes it a singleton over the post-churn
-    graph; it used to pass a ``None`` root on and raise ``KeyError``."""
+#: (clusters, messages) of churn-only runs that completed before lost
+#: ack1s were handled.
+CHURN_ONLY_PINS = {9: (5, 237), 13: (5, 230), 19: (5, 457)}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_churn_only_run_returns_a_valid_clustering(seed):
+    """Link flaps and no crash, explicit signalling, detection off.
+
+    A node the flaps cut off from every start signal and expansion ends
+    the run without a cluster; assembly makes it a singleton over the
+    post-churn graph (it used to pass a ``None`` root on and raise
+    ``KeyError``).  A flap that drops a join's ``ack1`` leaves the parent
+    without that child; the child's episode then completes without an
+    ``ack2`` (it used to send one and the parent raised ``ack2
+    underflow``, in 17 of these 20 plans)."""
     from repro.geometry import QuadTreeDecomposition, Topology
 
     topology, features, metric = _grid_setup(7)
@@ -350,7 +361,7 @@ def test_churn_only_run_makes_unclustered_nodes_singletons():
     window = (0.05 * kappa, 0.75 * kappa)
     plan = FaultPlan.random(
         sorted(graph.nodes),
-        seed=9,
+        seed=seed,
         crash_fraction=0.0,
         crash_window=window,
         churn_edges=sorted(graph.edges),
@@ -366,7 +377,8 @@ def test_churn_only_run_makes_unclustered_nodes_singletons():
     assert not network.dead_nodes
     assert set(result.clustering.assignment) == set(network.graph.nodes)
     assert not validate_clustering(network.graph, result.clustering, features, metric, 1.0)
-    assert (result.num_clusters, result.total_messages) == (5, 237)
+    if seed in CHURN_ONLY_PINS:
+        assert (result.num_clusters, result.total_messages) == CHURN_ONLY_PINS[seed]
 
 
 def test_zero_fault_run_identical_with_and_without_injector():

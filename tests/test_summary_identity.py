@@ -6,7 +6,10 @@ node.  ``tests/summary_oracle.py`` keeps the loop it replaced: one BFS
 far side per direction and one scalar ``distance`` per (direction,
 cluster) pair.  Every case here requires the same key set, the same centre
 *objects* and ``==`` radii, and ``QueryContext.far_side`` equal to the
-oracle BFS on every edge direction.
+oracle BFS on every edge direction.  The per-query ball row
+(``QueryContext.ball_distances``) must equal one scalar ``distance`` per
+root ball bit for bit, and on 1-d features neither the planner build nor
+its estimates may make a scalar ``distance`` call.
 """
 
 import copy
@@ -51,11 +54,37 @@ def check_context(context: QueryContext, engine: RangeQueryEngine | None = None)
             assert context.far_side(src, dst) == summary_oracle.far_side(tree, src, dst)
 
 
+def check_ball_row(context: QueryContext) -> None:
+    """*context*'s ball row equals one scalar ``distance`` per root ball.
+
+    For every root ``r``, in ``clustering.roots`` order, the stacked ball
+    is ``routing_ball(effective(r))`` and the row entry is the scalar
+    distance to its centre, as the same Python float bit for bit.  A
+    backbone node's slot holds its own routing ball.
+    """
+    roots = context.clustering.roots
+    balls = [context.routing_ball(context.effective(root)) for root in roots]
+    assert context.ball_radii == [radius for _, radius in balls]
+    nodes = sorted(context.features, key=repr)
+    for q in (context.features[nodes[0]], context.features[nodes[-1]], balls[0][0]):
+        got = context.ball_distances(q)
+        want = [context.metric.distance(q, center) for center, _ in balls]
+        assert all(type(d) is float for d in got)
+        assert [d.hex() for d in got] == [d.hex() for d in want]
+    if context.backbone is not None:
+        for node in context.backbone.tree:
+            center, radius = context.routing_ball(node)
+            slot = context.ball_slot(node)
+            assert np.array_equal(context.ball_centers[slot], center)
+            assert context.ball_radii[slot] == radius
+
+
 @pytest.mark.parametrize("context", CONTEXTS)
 @pytest.mark.parametrize("stack_name", sorted(STACKS))
 def test_golden_planners_match_oracle(stack_name, context):
     planner = _planner(_stack(stack_name), context, MetricsRegistry())
     check_context(planner.context, planner._range)
+    check_ball_row(planner.context)
 
 
 def _cut_widest_edge(tree: nx.Graph) -> None:
@@ -122,7 +151,9 @@ def test_summaries_match_oracle_on_random_stacks(n, seed, delta, kind, feature_s
         mtree = build_mtree(clustering, features, metric)
 
     # Fault-free.
-    check_context(QueryContext(clustering, features, metric, mtree, stack["backbone"]))
+    context = QueryContext(clustering, features, metric, mtree, stack["backbone"])
+    check_context(context)
+    check_ball_row(context)
 
     # A dead root re-elected through reroute_around (the tree may split).
     candidates = sorted((r for r in clustering.roots if len(clustering.members(r)) >= 2), key=repr)
@@ -134,20 +165,16 @@ def test_summaries_match_oracle_on_random_stacks(n, seed, delta, kind, feature_s
     survivors.remove_node(dead)
     backbone = copy.deepcopy(stack["backbone"])
     backbone.reroute_around(survivors, dead, replacement)
-    check_context(
-        QueryContext(
-            clustering, features, metric, mtree, backbone,
-            dead={dead}, root_replacements={dead: replacement},
-        )
+    context = QueryContext(
+        clustering, features, metric, mtree, backbone,
+        dead={dead}, root_replacements={dead: replacement},
     )
+    check_context(context)
+    check_ball_row(context)
 
 
-def test_planner_build_makes_no_scalar_distance_call(monkeypatch):
-    # 1-d features: every summary row is one array expression.  A per-pair
-    # build makes 325 * 324 = 105,300 scalar calls on this stack.
-    stack = _scenario(400, 3, 0.05)
-    assert stack["clustering"].num_clusters == 325
-    metric = stack["metric"]
+def _count_scalar_distances(monkeypatch, metric) -> list[int]:
+    """Count every scalar ``distance`` call of *metric*'s type from now on."""
     scalar = type(metric).distance
     calls = [0]
 
@@ -156,8 +183,42 @@ def test_planner_build_makes_no_scalar_distance_call(monkeypatch):
         return scalar(self, a, b)
 
     monkeypatch.setattr(type(metric), "distance", counting)
-    QueryPlanner(
-        stack["graph"], stack["clustering"], stack["features"], metric,
+    return calls
+
+
+def _uncached_planner(stack):
+    return QueryPlanner(
+        stack["graph"], stack["clustering"], stack["features"], stack["metric"],
         stack["mtree"], stack["backbone"],
     )
+
+
+def test_planner_build_makes_no_scalar_distance_call(monkeypatch):
+    # 1-d features: every summary row is one array expression.  A per-pair
+    # build makes 325 * 324 = 105,300 scalar calls on this stack.
+    stack = _scenario(400, 3, 0.05)
+    assert stack["clustering"].num_clusters == 325
+    calls = _count_scalar_distances(monkeypatch, stack["metric"])
+    _uncached_planner(stack)
     assert calls[0] == 0
+
+
+def test_planner_estimates_make_no_scalar_distance_call(monkeypatch):
+    # Every estimate reads the query's one ball row; a scalar call per
+    # root ball makes 325 per plan here, plus one per pruner test.
+    stack = _scenario(400, 3, 0.05)
+    planner = _uncached_planner(stack)
+    nodes = sorted(stack["graph"].nodes, key=repr)
+    features = stack["features"]
+    calls = _count_scalar_distances(monkeypatch, stack["metric"])
+    plans = {
+        "range": lambda: planner.plan_range(features[nodes[7]], 0.05, nodes[0]),
+        "knn": lambda: planner.plan_knn(features[nodes[7]], 5, nodes[0]),
+        "path": lambda: planner.plan_path(nodes[0], nodes[-1], features[nodes[7]], 0.05),
+    }
+    made = {}
+    for op, plan in plans.items():
+        calls[0] = 0
+        plan()
+        made[op] = calls[0]
+    assert made == {"range": 0, "knn": 0, "path": 0}
