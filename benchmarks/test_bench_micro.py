@@ -107,7 +107,7 @@ def _delivery_network(model, side=12):
     if "loss" in kwargs:
         kwargs["loss"] = kwargs["loss"]()
     topology = grid_topology(side, side)
-    network = Network(topology.graph, EventKernel(), **kwargs)
+    network = Network(topology.graph, **kwargs)
     nodes = {v: _Sink(v, network) for v in topology.graph.nodes}
     return network, nodes
 
@@ -139,7 +139,7 @@ def test_send_throughput_traced(benchmark):
 
     topology = grid_topology(12, 12)
     tracer = Tracer()
-    network = Network(topology.graph, EventKernel(), tracer=tracer)
+    network = Network(topology.graph, tracer=tracer)
     nodes = {v: _Sink(v, network) for v in topology.graph.nodes}
     edges = list(network.graph.edges)
 

@@ -41,7 +41,7 @@ from repro.core.delta import Clustering, clustering_from_assignment
 from repro.features.metrics import Metric
 from repro.geometry.topology import Topology
 from repro.sim.messages import Message
-from repro.sim.network import Network
+from repro.sim.network import HOP_DELAY, Network
 from repro.sim.node import ProtocolNode
 from repro.sim.stats import MessageStats
 
@@ -114,7 +114,7 @@ class SpanningForestNode(ProtocolNode):
             self.send(self.parent, "select")
         # All selects arrive one hop later; then nodes know their children
         # and leaves can start the height cascade.
-        self.set_timer(2.0 * self.network.hop_delay, self._begin_heights)
+        self.set_timer(2.0 * HOP_DELAY, self._begin_heights)
 
     def handle_select(self, message: Message) -> None:
         """Record a neighbour that chose this node as forest parent."""

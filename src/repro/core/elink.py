@@ -106,7 +106,7 @@ from repro.geometry.quadtree import QuadTreeDecomposition
 from repro.geometry.topology import Topology
 from repro.sim.faults import FaultInjector
 from repro.sim.messages import Message
-from repro.sim.network import Network
+from repro.sim.network import HOP_DELAY, Network
 from repro.sim.node import ProtocolNode
 from repro.sim.stats import MessageStats
 
@@ -892,14 +892,14 @@ def _id_less(a: Hashable, b: Hashable) -> bool:
         return repr(a) < repr(b)
 
 
-def compute_kappa(n: int, gamma: float, hop_delay: float = 1.0) -> float:
+def compute_kappa(n: int, gamma: float) -> float:
     """κ = (1+γ)·√(N/2) — worst-case root-to-anywhere clustering time (§4)."""
-    return (1.0 + gamma) * math.sqrt(n / 2.0) * hop_delay
+    return (1.0 + gamma) * math.sqrt(n / 2.0) * HOP_DELAY
 
 
-def implicit_schedule(n: int, depth: int, gamma: float, hop_delay: float = 1.0) -> list[float]:
+def implicit_schedule(n: int, depth: int, gamma: float) -> list[float]:
     """Start times ``T_l = Σ_{j<l} t_j`` for sentinel levels 0..depth (§4)."""
-    kappa = compute_kappa(n, gamma, hop_delay)
+    kappa = compute_kappa(n, gamma)
     durations = [kappa * (2.0 - 2.0 ** (-level)) for level in range(depth + 1)]
     starts = [0.0]
     for level in range(1, depth + 1):
@@ -1034,8 +1034,8 @@ def run_elink(
     )
     n, depth = topology.num_nodes, quadtree.depth
     if config.signalling == "implicit":
-        kappa = compute_kappa(n, config.gamma, network.hop_delay)
-        starts = implicit_schedule(n, depth, config.gamma, network.hop_delay)
+        kappa = compute_kappa(n, config.gamma)
+        starts = implicit_schedule(n, depth, config.gamma)
         protocol_time = starts[-1] + kappa * (2.0 - 2.0 ** (-depth))
     elif config.signalling == "unordered":
         # §5: simultaneous expansion finishes within 2κ — the measured
@@ -1119,7 +1119,7 @@ def _run_handlers(
         cell_fallbacks = quadtree.takeover_orders()
         patience = max(
             3.0 * config.ack_window * network.max_hop_delay,
-            2.5 * compute_kappa(n, config.gamma, network.hop_delay),
+            2.5 * compute_kappa(n, config.gamma),
         )
         for elink_node in nodes.values():
             elink_node._cell_fallbacks = cell_fallbacks
@@ -1132,7 +1132,7 @@ def _run_handlers(
     # node's pending start (schedule_owned wraps the same kernel.schedule
     # call: identical event sequence numbers, byte-identical zero-fault).
     if config.signalling == "implicit":
-        starts = implicit_schedule(n, depth, config.gamma, network.hop_delay)
+        starts = implicit_schedule(n, depth, config.gamma)
         for level, sentinels in enumerate(quadtree.sentinel_sets):
             for sentinel in sentinels:
                 network.schedule_owned(

@@ -58,9 +58,9 @@ import numpy as np
 from repro.core.elink import ELinkConfig, FinalState, implicit_schedule
 from repro.features.metrics import EuclideanMetric, Metric
 from repro.geometry.quadtree import QuadTreeDecomposition
-from repro.geometry.topology import Topology
+from repro.geometry.topology import Topology, adjacency_arrays
 from repro.sim.messages import CATEGORY_CLUSTERING, CATEGORY_SYNC
-from repro.sim.network import Network
+from repro.sim.network import HOP_DELAY, Network
 
 if TYPE_CHECKING:
     from repro.sim.faults import FaultInjector
@@ -156,15 +156,12 @@ class _VectorRun:
         self.network = network
         self.kernel = network.kernel
         self.stats = network.stats
-        self.hd = network.hop_delay
         self.explicit = config.signalling == "explicit"
 
-        # The network's CSR adjacency: rows in node-index order, neighbours
-        # in ``graph.adj`` order (the handler engine's delivery order).
-        self.nodes = nodes = network._node_list
-        self.index = index = network._node_index
-        self.indptr = network._indptr
-        self.indices = network._indices
+        # The network's adjacency as CSR rows, neighbours in ``graph.adj``
+        # order (the handler engine's delivery order).
+        nodes, index, self.indptr, self.indices = adjacency_arrays(network.graph)
+        self.nodes, self.index = nodes, index
         self.n = len(nodes)
 
         lvl_of = quadtree.level_of
@@ -257,7 +254,7 @@ class _VectorRun:
         self.parent_idx[i] = -1
         self.clustered_at[i] = now
         ep = self._open_episode(i, -1, -1) if self.explicit else -1
-        self._push_expand(now + self.hd, i, val, i, m, ep)
+        self._push_expand(now + HOP_DELAY, i, val, i, m, ep)
         if self.explicit:
             self._push_scalar(
                 now + self.config.ack_window * self.network.max_hop_delay,
@@ -275,10 +272,10 @@ class _VectorRun:
         self.clustered_at[i] = now
         ep = self._open_episode(i, via, parent_ep) if self.explicit else -1
         # Serial _open_episode order: broadcast, then ack1, then leaf timer.
-        self._push_expand(now + self.hd, i, val, root, m, ep)
+        self._push_expand(now + HOP_DELAY, i, val, root, m, ep)
         if self.explicit:
             self.stats.charge("ack1", CATEGORY_CLUSTERING, 1, 1)
-            self._push_scalar(now + self.hd, self._fire_ack1, parent_ep, i)
+            self._push_scalar(now + HOP_DELAY, self._fire_ack1, parent_ep, i)
             self._push_scalar(
                 now + self.config.ack_window * self.network.max_hop_delay,
                 self._fire_timeout,
@@ -411,7 +408,10 @@ class _VectorRun:
         if parent >= 0:
             self.stats.charge("ack2", CATEGORY_CLUSTERING, 1, 1)
             self._push_scalar(
-                self.kernel.now + self.hd, self._fire_ack2, self.ep_parent_ep[ep], self.ep_owner[ep]
+                self.kernel.now + HOP_DELAY,
+                self._fire_ack2,
+                self.ep_parent_ep[ep],
+                self.ep_owner[ep],
             )
         else:
             owner = self.ep_owner[ep]
@@ -419,14 +419,14 @@ class _VectorRun:
 
     def _route(self, src: int, dst: int, kind: str, fire, *args) -> None:
         """Mirror ``Network.route`` on the fast path: hop-count charge,
-        one delivery push at ``hops × hop_delay`` (self-routes are free and
+        one delivery push at ``hops × HOP_DELAY`` (self-routes are free and
         land after one processing delay)."""
         hops = self.network.hop_distance(self.nodes[src], self.nodes[dst])
         if hops == 0:
-            self._push_scalar(self.kernel.now + self.hd, fire, *args)
+            self._push_scalar(self.kernel.now + HOP_DELAY, fire, *args)
             return
         self.stats.charge(kind, CATEGORY_SYNC, 1, hops)
-        self._push_scalar(self.kernel.now + hops * self.hd, fire, *args)
+        self._push_scalar(self.kernel.now + hops * HOP_DELAY, fire, *args)
 
     def _expected_phase1(self, i: int, round_level: int) -> int:
         subtree_max = self.subtree_max
@@ -486,7 +486,7 @@ class _VectorRun:
         depth = self.quadtree.depth
 
         if config.signalling == "implicit":
-            starts = implicit_schedule(n, depth, config.gamma, network.hop_delay)
+            starts = implicit_schedule(n, depth, config.gamma)
             now = kernel.now
             for level in range(len(self.quadtree.sentinel_sets)):
                 time = now + max(starts[level] - now, 0.0)

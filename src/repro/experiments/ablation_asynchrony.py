@@ -7,7 +7,7 @@ finished, re-introducing cross-level contention.  Explicit signalling
 orders levels by messages and is correct for *any* delay distribution.
 
 This ablation sweeps per-hop delay jitter (each hop takes
-``hop_delay · (1 + U(0, jitter))``) and reports both modes' cluster
+``HOP_DELAY · (1 + U(0, jitter))``) and reports both modes' cluster
 quality.  Measured outcome (recorded in EXPERIMENTS.md): δ-validity is
 *never* at risk for either mode — the δ/2 join rule is local — and on the
 54-node Tao grid even heavy jitter barely moves implicit quality, because

@@ -123,6 +123,32 @@ class Topology:
         return self.num_nodes > 0 and nx.is_connected(self.graph)
 
 
+def adjacency_arrays(
+    graph: nx.Graph,
+) -> tuple[list[Hashable], dict[Hashable, int], np.ndarray, np.ndarray]:
+    """*graph*'s adjacency as compressed sparse rows over a node index.
+
+    Returns ``(nodes, index, indptr, indices)``: the nodes in graph order,
+    each node's position in that list, and int64 row pointers and
+    neighbour positions such that row ``i`` lists node ``i``'s neighbours,
+    ``indices[indptr[i]:indptr[i + 1]]``, in ``graph.adj`` insertion
+    order — the order the simulator's deliveries and BFS tie-breaks read.
+    A self-loop lists its node once in its own row.
+    """
+    adj = graph._adj
+    nodes = list(adj)
+    index = {v: i for i, v in enumerate(nodes)}
+    degree = np.fromiter(map(len, adj.values()), dtype=np.int64, count=len(nodes))
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(adj.values())),
+        dtype=np.int64,
+        count=int(indptr[-1]),
+    )
+    return nodes, index, indptr, indices
+
+
 def grid_topology(rows: int, cols: int, *, spacing: float = 1.0) -> Topology:
     """A rows × cols grid with 4-neighbourhood links (node ids ``r*cols+c``).
 

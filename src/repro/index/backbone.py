@@ -26,6 +26,7 @@ import networkx as nx
 import numpy as np
 
 from repro.core.delta import Clustering
+from repro.geometry.topology import adjacency_arrays
 from repro.sim.messages import CATEGORY_DATA, Message
 from repro.sim.stats import MessageStats
 
@@ -156,22 +157,15 @@ def _root_pairs(
     themselves graph neighbours.
     """
     position = {root: k for k, root in enumerate(roots)}
-    index = {node: i for i, node in enumerate(graph.adj)}
+    nodes, index, indptr, heads = adjacency_arrays(graph)
+    degree = np.diff(indptr)
     # Only nodes with an edge need a cluster: graph.edges is all that is read.
     cluster = np.fromiter(
-        (position[assignment[node]] if nbrs else -1 for node, nbrs in graph.adjacency()),
+        (position[assignment[node]] if d else -1 for node, d in zip(nodes, degree.tolist())),
         dtype=np.int64,
-        count=len(index),
+        count=len(nodes),
     )
-    degree = np.fromiter(
-        (len(nbrs) for _, nbrs in graph.adjacency()), dtype=np.int64, count=len(index)
-    )
-    heads = np.fromiter(
-        (index[other] for _, nbrs in graph.adjacency() for other in nbrs),
-        dtype=np.int64,
-        count=int(degree.sum()),
-    )
-    tails = np.repeat(np.arange(len(index)), degree)
+    tails = np.repeat(np.arange(len(nodes)), degree)
     # graph.edges lists each edge once, from its earlier node, in
     # adjacency order: the forward half-edges, in this order (a self-loop
     # never joins two clusters).

@@ -9,7 +9,7 @@ implicit-signalling schedule of ELink — runs as callbacks on one
 Determinism: events run in ``(time, seq)`` order — by timestamp, and at
 one timestamp in scheduling order (FIFO).  The simulator's dominant
 workload is many events sharing few distinct timestamps (the jitter-free
-fast path delivers every hop at ``now + hop_delay``, and the implicit
+fast path delivers every hop at ``now + HOP_DELAY``, and the implicit
 ELink schedule starts whole sentinel levels at the same instant), so
 entries live in append-only per-timestamp buckets and a heap orders only
 the distinct timestamps.  Draining a bucket front to back *is* sequence
@@ -243,40 +243,6 @@ class EventKernel:
         if until is not None and until > self.now:
             self.now = until
         return self.now
-
-    def step(self) -> bool:
-        """Execute the single next pending event.  Returns False if none."""
-        tracer = self.tracer
-        times = self._times
-        buckets = self._buckets
-        while times:
-            time = times[0]
-            bucket = buckets.get(time)
-            if not bucket:
-                heapq.heappop(times)
-                if bucket is not None:
-                    del buckets[time]
-                continue
-            event, callback, args = bucket.popleft()
-            self._pending -= 1
-            if event is not None and event.cancelled:
-                if tracer is not None:
-                    tracer.emit(time, "timer.skip", event.owner, callback=_callback_name(callback))
-                continue
-            self.now = time
-            if event is not None:
-                event.fired = True
-                if tracer is not None:
-                    tracer.emit(time, "timer.fire", event.owner, callback=_callback_name(callback))
-            if self.profiler is None:
-                callback(*args)
-            else:
-                started = perf_counter()
-                callback(*args)
-                self.profiler.record(callback, perf_counter() - started)
-            self._events_executed += 1
-            return True
-        return False
 
     def __repr__(self) -> str:
         return f"EventKernel(now={self.now:.3f}, pending={self.pending})"

@@ -2,9 +2,10 @@
 
 The :class:`Network` wraps a communication graph (``networkx.Graph``) and an
 :class:`~repro.sim.kernel.EventKernel`.  It delivers messages between
-registered node objects with a fixed per-hop delay (the paper's §4 cost
-model: "the worst-case delay over a hop is a single time unit") and charges
-every transmission to a :class:`~repro.sim.stats.MessageStats` accumulator.
+registered node objects with a fixed per-hop delay, :data:`HOP_DELAY` (the
+paper's §4 cost model: "the worst-case delay over a hop is a single time
+unit"), and charges every transmission to a
+:class:`~repro.sim.stats.MessageStats` accumulator.
 
 Delivery modes:
 
@@ -33,24 +34,21 @@ to or from an id that is neither a live nor a crashed node raises
 
 Performance notes (see DESIGN.md §8):
 
-- **CSR adjacency.**  Construction builds compressed-sparse-row arrays
-  (``indptr``/``indices`` over a node index) in ``graph.adj`` insertion
-  order — the order BFS tie-breaking depends on.  Neighbour tuples are
-  *materialized lazily* from the CSR rows the first time a node's row is
-  touched (``_CSRRows``), so constructing a million-node network
-  allocates two numpy arrays and one index dict, not N Python tuples.
-  Topology changes go through the mutators :meth:`remove_node` /
-  :meth:`restore_node` / :meth:`remove_edge` / :meth:`restore_edge`,
-  which clear the distance trees and patch the affected rows in place
-  (O(local degree) per fault event); unpatched rows remain valid
-  snapshots of the construction-time topology.  Hand-mutating
-  ``self.graph`` requires a manual :meth:`invalidate_paths` (full
-  rebuild).
+- **One adjacency.**  The network keeps no copy of the graph's neighbour
+  lists: it reads ``graph._adj``, networkx's insertion-ordered neighbour
+  dicts — the order deliveries and BFS tie-breaking depend on — so
+  construction makes no pass over nodes or edges.  The mutators
+  :meth:`remove_node` / :meth:`restore_node` / :meth:`remove_edge` /
+  :meth:`restore_edge` change that same structure through networkx
+  (removals keep the survivors' order, re-adds append), so a send sees
+  every change at once, a hand-added edge included.  The batch engine
+  and the backbone read the same rows as arrays through
+  :func:`~repro.geometry.topology.adjacency_arrays`.
 - When ``jitter == 0 and loss is None`` (the paper's synchronous reliable
   model, and the default) deliveries take a zero-overhead fast path:
   constant hop delay, no RNG call, no per-attempt loop.
 - **Cohort-batched delivery.**  On that fast path every hop arrives at
-  ``now + hop_delay``, so consecutive sends target the same timestamp.
+  ``now + HOP_DELAY``, so consecutive sends target the same timestamp.
   ``_post_delivery`` groups them into one *cohort*: a single kernel event
   that drains the whole same-timestamp message list in one callback.  A
   cohort accepts appends only while the kernel has seen **no push of any
@@ -77,8 +75,8 @@ Performance notes (see DESIGN.md §8):
   holds the source (the graph is undirected).  Every mutator and
   :meth:`invalidate_paths` clears all trees.  Their total size is bounded
   without a parameter: once the trees hold more than
-  ``TREE_BUDGET_PER_NODE`` distances per node they are all dropped and
-  regrow on demand, which changes no answer.
+  ``TREE_BUDGET_PER_NODE`` distances per node the network was built with,
+  they are all dropped and regrow on demand, which changes no answer.
 """
 
 from __future__ import annotations
@@ -91,20 +89,25 @@ if TYPE_CHECKING:  # import-light: the tracer is only ever held, never built her
 import networkx as nx
 import numpy as np
 
-from repro._validation import require_non_negative, require_positive
+from repro._validation import require_non_negative
 from repro.sim.kernel import Event, EventKernel
 from repro.sim.messages import Message
 from repro.sim.radio import LossyLinkModel
 from repro.sim.stats import MessageStats
+
+#: Simulated time for one hop: the paper's §4 unit ("the worst-case delay
+#: over a hop is a single time unit").  A float, so kernel time stays one.
+HOP_DELAY = 1.0
 
 #: Batch size for pre-drawn jitter samples.
 _JITTER_CHUNK = 256
 
 #: Bound on the distance trees behind :meth:`Network.hop_distance`: all
 #: trees are cleared once they hold more than this many distances per
-#: node.  Measured peaks are ~30 per node on chaos_1000 and at most 8 on
-#: explicit grids up to 4·10⁴ nodes, so the bound only stops all-to-one
-#: patterns, which would store ~N²/2 distances, from growing unbounded.
+#: node the network was built with.  Measured peaks are ~30 per node on
+#: chaos_1000 and at most 8 on explicit grids up to 4·10⁴ nodes, so the
+#: bound only stops all-to-one patterns, which would store ~N²/2
+#: distances, from growing unbounded.
 TREE_BUDGET_PER_NODE = 64
 
 
@@ -116,52 +119,20 @@ class MessageHandler(Protocol):
         ...
 
 
-class _CSRRows(dict):
-    """``node -> row`` mapping materialized on demand from CSR storage.
-
-    Behaves like an eagerly precomputed dict: item access and
-    ``in``/``get`` consult the owning network's CSR index for rows not yet
-    materialized.  Mutated rows are stored directly (dict assignment),
-    shadowing the CSR snapshot from then on.
-    """
-
-    __slots__ = ("_net", "_cast")
-
-    def __init__(self, net: "Network", cast):
-        super().__init__()
-        self._net = net
-        self._cast = cast
-
-    def __missing__(self, key):
-        row = self._cast(self._net._csr_row(key))
-        self[key] = row
-        return row
-
-    def __contains__(self, key):
-        return dict.__contains__(self, key) or self._net._csr_has_row(key)
-
-    def get(self, key, default=None):
-        if dict.__contains__(self, key):
-            return dict.__getitem__(self, key)
-        if self._net._csr_has_row(key):
-            return self[key]
-        return default
-
-
 class Network:
     """Message-passing layer over a communication graph.
 
     Parameters
     ----------
     graph:
-        The communication graph *CG*.  Nodes are arbitrary hashables.
-    kernel:
-        The event kernel driving delivery; a fresh one is created if omitted.
-    hop_delay:
-        Simulated time for one hop (default 1.0, the paper's unit delay).
+        The communication graph *CG*.  Nodes are arbitrary hashables.  The
+        network reads its neighbour dicts in place, and :attr:`kernel`, a
+        fresh :class:`~repro.sim.kernel.EventKernel`, drives delivery.
     jitter:
-        Asynchrony: each hop takes ``hop_delay * (1 + U(0, jitter))``
+        Asynchrony: each hop takes ``HOP_DELAY * (1 + U(0, jitter))``
         (default 0 — the paper's synchronous unit-delay model).
+    jitter_seed:
+        Seed of the jitter samples.
     loss:
         Optional :class:`~repro.sim.radio.LossyLinkModel`; failed hop
         transmissions are retransmitted (ARQ), inflating cost and delay.
@@ -180,9 +151,7 @@ class Network:
     def __init__(
         self,
         graph: nx.Graph,
-        kernel: EventKernel | None = None,
         *,
-        hop_delay: float = 1.0,
         jitter: float = 0.0,
         jitter_seed: int = 0,
         loss: "LossyLinkModel | None" = None,
@@ -191,9 +160,10 @@ class Network:
         if graph.number_of_nodes() == 0:
             raise ValueError("communication graph must have at least one node")
         self.graph = graph
-        self.kernel = kernel if kernel is not None else EventKernel()
-        self.hop_delay = require_positive(hop_delay, "hop_delay")
-        #: Asynchrony: each hop takes hop_delay * (1 + U(0, jitter)).  The
+        #: Neighbour dicts, in BFS order: the graph's own, shared.
+        self._adj: dict[Hashable, dict[Hashable, dict]] = graph._adj
+        self.kernel = EventKernel()
+        #: Asynchrony: each hop takes HOP_DELAY * (1 + U(0, jitter)).  The
         #: paper's implicit timers absorb jitter only up to the stretch
         #: factor γ; explicit signalling is correct for any jitter.
         self.jitter = require_non_negative(jitter, "jitter")
@@ -225,94 +195,14 @@ class Network:
         if tracer is not None:
             self.kernel.tracer = tracer
         #: Per-source BFS distance trees (:meth:`hop_distance`):
-        #: ``src -> (depths, frontier, frontier depth)``, and the number of
-        #: depths they hold between them.
+        #: ``src -> (depths, frontier, frontier depth)``, the number of
+        #: depths they hold between them, and the bound on that number.
         self._trees: dict[Hashable, tuple[dict[Hashable, int], list[Hashable], int]] = {}
         self._tree_size = 0
+        self._tree_budget = TREE_BUDGET_PER_NODE * graph.number_of_nodes()
         #: Open delivery cohorts: time -> (message list, kernel.pushes at
         #: the moment the cohort's kernel event was queued).
         self._cohorts: dict[float, tuple[list, int]] = {}
-        self._rebuild_adjacency()
-
-    # ------------------------------------------------------------------
-    # CSR adjacency
-    # ------------------------------------------------------------------
-    def _rebuild_adjacency(self) -> None:
-        graph = self.graph
-        nodes = list(graph.nodes)
-        index = {v: i for i, v in enumerate(nodes)}
-        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-        indices = np.empty(2 * graph.number_of_edges(), dtype=np.int64)
-        pos = 0
-        for i, (_, nbrs) in enumerate(graph.adj.items()):
-            for w in nbrs:
-                indices[pos] = index[w]
-                pos += 1
-            indptr[i + 1] = pos
-        self._node_list = nodes
-        self._node_index = index
-        self._indptr = indptr
-        self._indices = indices
-        #: Crashed nodes whose CSR row must not be materialized again.
-        self._removed_rows: set[Hashable] = set()
-        #: Neighbour tuples, in BFS order.
-        self._adj: dict[Hashable, tuple[Hashable, ...]] = _CSRRows(self, tuple)
-
-    def _csr_row(self, key) -> tuple:
-        """Materialize *key*'s neighbour tuple from the CSR snapshot."""
-        i = self._node_index[key]  # KeyError for unknown nodes, as eager dicts give
-        if key in self._removed_rows:
-            raise KeyError(key)
-        start, end = self._indptr[i], self._indptr[i + 1]
-        return tuple(map(self._node_list.__getitem__, self._indices[start:end].tolist()))
-
-    def _csr_has_row(self, key) -> bool:
-        return key in self._node_index and key not in self._removed_rows
-
-    # ------------------------------------------------------------------
-    # incremental adjacency patches (fault mutators)
-    #
-    # The mutators used to call invalidate_paths(), re-deriving the whole
-    # adjacency (O(N+E)) on every crash/churn event.  Each patch below
-    # touches only the affected rows (O(sum of their degrees)) and
-    # reproduces the exact row contents and ordering a full rebuild from
-    # ``self.graph`` would give: networkx adjacency views iterate in edge
-    # insertion order, removals preserve the order of survivors, and
-    # re-adds append — so filtering/appending tuples matches a rebuild
-    # element for element (the equivalence is pinned in tests).  Patched
-    # rows are materialized and stored, shadowing the CSR snapshot.
-    # ------------------------------------------------------------------
-    def _adjacency_drop_node(self, node_id: Hashable, neighbours: Iterable[Hashable]) -> None:
-        """Patch adjacency after *node_id* left ``self.graph``."""
-        self._removed_rows.add(node_id)
-        adj = self._adj
-        for nbr in neighbours:
-            adj[nbr] = tuple(x for x in adj[nbr] if x != node_id)
-        # Drop any materialized copy; the _removed_rows mark stops the CSR
-        # snapshot from resurrecting the row on later access.
-        adj.pop(node_id, None)
-
-    def _adjacency_add_node(self, node_id: Hashable) -> None:
-        """Patch adjacency after *node_id* (re)joined ``self.graph``."""
-        self._removed_rows.discard(node_id)
-        adj = self._adj
-        row = tuple(self.graph.adj[node_id])
-        adj[node_id] = row
-        for nbr in row:
-            if node_id not in adj[nbr]:
-                adj[nbr] += (node_id,)
-
-    def _adjacency_drop_edge(self, u: Hashable, v: Hashable) -> None:
-        """Patch adjacency after edge *u*—*v* left ``self.graph``."""
-        adj = self._adj
-        adj[u] = tuple(x for x in adj[u] if x != v)
-        adj[v] = tuple(x for x in adj[v] if x != u)
-
-    def _adjacency_add_edge(self, u: Hashable, v: Hashable) -> None:
-        """Patch adjacency after edge *u*—*v* (re)joined ``self.graph``."""
-        adj = self._adj
-        adj[u] += (v,)
-        adj[v] += (u,)
 
     @property
     def tracer(self) -> "Tracer | None":
@@ -332,11 +222,11 @@ class Network:
     @property
     def max_hop_delay(self) -> float:
         """Worst-case single-transmission delay under the jitter model."""
-        return self.hop_delay * (1.0 + self.jitter)
+        return HOP_DELAY * (1.0 + self.jitter)
 
     def _sample_hop_delay(self) -> float:
         if self.jitter == 0.0:
-            return self.hop_delay
+            return HOP_DELAY
         buffer = self._jitter_buffer
         if buffer is None or self._jitter_cursor >= buffer.shape[0]:
             buffer = self._jitter_rng.uniform(0.0, self.jitter, size=_JITTER_CHUNK)
@@ -344,7 +234,7 @@ class Network:
             self._jitter_cursor = 0
         value = buffer[self._jitter_cursor]
         self._jitter_cursor += 1
-        return self.hop_delay * (1.0 + float(value))
+        return HOP_DELAY * (1.0 + float(value))
 
     def _hop_cost(self, message: Message) -> int:
         """Charge one hop (with retransmissions under loss); returns the
@@ -370,9 +260,9 @@ class Network:
         except KeyError:
             raise KeyError(f"no handler registered for node {node_id!r}") from None
 
-    def neighbors(self, node_id: Hashable) -> Iterable[Hashable]:
-        """Neighbours in the underlying structure."""
-        return self._adj[node_id]
+    def neighbors(self, node_id: Hashable) -> tuple[Hashable, ...]:
+        """Neighbours of *node_id*, in BFS order."""
+        return tuple(self._adj[node_id])
 
     def degree(self, node_id: Hashable) -> int:
         """Degree of *node_id* in the communication graph."""
@@ -407,7 +297,7 @@ class Network:
             self.stats.record(message)
             if self._tracer is not None:
                 self._trace_send(message)
-            self._post_delivery(self.hop_delay, message)
+            self._post_delivery(HOP_DELAY, message)
             return True
         attempts = self._hop_cost(message)
         delay = sum(self._sample_hop_delay() for _ in range(attempts))
@@ -474,7 +364,7 @@ class Network:
     def route(self, message: Message) -> int:
         """Deliver *message* along a shortest path; returns the hop count.
 
-        Cost: ``values × hops``; delay: ``hops × hop_delay``.  A message to
+        Cost: ``values × hops``; delay: ``hops × HOP_DELAY``.  A message to
         self is free and delivered after one delay unit (processing time).
 
         After a topology fault, an unreachable/dead destination yields a
@@ -514,12 +404,12 @@ class Network:
                 hops=hops,
             )
         if hops == 0:
-            self._post_delivery(self.hop_delay, message)
+            self._post_delivery(HOP_DELAY, message)
             return 0
         if self._fast:
             # One stats record covers all hops (counters are additive).
             self.stats.record(message, hops=hops)
-            self._post_delivery(hops * self.hop_delay, message)
+            self._post_delivery(hops * HOP_DELAY, message)
             return hops
         delay = 0.0
         for _ in range(hops):
@@ -589,21 +479,20 @@ class Network:
         Cancels every pending timer registered for the node via
         :meth:`schedule_owned`, marks it dead (so in-flight deliveries to it
         drop), mutates ``self.graph`` and clears the distance trees.
-        Returns the node's neighbours at crash time, for a later
-        :meth:`restore_node`.  Idempotent: crashing a dead node returns
-        ``()``.
+        Returns the node's neighbours at crash time, in BFS order, for a
+        later :meth:`restore_node`.  Idempotent: crashing a dead node
+        returns ``()``.
         """
         if node_id in self.dead_nodes:
             return ()
         if node_id not in self._adj:
             raise KeyError(f"node {node_id!r} is not in the communication graph")
-        neighbours = self._adj[node_id]
+        neighbours = tuple(self._adj[node_id])
         self.cancel_owned(node_id)
         self.graph.remove_node(node_id)
         self.dead_nodes.add(node_id)
         self._mutated = True
         self._clear_trees()
-        self._adjacency_drop_node(node_id, neighbours)
         if self._tracer is not None:
             self._tracer.emit(
                 self.kernel.now, "node.crash", node_id, degree=len(neighbours)
@@ -625,7 +514,6 @@ class Network:
         self.dead_nodes.discard(node_id)
         self._mutated = True
         self._clear_trees()
-        self._adjacency_add_node(node_id)
         if self._tracer is not None:
             self._tracer.emit(
                 self.kernel.now, "node.recover", node_id, degree=self.graph.degree(node_id)
@@ -639,7 +527,6 @@ class Network:
         self._removed_edges.add(frozenset((u, v)))
         self._mutated = True
         self._clear_trees()
-        self._adjacency_drop_edge(u, v)
         if self._tracer is not None:
             self._tracer.emit(self.kernel.now, "link.down", u, other=v)
         return True
@@ -656,7 +543,6 @@ class Network:
         self.graph.add_edge(u, v)
         self._mutated = True
         self._clear_trees()
-        self._adjacency_add_edge(u, v)
         if self._tracer is not None:
             self._tracer.emit(self.kernel.now, "link.up", u, other=v)
         return True
@@ -736,7 +622,7 @@ class Network:
         trees[src] = (depths, frontier, depth)
         self._tree_size += len(depths) - size
         found = depths.get(dst)
-        if self._tree_size > TREE_BUDGET_PER_NODE * len(self._node_list):
+        if self._tree_size > self._tree_budget:
             self._clear_trees()
         if found is None:
             raise nx.NetworkXNoPath(f"no path from {src!r} to {dst!r}")
@@ -765,20 +651,17 @@ class Network:
                 raise nx.NodeNotFound(f"node {node!r} is not in the communication graph")
 
     def invalidate_paths(self) -> None:
-        """Resynchronize with ``self.graph`` after a topology mutation.
+        """Drop the BFS distance trees after a hand-mutation of ``self.graph``.
 
-        The network precomputes adjacency and keeps BFS distance trees, so
-        any *hand*-mutation of ``self.graph`` MUST be followed by a call to
-        this method; otherwise sends keep validating against the old
-        adjacency and routes are charged stale hop counts.  Prefer the
-        mutators (:meth:`remove_node` / :meth:`restore_node` /
-        :meth:`remove_edge` / :meth:`restore_edge`), which patch the
-        affected adjacency rows incrementally (O(local degree) per event,
-        not O(N+E)) and additionally maintain the structured-failure
-        bookkeeping.
+        Sends read the graph's own neighbour dicts and see such a change at
+        once, but :meth:`hop_distance` answers from trees grown over the
+        old topology, so routes are charged stale hop counts until this is
+        called.  Prefer the mutators (:meth:`remove_node` /
+        :meth:`restore_node` / :meth:`remove_edge` / :meth:`restore_edge`),
+        which clear the trees themselves and also keep the
+        structured-failure bookkeeping.
         """
         self._clear_trees()
-        self._rebuild_adjacency()
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Drain the event kernel (convenience passthrough)."""

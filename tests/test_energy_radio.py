@@ -9,7 +9,6 @@ from repro.features import EuclideanMetric
 from repro.geometry import grid_topology
 from repro.sim import (
     EnergyModel,
-    EventKernel,
     LossyLinkModel,
     Message,
     Network,
@@ -24,7 +23,7 @@ class Sink(ProtocolNode):
 
 def _network(**kwargs):
     graph = nx.path_graph(4)
-    network = Network(graph, EventKernel(), **kwargs)
+    network = Network(graph, **kwargs)
     for v in graph.nodes:
         Sink(v, network, np.zeros(1))
     return network
@@ -106,7 +105,7 @@ def test_elink_valid_under_loss_every_mode():
     }
     metric = EuclideanMetric()
     for mode, window in (("implicit", 2.5), ("unordered", 2.5), ("explicit", 40.0)):
-        network = Network(topology.graph, EventKernel(), loss=LossyLinkModel(0.2, seed=1))
+        network = Network(topology.graph, loss=LossyLinkModel(0.2, seed=1))
         result = run_elink(
             topology,
             features,
@@ -130,6 +129,10 @@ def test_expected_inflation_formula():
 def test_jitter_validation():
     with pytest.raises(ValueError):
         _network(jitter=-0.5)
+    # Non-finite jitter would make every sampled hop delay nan/inf.
+    for jitter in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="jitter must be finite"):
+            _network(jitter=jitter)
 
 
 def test_jitter_inflates_delay_not_cost():
@@ -153,7 +156,7 @@ def test_elink_valid_under_jitter_both_modes():
     }
     metric = EuclideanMetric()
     for mode in ("implicit", "explicit"):
-        network = Network(topology.graph, EventKernel(), jitter=1.5, jitter_seed=2)
+        network = Network(topology.graph, jitter=1.5, jitter_seed=2)
         result = run_elink(
             topology, features, metric, ELinkConfig(delta=0.5, signalling=mode),
             network=network,

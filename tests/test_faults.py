@@ -10,7 +10,6 @@ from repro.core.elink import ELinkNode, compute_kappa
 from repro.features.metrics import EuclideanMetric
 from repro.geometry import grid_topology
 from repro.sim import (
-    EventKernel,
     FaultEvent,
     FaultInjector,
     FaultPlan,
@@ -33,7 +32,7 @@ class Recorder(ProtocolNode):
 
 def _line_network(n=4):
     graph = nx.path_graph(n)
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     nodes = {i: Recorder(i, network) for i in range(n)}
     return network, nodes
 
@@ -160,7 +159,7 @@ def test_link_churn_down_then_up():
 
 def test_partition_cuts_boundary_edges():
     topology = grid_topology(3, 3)
-    network = Network(topology.graph.copy(), EventKernel())
+    network = Network(topology.graph.copy())
     region = {0, 1, 2}  # top row of the 3x3 grid
     FaultInjector(network, FaultPlan().partition(1.0, region)).arm()
     network.run()
@@ -186,7 +185,7 @@ def test_repair_latency_keeps_first_note_per_node():
 # ----------------------------------------------------------------------
 def test_remove_edge_invalidates_path_cache():
     graph = nx.Graph([(0, 1), (1, 2), (0, 2)])
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     nodes = {i: Recorder(i, network) for i in range(3)}
     assert network.route(Message("feature", 0, 2)) == 1  # warms the cache
     assert network.remove_edge(0, 2)
@@ -196,7 +195,7 @@ def test_remove_edge_invalidates_path_cache():
 
 def test_restore_edge_semantics():
     graph = nx.Graph([(0, 1), (1, 2)])
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     assert network.restore_edge(0, 1) is False  # never severed
     assert network.remove_edge(0, 1) is True
     assert network.remove_edge(0, 1) is False  # already gone
@@ -265,7 +264,7 @@ def _chaos_run(side, mode, crash_fraction, seed):
     kappa = compute_kappa(topology.num_nodes, config.gamma)
     graph = topology.graph.copy()
     trial = Topology(graph, dict(topology.positions))
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     plan = FaultPlan.random(
         sorted(graph.nodes),
         seed=seed,
@@ -357,7 +356,7 @@ def test_churn_only_run_returns_a_valid_clustering(seed):
     graph = topology.graph.copy()
     trial = Topology(graph, dict(topology.positions))
     quadtree = QuadTreeDecomposition(trial)
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     window = (0.05 * kappa, 0.75 * kappa)
     plan = FaultPlan.random(
         sorted(graph.nodes),
@@ -386,7 +385,7 @@ def test_zero_fault_run_identical_with_and_without_injector():
     topology, features, metric = _grid_setup(6)
     results = []
     for use_injector in (False, True):
-        network = Network(topology.graph.copy(), EventKernel())
+        network = Network(topology.graph.copy())
         injector = FaultInjector(network, FaultPlan()) if use_injector else None
         results.append(
             run_elink(
@@ -407,8 +406,8 @@ def test_zero_fault_run_identical_with_and_without_injector():
 
 def test_injector_network_mismatch_rejected():
     topology, features, metric = _grid_setup(3)
-    network = Network(topology.graph.copy(), EventKernel())
-    other = Network(topology.graph.copy(), EventKernel())
+    network = Network(topology.graph.copy())
+    other = Network(topology.graph.copy())
     injector = FaultInjector(other, FaultPlan())
     with pytest.raises(ValueError, match="bound to the network"):
         run_elink(
@@ -434,7 +433,7 @@ def test_explicit_stall_regression_silent_child(monkeypatch):
         return original(self, dst, kind, payload, values=values)
 
     monkeypatch.setattr(ELinkNode, "send", lossy_send)
-    network = Network(topology.graph.copy(), EventKernel())
+    network = Network(topology.graph.copy())
     result = run_elink(
         topology,
         features,

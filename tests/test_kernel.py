@@ -137,18 +137,6 @@ def test_max_events_is_resumable():
     assert kernel.now == 5.0
 
 
-def test_step_executes_single_event():
-    kernel = EventKernel()
-    seen = []
-    kernel.schedule(1.0, seen.append, "a")
-    kernel.schedule(2.0, seen.append, "b")
-    assert kernel.step() is True
-    assert seen == ["a"]
-    assert kernel.step() is True
-    assert kernel.step() is False
-    assert seen == ["a", "b"]
-
-
 def test_events_executed_counter():
     kernel = EventKernel()
     for _ in range(5):
@@ -190,15 +178,6 @@ def test_double_cancel_is_safe():
     assert seen == []
     assert not event.fired
     assert "cancelled" in repr(event)
-
-
-def test_cancelled_event_skipped_by_step():
-    kernel = EventKernel()
-    seen = []
-    kernel.schedule(1.0, seen.append, "a").cancel()
-    kernel.schedule(2.0, seen.append, "b")
-    assert kernel.step() is True
-    assert seen == ["b"]
 
 
 def test_kernel_resumes_across_fault_events():
@@ -289,16 +268,6 @@ def test_wheel_max_events_resumable():
     kernel.run()
     assert seen == list("abcde")
     assert kernel.events_executed == 5
-
-
-def test_wheel_step_semantics():
-    kernel = EventKernel()
-    seen = []
-    kernel.schedule(1.0, seen.append, "a").cancel()
-    kernel.schedule(2.0, seen.append, "b")
-    assert kernel.step() is True
-    assert seen == ["b"]
-    assert kernel.step() is False
 
 
 class _HeapReference:

@@ -43,7 +43,7 @@ def test_broadcast_on_isolated_node():
     graph.add_nodes_from([0, 1])
     graph.add_edge(0, 1)
     graph.add_node(2)  # isolated
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     count = network.broadcast(2, "feature")
     assert count == 0
 

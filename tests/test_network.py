@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import repro.sim.network as network_module
 from repro.geometry import grid_topology
-from repro.sim import EventKernel, Message, Network, ProtocolNode
+from repro.sim import Message, Network, ProtocolNode
 from repro.sim.network import TREE_BUDGET_PER_NODE
 
 
@@ -25,9 +25,9 @@ class Recorder(ProtocolNode):
         self.received.append((message, self.now))
 
 
-def _line_network(n=4, hop_delay=1.0):
+def _line_network(n=4):
     graph = nx.path_graph(n)
-    network = Network(graph, EventKernel(), hop_delay=hop_delay)
+    network = Network(graph)
     nodes = {i: Recorder(i, network) for i in range(n)}
     return network, nodes
 
@@ -39,12 +39,12 @@ def test_send_requires_adjacency():
 
 
 def test_send_delivers_after_one_hop_delay():
-    network, nodes = _line_network(hop_delay=2.0)
+    network, nodes = _line_network()
     network.send(Message("feature", 0, 1))
     network.run()
     assert len(nodes[1].received) == 1
     _, arrival = nodes[1].received[0]
-    assert arrival == 2.0
+    assert arrival == 1.0
 
 
 def test_route_charges_values_times_hops():
@@ -67,7 +67,7 @@ def test_route_to_self_is_free():
 
 def test_broadcast_reaches_all_neighbors():
     topology = grid_topology(3, 3)
-    network = Network(topology.graph, EventKernel())
+    network = Network(topology.graph)
     nodes = {v: Recorder(v, network) for v in topology.graph.nodes}
     count = network.broadcast(4, "feature")  # center node
     network.run()
@@ -78,7 +78,7 @@ def test_broadcast_reaches_all_neighbors():
 
 def test_unregistered_handler_raises():
     graph = nx.path_graph(2)
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     Recorder(0, network)
     network.send(Message("feature", 0, 1))
     with pytest.raises(KeyError, match="no handler"):
@@ -87,7 +87,7 @@ def test_unregistered_handler_raises():
 
 def test_register_unknown_node_rejected():
     graph = nx.path_graph(2)
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     with pytest.raises(KeyError):
         network.register(99, object())
 
@@ -101,7 +101,7 @@ def test_hop_distance_uses_shortest_path():
 def test_no_path_raises():
     graph = nx.Graph()
     graph.add_nodes_from([0, 1])
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     Recorder(0, network)
     Recorder(1, network)
     with pytest.raises(nx.NetworkXNoPath):
@@ -110,16 +110,7 @@ def test_no_path_raises():
 
 def test_empty_graph_rejected():
     with pytest.raises(ValueError):
-        Network(nx.Graph(), EventKernel())
-
-
-def test_hop_delay_must_be_positive():
-    with pytest.raises(ValueError):
-        Network(nx.path_graph(2), EventKernel(), hop_delay=0.0)
-    # Non-finite jitter would make every sampled hop delay nan/inf.
-    for jitter in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="jitter must be finite"):
-            Network(nx.path_graph(2), EventKernel(), jitter=jitter)
+        Network(nx.Graph())
 
 
 class Echo(ProtocolNode):
@@ -138,7 +129,7 @@ class Echo(ProtocolNode):
 
 def test_protocol_node_dispatch():
     graph = nx.path_graph(2)
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     a, b = Echo(0, network), Echo(1, network)
     a.send(1, "ping")
     network.run()
@@ -147,7 +138,7 @@ def test_protocol_node_dispatch():
 
 def test_protocol_node_unknown_kind_raises():
     graph = nx.path_graph(2)
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     a, b = Echo(0, network), Echo(1, network)
     a.send(1, "mystery")
     with pytest.raises(NotImplementedError, match="mystery"):
@@ -156,7 +147,7 @@ def test_protocol_node_unknown_kind_raises():
 
 def test_protocol_node_timer():
     graph = nx.path_graph(2)
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     node = Echo(0, network)
     Echo(1, network)
     fired = []
@@ -205,7 +196,7 @@ def test_stats_rejects_zero_hops():
 # ----------------------------------------------------------------------
 def _grid_network(**kwargs):
     topology = grid_topology(4, 4)
-    network = Network(topology.graph, EventKernel(), **kwargs)
+    network = Network(topology.graph, **kwargs)
     nodes = {v: Recorder(v, network) for v in topology.graph.nodes}
     return network, nodes
 
@@ -274,7 +265,7 @@ def test_distance_trees_stay_under_budget_all_to_one():
     the trees would hold ~N²/2 distances; the budget clears them instead,
     and every hop count still equals networkx's."""
     graph = grid_topology(30, 30).graph
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     corner = next(iter(graph.nodes))
     expected = nx.single_source_shortest_path_length(graph, corner)
     budget = TREE_BUDGET_PER_NODE * graph.number_of_nodes()
@@ -333,7 +324,7 @@ def test_hop_counts_match_networkx_under_mutation(n, parents, extra, budget, ope
     graph.add_edges_from((i, parents[i - 1] % i) for i in range(1, n))
     graph.add_edges_from((a % n, b % n) for a, b in extra if a % n != b % n)
     with mock.patch.object(network_module, "TREE_BUDGET_PER_NODE", budget):
-        network = Network(graph, EventKernel())
+        network = Network(graph)
         live = network.graph
         saved: dict[int, tuple] = {}
         cut: list[tuple[int, int]] = []
@@ -379,7 +370,7 @@ def _check_all_pairs(network, n, faulted, a, b, budget):
             dst = (b + k) % (n + 1)
             _check_query(network, src, dst, n, faulted, expected)
     assert network._tree_size == _tree_size(network)
-    assert network._tree_size <= budget * len(network._node_list)
+    assert network._tree_size <= budget * n  # the nodes the network was built with
 
 
 def _check_query(network, src, dst, unknown, faulted, expected):
@@ -415,80 +406,88 @@ def _check_query(network, src, dst, unknown, faulted, expected):
 
 def test_invalidate_paths_after_topology_change():
     graph = nx.path_graph(4)
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     nodes = {i: Recorder(i, network) for i in range(4)}
     assert network.hop_distance(0, 3) == 3
     graph.add_edge(0, 3)
-    # Precomputed adjacency is stale until the caller resynchronizes.
-    with pytest.raises(ValueError, match="adjacency"):
-        network.send(Message("feature", 0, 3))
-    network.invalidate_paths()
-    assert network.hop_distance(0, 3) == 1
-    network.send(Message("feature", 0, 3))
+    # Sends read the graph's own neighbour dicts: the new edge works at once.
+    assert network.send(Message("feature", 0, 3))
     network.run()
     assert len(nodes[3].received) == 1
+    # Distance trees are stale until the caller drops them.
+    assert network.hop_distance(0, 3) == 3
+    network.invalidate_paths()
+    assert network.hop_distance(0, 3) == 1
 
 
 # ----------------------------------------------------------------------
-# incremental adjacency patching
+# one adjacency: the graph's own neighbour dicts
 # ----------------------------------------------------------------------
+def test_network_reads_the_graphs_own_adjacency():
+    graph = grid_topology(3, 3).graph
+    network = Network(graph)
+    assert network._adj is graph._adj
+    assert network.neighbors(4) == tuple(graph.adj[4])
+
+
 def test_adjacency_patching_matches_full_rebuild():
-    """Random crash/restore/link-flap sequences: the patched adjacency must
-    equal a from-scratch rebuild over the mutated graph, row for row."""
+    """Random crash/restore/link-flap sequences: after every operation each
+    neighbour row equals, in order, the row of a plain graph that received
+    the same changes through networkx calls in lockstep."""
     import random
 
     rng = random.Random(99)
-    base = grid_topology(6, 6).graph
-    network = Network(base.copy())
+    network = Network(grid_topology(6, 6).graph)
+    ref = grid_topology(6, 6).graph
     removed_nodes = {}
     removed_edges = set()
 
     for _ in range(120):
         op = rng.choice(["crash", "restore", "down", "up"])
         if op == "crash":
-            alive = [v for v in network.graph.nodes if network.is_alive(v)]
+            alive = list(ref.nodes)
             if len(alive) > 2:
                 victim = rng.choice(alive)
                 removed_nodes[victim] = network.remove_node(victim)
+                assert removed_nodes[victim] == tuple(ref.adj[victim])
+                ref.remove_node(victim)
         elif op == "restore" and removed_nodes:
             victim = rng.choice(sorted(removed_nodes))
-            neighbours = [
-                v for v in removed_nodes.pop(victim) if v in network.graph.nodes
-            ]
+            neighbours = [v for v in removed_nodes.pop(victim) if v in ref]
             network.restore_node(victim, neighbours)
+            ref.add_node(victim)
+            ref.add_edges_from((victim, v) for v in neighbours)
         elif op == "down":
-            edges = list(network.graph.edges)
+            edges = list(ref.edges)
             if edges:
                 u, v = rng.choice(edges)
-                if network.remove_edge(u, v):
-                    removed_edges.add((u, v))
+                assert network.remove_edge(u, v)
+                ref.remove_edge(u, v)
+                removed_edges.add((u, v))
         elif op == "up" and removed_edges:
             u, v = rng.choice(sorted(removed_edges))
-            if u in network.graph.nodes and v in network.graph.nodes:
-                network.restore_edge(u, v)
+            if u in ref and v in ref:
+                assert network.restore_edge(u, v)
+                ref.add_edge(u, v)
             removed_edges.discard((u, v))
+        assert list(network.graph) == list(ref)
+        for node in ref:
+            assert tuple(network.neighbors(node)) == tuple(ref.adj[node]), node
 
-    # Rebuild over the *same* graph object: nx .copy() normalizes adjacency
-    # order (it re-adds edges lowest-node-first), so a copy is not the
-    # reference — the mutated graph's own insertion order is.
-    fresh = Network(network.graph)
-    assert set(network.graph.nodes) == set(fresh.graph.nodes)
-    for node in network.graph.nodes:
-        assert network._adj[node] == fresh._adj[node], node
     for gone in removed_nodes:
-        assert gone not in network._adj
-        assert network._adj.get(gone) is None
+        assert gone not in network.graph
+        assert not network.is_alive(gone)
 
 
 def test_adjacency_patch_preserves_neighbour_order():
     network = Network(grid_topology(4, 4).graph.copy())
-    before = network._adj[5]
+    before = tuple(network.neighbors(5))
     assert network.remove_edge(5, 6)
-    after = network._adj[5]
-    # removal filters in place: surviving neighbours keep their order
+    after = tuple(network.neighbors(5))
+    # removal keeps the surviving neighbours' order
     assert after == tuple(v for v in before if v != 6)
     network.restore_edge(5, 6)
     # restoration appends, matching graph.adj insertion order
-    assert network._adj[5] == after + (6,)
+    assert tuple(network.neighbors(5)) == after + (6,)
     fresh = Network(network.graph.copy())
-    assert network._adj[5] == fresh._adj[5]
+    assert tuple(network.neighbors(5)) == tuple(fresh.neighbors(5))

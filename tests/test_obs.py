@@ -181,7 +181,7 @@ def _chaos_run(tracer):
         for node, (x, y) in topology.positions.items()
     }
     config = ELinkConfig(delta=1.0, signalling="explicit", failure_detection=True)
-    network = Network(topology.graph.copy(), EventKernel(), tracer=tracer)
+    network = Network(topology.graph.copy(), tracer=tracer)
     plan = FaultPlan().crash(2.0, 21)
     injector = FaultInjector(network, plan)
     result = run_elink(
@@ -213,7 +213,7 @@ class _Sink(ProtocolNode):
 
 
 def test_untraced_fast_path_has_no_tracer_attached():
-    network = Network(grid_topology(2, 2).graph, EventKernel())
+    network = Network(grid_topology(2, 2).graph)
     assert network.tracer is None
     assert network.kernel.tracer is None
     nodes = {i: _Sink(i, network) for i in range(4)}
@@ -228,7 +228,7 @@ def test_tracer_attach_after_registration_is_rejected_by_contract():
     # Attaching a tracer later is allowed at the network level but nodes
     # cache their tracer at construction: the documented contract is
     # attach-at-construction.  Verify the setter threads to the kernel.
-    network = Network(grid_topology(2, 2).graph, EventKernel())
+    network = Network(grid_topology(2, 2).graph)
     tracer = Tracer()
     network.tracer = tracer
     assert network.kernel.tracer is tracer

@@ -9,7 +9,8 @@ cluster) pair.  Every case here requires the same key set, the same centre
 oracle BFS on every edge direction.  The per-query ball row
 (``QueryContext.ball_distances``) must equal one scalar ``distance`` per
 root ball bit for bit, and on 1-d features neither the planner build nor
-its estimates may make a scalar ``distance`` call.
+its estimates may make a scalar ``distance`` call.  The bounded cache of
+unpruned backbone walks must answer every start as a fresh context does.
 """
 
 import copy
@@ -24,10 +25,11 @@ from hypothesis import strategies as st
 from repro.features import TAO_WEIGHTS, EuclideanMetric, ManhattanMetric, WeightedEuclideanMetric
 from repro.index import build_mtree
 from repro.obs.metrics import MetricsRegistry
-from repro.queries.context import QueryContext
+from repro.queries.context import WALK_CACHE_SIZE, QueryContext
 from repro.queries.load import ScenarioSpec, build_scenario
 from repro.queries.planner import QueryPlanner
 from repro.queries.range_query import RangeQueryEngine
+from repro.sim.stats import MessageStats
 from tests import summary_oracle
 from tests.test_query_golden import CONTEXTS, STACKS, _planner, _stack
 
@@ -222,3 +224,34 @@ def test_planner_estimates_make_no_scalar_distance_call(monkeypatch):
         plan()
         made[op] = calls[0]
     assert made == {"range": 0, "knn": 0, "path": 0}
+
+
+@pytest.mark.parametrize("dead_relays", [0, 3])
+def test_walk_cache_is_bounded_and_answers_as_a_fresh_context(dead_relays):
+    """One context walks from more distinct starts than it may cache, in
+    three passes that mix hits and evictions.  It never holds more than
+    ``WALK_CACHE_SIZE`` walks, and every walk equals a fresh context's:
+    ``reached`` in order, hops, lost roots and dead-relay drops."""
+    stack = _scenario(400, 3, 0.05)
+    clustering, backbone = stack["clustering"], stack["backbone"]
+    tree = backbone.tree
+    dead = set(sorted(tree, key=lambda r: (-tree.degree(r), repr(r)))[:dead_relays])
+    args = (clustering, stack["features"], stack["metric"], stack["mtree"], backbone)
+    context = QueryContext(*args, dead=dead)
+    starts = [root for root in clustering.roots if root not in dead]
+    assert len(starts) > WALK_CACHE_SIZE
+
+    def walk(ctx, start):
+        stats = MessageStats()
+        reached, hops, lost = ctx.walk(start, stats)
+        return list(reached.items()), hops, lost, dict(stats.drops_by_reason)
+
+    fresh = {start: walk(QueryContext(*args, dead=dead), start) for start in starts}
+    hits = 0
+    for start in starts + starts[::-1] + starts:
+        hits += start in context._reach
+        assert walk(context, start) == fresh[start]
+        assert len(context._reach) <= WALK_CACHE_SIZE
+    assert 0 < hits < len(starts) * 2
+    if dead:
+        assert any(drops for *_, drops in fresh.values())

@@ -13,6 +13,12 @@ The stitch breaks an exact tie at a round's minimum distance by ``ids``
 order, where the oracle used set iteration order.  So the graphs can
 differ only on an input with such a tie; ``tied_rounds`` counts the
 rounds that may have had one, and every pinned input has none.
+
+The CSR arrays the batch engine and the backbone read
+(``adjacency_arrays``) must equal the per-edge loop ``Network`` once ran
+(``topology_oracle.adjacency_arrays``), on generated graphs, on any
+graph, and on graphs a network has crashed and restored nodes and links
+of.
 """
 
 import hashlib
@@ -25,8 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import death_valley
-from repro.geometry import random_geometric_topology, scatter_topology
-from repro.geometry.topology import SPATIAL_HASH_MIN_N, _centroid_tree
+from repro.geometry import grid_topology, random_geometric_topology, scatter_topology
+from repro.geometry.topology import SPATIAL_HASH_MIN_N, _centroid_tree, adjacency_arrays
+from repro.sim import Network
 from tests import topology_oracle
 from tests.test_topology import _predicate_pairs
 
@@ -261,3 +268,88 @@ def centroid_sets(draw):
 @given(centroid_sets())
 def test_centroid_tree_is_the_dense_prim(centroids):
     assert _centroid_tree(centroids) == dense_prim(centroids)
+
+
+# ----------------------------------------------------------------------
+# CSR arrays: adjacency_arrays is the per-edge loop
+# ----------------------------------------------------------------------
+def assert_same_arrays(graph):
+    """``adjacency_arrays(graph)`` equals the oracle loop's arrays."""
+    nodes, index, indptr, indices = adjacency_arrays(graph)
+    old_nodes, old_index, old_indptr, old_indices = topology_oracle.adjacency_arrays(graph)
+    assert nodes == old_nodes
+    assert list(index.items()) == list(old_index.items())
+    assert indptr.dtype == indices.dtype == np.int64
+    assert np.array_equal(indptr, old_indptr)
+    assert np.array_equal(indices, old_indices[: old_indptr[-1]])
+
+
+@pytest.mark.parametrize(("rows", "cols"), [(1, 1), (1, 7), (6, 9), (30, 30)])
+def test_adjacency_arrays_grid(rows, cols):
+    assert_same_arrays(grid_topology(rows, cols).graph)
+
+
+@pytest.mark.parametrize("n", [1, 2, 300, SPATIAL_HASH_MIN_N - 1, SPATIAL_HASH_MIN_N, 10_000])
+def test_adjacency_arrays_random_geometric(n):
+    assert_same_arrays(random_geometric_topology(n, seed=3).graph)
+
+
+_NODE_IDS = st.one_of(
+    st.integers(-100, 100),
+    st.text(max_size=3),
+    st.tuples(st.integers(0, 3), st.text(max_size=2)),
+)
+
+
+@st.composite
+def graphs(draw):
+    """Int, str and tuple ids in any order, isolated nodes and self-loops."""
+    ids = draw(st.lists(_NODE_IDS, min_size=1, max_size=30, unique=True))
+    position = st.integers(0, len(ids) - 1)
+    pairs = draw(st.lists(st.tuples(position, position), max_size=60))
+    edges = [(ids[a], ids[b]) for a, b in pairs]
+    if draw(st.booleans()):
+        edges.append((ids[0], ids[0]))
+    graph = nx.Graph()
+    if draw(st.booleans()):  # nodes first, else in edge order, isolated ones last
+        graph.add_nodes_from(ids)
+    graph.add_edges_from(edges)
+    graph.add_nodes_from(ids)
+    return graph
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(graphs())
+def test_adjacency_arrays_any_graph(graph):
+    assert_same_arrays(graph)
+
+
+_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["crash", "recover", "cut", "mend"]), st.integers(0, 10**6)),
+    max_size=20,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(graphs(), _MUTATIONS)
+def test_adjacency_arrays_after_removals_and_readds(graph, operations):
+    """After every crash, recovery, cut and mend through a network, which
+    move re-added nodes and neighbours to the ends of their dicts, the
+    arrays still equal the per-edge loop's."""
+    network = Network(graph)
+    saved, cut = {}, []
+    for op, k in operations:
+        nodes, edges = list(graph), list(graph.edges)
+        if op == "crash" and len(nodes) > 1:
+            node = nodes[k % len(nodes)]
+            saved[node] = network.remove_node(node)
+        elif op == "recover" and saved:
+            node = list(saved)[k % len(saved)]
+            network.restore_node(node, saved.pop(node))
+        elif op == "cut" and edges:
+            edge = edges[k % len(edges)]
+            assert network.remove_edge(*edge)
+            cut.append(edge)
+        elif op == "mend" and cut:
+            network.restore_edge(*cut.pop(k % len(cut)))
+        assert_same_arrays(graph)

@@ -15,7 +15,7 @@ from repro.geometry import QuadTreeDecomposition, grid_topology
 from repro.obs import TraceInspector, Tracer
 from repro.obs.inspect import main as trace_main
 from repro.obs.trace import TraceEvent
-from repro.sim import EventKernel, FaultInjector, FaultPlan, Network
+from repro.sim import FaultInjector, FaultPlan, Network
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "chaos_small.jsonl"
 
@@ -117,7 +117,7 @@ def test_live_run_round_trip(tmp_path):
         if v != quadtree.root and quadtree.level_of[v] == quadtree.depth
     )
     tracer = Tracer()
-    network = Network(topology.graph.copy(), EventKernel(), tracer=tracer)
+    network = Network(topology.graph.copy(), tracer=tracer)
     injector = FaultInjector(network, FaultPlan().crash(2.0, victim))
     run_elink(
         topology, features, EuclideanMetric(), config,

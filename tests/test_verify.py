@@ -10,7 +10,7 @@ import networkx as nx
 import pytest
 
 from repro.obs.trace import TraceEvent, Tracer
-from repro.sim import EventKernel, Network
+from repro.sim import Network
 from repro.sim.messages import Message
 from repro.sim.stats import MessageStats
 from repro.verify import (
@@ -188,7 +188,7 @@ def test_unknown_level_degrades_to_off(monkeypatch):
 
 def test_run_verifier_finish_raises_on_corrupt_stats():
     graph = nx.path_graph(2)
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     network.stats.charge("join", "clustering", 1, hops=1)
     network.stats._total_values += 5  # corrupt the running total
     from repro.core import clustering_from_assignment
@@ -212,7 +212,7 @@ def test_run_verifier_finish_raises_on_corrupt_stats():
 
 def test_full_level_installs_and_removes_private_tracer():
     graph = nx.path_graph(2)
-    network = Network(graph, EventKernel())
+    network = Network(graph)
     verifier = RunVerifier("full")
     verifier.attach(network)
     assert network.tracer is not None

@@ -13,6 +13,10 @@ artifact-cache decorator is left off.  The production generators must
 reproduce these graphs exactly, node order and every neighbour order
 included (``tests/test_topology_identity.py``); nothing under ``src/``
 imports it.
+
+``adjacency_arrays`` is the per-edge loop in which ``Network`` once built
+its CSR snapshot of a graph; ``repro.geometry.topology.adjacency_arrays``
+must return the same arrays.
 """
 
 from __future__ import annotations
@@ -230,3 +234,23 @@ def _stitch_components(graph: nx.Graph, coords: np.ndarray, ids: list | None = N
         dists = np.hypot(diffs[..., 0], diffs[..., 1])
         a, b = np.unravel_index(np.argmin(dists), dists.shape)
         graph.add_edge(ids[core_idx[a]], ids[rest_idx[b]])
+
+
+def adjacency_arrays(graph: nx.Graph):
+    """``(nodes, index, indptr, indices)`` of *graph*, one neighbour at a time.
+
+    The loop allocates ``2 * graph.number_of_edges()`` neighbour slots and
+    a self-loop fills one of its two, so only ``indices[:indptr[-1]]`` is
+    defined.
+    """
+    nodes = list(graph.nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    indices = np.empty(2 * graph.number_of_edges(), dtype=np.int64)
+    pos = 0
+    for i, (_, nbrs) in enumerate(graph.adj.items()):
+        for w in nbrs:
+            indices[pos] = index[w]
+            pos += 1
+        indptr[i + 1] = pos
+    return nodes, index, indptr, indices

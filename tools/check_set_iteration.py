@@ -17,8 +17,8 @@ lint walks the AST of the schedule-adjacent modules
 - a local name bound to one of the above (or annotated ``set[...]``)
   earlier in the same file;
 - an attribute known to hold a set in this codebase (``dead_nodes``,
-  ``_removed_edges``, ``_removed_rows``, ``_taken_over``,
-  ``_phase1_forwarded``, ``_phase2_acted``, ``crashed``).
+  ``_removed_edges``, ``_taken_over``, ``_phase1_forwarded``,
+  ``_phase2_acted``, ``crashed``).
 
 Wrapping the iterable in ``sorted(...)`` (or ``list(sorted(...))``) is
 the sanctioned fix and is never flagged.  A genuinely order-free loop can
@@ -42,7 +42,6 @@ KNOWN_SET_ATTRS = frozenset(
     {
         "dead_nodes",
         "_removed_edges",
-        "_removed_rows",
         "_taken_over",
         "_phase1_forwarded",
         "_phase2_acted",

@@ -31,7 +31,7 @@ from repro.core import ELinkConfig, run_elink
 from repro.core.elink import compute_kappa
 from repro.geometry import QuadTreeDecomposition, grid_topology
 from repro.obs import Tracer
-from repro.sim import EventKernel, FaultInjector, FaultPlan, Network
+from repro.sim import FaultInjector, FaultPlan, Network
 
 SIDE = 8
 DELTA = 1.0
@@ -67,7 +67,7 @@ def build_trace() -> tuple[Tracer, dict]:
     plan.crash(0.15 * kappa, leaves[len(leaves) // 3])
 
     tracer = Tracer()
-    network = Network(topology.graph, EventKernel(), tracer=tracer)
+    network = Network(topology.graph, tracer=tracer)
     injector = FaultInjector(network, plan)
     result = run_elink(
         topology, features, metric, config,
