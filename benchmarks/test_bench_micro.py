@@ -2,17 +2,22 @@
 
 These complement the one-shot figure benches with per-operation timings:
 ELink clustering throughput, topology edges and component stitching,
-quadtree, M-tree and backbone construction, and per-query costs.
+quadtree, M-tree and backbone construction, the clustering assembly,
+and per-query costs.
 """
 
 import math
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
 
+import repro.core.elink_vec as elink_vec
 from repro.core import ELinkConfig, run_elink
+from repro.core.delta import clustering_from_arrays
 from repro.datasets.death_valley import generate_death_valley_dataset
+from repro.datasets.synthetic import generate_synthetic_dataset
 from repro.features import EuclideanMetric
 from repro.geometry import QuadTreeDecomposition, grid_topology, random_geometric_topology
 from repro.geometry.topology import (
@@ -236,6 +241,35 @@ def test_backbone_build(benchmark):
     ).clustering
     backbone = benchmark(build_backbone, topology.graph, clustering)
     assert backbone.tree.number_of_edges() == clustering.num_clusters - 1
+
+
+def test_clustering_assembly(benchmark):
+    """The ELink assembly on the 4·10⁴-node seed-3 final state (the
+    ``--max-n`` rung and scale_40k), captured once from the batch engine:
+    the numpy tree check over 33,605 clusters, the member order of the
+    4,976 larger ones and the per-root code for the 6 that split."""
+    dataset = generate_synthetic_dataset(40_000, seed=3, readings=200)
+    ends = []
+    batch_path = elink_vec.try_run_vectorized
+
+    def capture(*args, **kwargs):
+        ends.append(batch_path(*args, **kwargs))
+        return ends[-1]
+
+    with mock.patch.object(elink_vec, "try_run_vectorized", capture):
+        run_elink(dataset.topology, dataset.features, dataset.metric(), ELinkConfig(delta=0.05))
+    end = ends[0]
+    roots = np.where(end.roots >= 0, end.roots, np.arange(len(end.nodes)))
+    clustering = benchmark(
+        clustering_from_arrays,
+        dataset.topology.graph,
+        end.nodes,
+        roots,
+        end.parents,
+        end.features,
+        adjacency=end.adjacency,
+    )
+    assert clustering.num_clusters == 33_605
 
 
 def test_range_query_latency(benchmark):

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
 
 from repro.features.metrics import Metric
+from repro.geometry.topology import adjacency_arrays
 
 
 @dataclass
@@ -179,9 +180,9 @@ def validate_clustering(
 
     assigned = set(clustering.assignment)
     graph_nodes = set(graph.nodes)
-    for node in graph_nodes - assigned:
+    for node in sorted(graph_nodes - assigned, key=repr):
         violations.append(ClusteringViolation("coverage", f"node {node!r} unassigned"))
-    for node in assigned - graph_nodes:
+    for node in sorted(assigned - graph_nodes, key=repr):
         violations.append(ClusteringViolation("coverage", f"unknown node {node!r} assigned"))
 
     for root, nodes in clustering.clusters().items():
@@ -280,58 +281,341 @@ def clustering_from_assignment(
     is split into its own cluster — rooted at its node closest to the
     original root feature, but *keeping the original root feature as the
     pruning feature*, so the "every member within δ/2 of the pruning
-    feature" guarantee survives the split.  Baselines and the ELink
-    post-processing both use this constructor, so every clustering the
-    library emits satisfies the δ-cluster connectivity condition by
-    construction.
+    feature" guarantee survives the split.  Baselines and maintenance use
+    this constructor and ELink uses :func:`clustering_from_arrays`, which
+    this one indexes its dicts for, so every clustering the library emits
+    satisfies the δ-cluster connectivity condition by construction.
+    *features* must hold every assigned node.
     """
-    members: dict[Hashable, list[Hashable]] = {}
-    for node, root in assignment.items():
-        members.setdefault(root, []).append(node)
-
-    final_assignment: dict[Hashable, Hashable] = {}
-    parent: dict[Hashable, Hashable] = {}
-    final_root_features: dict[Hashable, np.ndarray] = {}
-
-    # Components and BFS trees are computed with plain dict-adjacency BFS
-    # in graph order — seeds in graph node order filtered to the cluster,
-    # neighbours in adjacency order — without building a subgraph view
-    # per cluster.
-    adj = graph._adj
-    graph_order = {node: i for i, node in enumerate(graph.nodes)}
-
-    for root, nodes in members.items():
-        base_feature = (
+    nodes = list(assignment)
+    index = {node: i for i, node in enumerate(nodes)}
+    members = np.arange(len(nodes), dtype=np.int64)
+    roots = []
+    for root in assignment.values():
+        if root not in index:  # a root that is not itself assigned
+            index[root] = len(nodes)
+            nodes.append(root)
+        roots.append(index[root])
+    bases: list[np.ndarray | None] = [None] * len(nodes)
+    for position in dict.fromkeys(roots):
+        root = nodes[position]
+        bases[position] = (
             np.asarray(root_features[root])
             if root_features is not None and root in root_features
             else np.asarray(features[root])
         )
-        member_set = set(nodes)
-        done: set[Hashable] = set()
-        seeds = sorted(
-            (v for v in nodes if v in graph_order), key=graph_order.__getitem__
-        )
-        for component in _member_components(adj, member_set, seeds, done):
-            comp_nodes = set(component)
-            if root in comp_nodes:
-                comp_root = root
-            else:
-                # Stray component: root it at the member nearest the original
-                # root feature (deterministic tie-break on repr).
-                comp_root = min(
-                    comp_nodes,
-                    key=lambda v: (
-                        float(np.linalg.norm(np.asarray(features[v]) - base_feature)),
-                        repr(v),
-                    ),
+    parent_positions = [
+        index.get(parents.get(node), -1) if parents is not None else -1 for node in assignment
+    ]
+    return clustering_from_arrays(
+        graph,
+        nodes,
+        np.asarray(roots, dtype=np.int64),
+        np.asarray(parent_positions, dtype=np.int64),
+        [features[node] for node in assignment],
+        root_features=bases,
+        members=members,
+    )
+
+
+def clustering_from_arrays(
+    graph: nx.Graph,
+    nodes: Sequence[Hashable],
+    roots: np.ndarray,
+    parents: np.ndarray,
+    features: Sequence[np.ndarray],
+    *,
+    root_features: Sequence[np.ndarray | None] | None = None,
+    members: np.ndarray | None = None,
+    adjacency: tuple | None = None,
+) -> Clustering:
+    """Build a :class:`Clustering` from index arrays over *nodes*.
+
+    ``nodes[members]`` (all of *nodes* by default) are assembled, in that
+    order.  Node ``p`` belongs to the cluster rooted at ``nodes[roots[p]]``
+    (``roots[p] == p`` at a root) and its cluster-tree parent is
+    ``nodes[parents[p]]`` (``-1``: none).  ``root_features[p]`` is the
+    pruning feature of the cluster rooted at ``nodes[p]`` (*features* by
+    default); ``features[p]`` is read only to root a stray component.
+    *adjacency* is ``adjacency_arrays(graph)`` when the caller has it.
+    The result is the one :func:`clustering_from_assignment` builds from
+    the same assignment, dict order included.
+
+    One numpy pass keeps every cluster whose protocol tree holds: its root
+    is a member, every member is in *graph*, and every other member's
+    parent is in its cluster, adjacent to it in *graph* and on a parent
+    path that reaches the root.  Pointer jumping checks the paths: a tree
+    path in a cluster of s nodes has at most s − 1 edges, so ⌈log₂(s − 1)⌉
+    rounds for the largest s reach every root.  A kept cluster is
+    connected, so it is emitted without a component search, root first
+    (see :func:`_member_order`).  Only the clusters that fail the check
+    take the per-root assembly, :func:`_split_cluster`, which repairs
+    their trees and splits off stray components.
+    """
+    if root_features is None:
+        root_features = features
+    if adjacency is None:
+        adjacency = adjacency_arrays(graph)
+    graph_nodes, graph_order, indptr, indices = adjacency
+    n = len(nodes)
+    if members is None:
+        members = np.arange(n, dtype=np.int64)
+    if members.size == 0:
+        return Clustering({}, {}, {})
+    # Each node's graph position (-1: not in the graph).
+    if graph_nodes is nodes or graph_nodes == nodes:
+        where = np.arange(n, dtype=np.int64)
+    else:
+        where = np.fromiter((graph_order.get(v, -1) for v in nodes), np.int64, count=n)
+
+    # Clusters, numbered in the order their roots first appear.
+    m = members.size
+    root = roots[members]
+    first = np.full(n, m, dtype=np.int64)
+    np.minimum.at(first, root, np.arange(m))
+    cluster_root = root[first[root] == np.arange(m)]
+    number = np.empty(n, dtype=np.int64)
+    number[cluster_root] = np.arange(cluster_root.size)
+    label = number[root]
+    size = np.bincount(label)
+    is_root = members == cluster_root[label]
+    parent = parents[members]
+    item = np.full(n, -1, dtype=np.int64)
+    item[members] = np.arange(m)
+    at = where[members]
+    kept = _tree_holds(
+        label, size, is_root, np.where(parent >= 0, item[parent], -1), at, indptr, indices
+    )
+
+    # The per-root assembly of every cluster that fails the check.
+    broken = np.flatnonzero(~kept).tolist()
+    repaired = []
+    if broken:
+        rest = np.flatnonzero(~kept[label])
+        rest = members[rest[np.argsort(label[rest], kind="stable")]]
+        ends = np.cumsum(size[broken]).tolist()
+        for k, start, stop in zip(broken, [0, *ends], ends):
+            positions = rest[start:stop].tolist()
+            tops = parents[positions].tolist()
+            top = int(cluster_root[k])
+            repaired.append(
+                _split_cluster(
+                    graph,
+                    graph_order,
+                    nodes[top],
+                    [nodes[p] for p in positions],
+                    root_features[top],
+                    {nodes[p]: features[p] for p in positions},
+                    {nodes[p]: nodes[q] if q >= 0 else None for p, q in zip(positions, tops)},
                 )
-            final_root_features[comp_root] = base_feature
-            final_assignment[comp_root] = comp_root
-            comp_parent = _component_tree(graph, comp_nodes, comp_root, parents)
-            for node, par in comp_parent.items():
-                parent[node] = par
-                final_assignment[node] = comp_root
-    return Clustering(final_assignment, parent, final_root_features)
+            )
+
+    # Rows (node, root, parent) in cluster order: a kept singleton is its
+    # own row, a larger kept cluster its members in per-root order, a
+    # broken cluster its repaired rows.
+    ids = np.fromiter(nodes, dtype=object, count=n)
+    width = np.where(kept, size, 0)
+    width[broken] = [len(rows) for rows, _ in repaired]
+    offset = np.cumsum(width) - width
+    table = np.empty((3, int(width.sum())), dtype=object)
+    single = np.flatnonzero(kept & (size == 1))
+    table[:, offset[single]] = ids[cluster_root[single]]
+    multi = np.flatnonzero(kept & (size > 1))
+    if multi.size:
+        inside = np.flatnonzero(kept[label] & (size[label] > 1))
+        ordered = _member_order(
+            graph_nodes,
+            indptr,
+            indices,
+            at[inside],
+            label[inside],
+            ids[cluster_root[multi]].tolist(),
+            size[multi],
+        )
+        up = np.where(is_root[inside], members[inside], parent[inside])
+        parent_of = dict(zip(ids[members[inside]].tolist(), ids[up].tolist()))
+        slots = np.repeat(offset[multi] - (np.cumsum(size[multi]) - size[multi]), size[multi])
+        slots += np.arange(slots.size)
+        table[0, slots] = np.fromiter(ordered, dtype=object, count=slots.size)
+        table[1, slots] = np.repeat(ids[cluster_root[multi]], size[multi])
+        table[2, slots] = np.fromiter(map(parent_of.__getitem__, ordered), dtype=object)
+    for k, (rows, _) in zip(broken, repaired):
+        for j, (node, top, up) in enumerate(rows, int(offset[k])):
+            table[0, j], table[1, j], table[2, j] = node, top, up
+
+    # Root features: one per kept cluster, one per repaired component.
+    width = kept.astype(np.int64)
+    width[broken] = [len(bases) for _, bases in repaired]
+    offset = np.cumsum(width) - width
+    root_ids = np.empty(int(width.sum()), dtype=object)
+    root_values = np.empty(root_ids.size, dtype=object)
+    whole = np.flatnonzero(kept)
+    root_ids[offset[whole]] = ids[cluster_root[whole]]
+    root_values[offset[whole]] = np.fromiter(
+        map(root_features.__getitem__, cluster_root[whole].tolist()), dtype=object, count=whole.size
+    )
+    for k, (_, bases) in zip(broken, repaired):
+        for j, (top, base) in enumerate(bases, int(offset[k])):
+            root_ids[j], root_values[j] = top, base
+
+    out_nodes, out_roots, out_parents = table.tolist()
+    return Clustering(
+        dict(zip(out_nodes, out_roots)),
+        dict(zip(out_nodes, out_parents)),
+        dict(zip(root_ids.tolist(), root_values.tolist())),
+    )
+
+
+def _tree_holds(
+    label: np.ndarray,
+    size: np.ndarray,
+    is_root: np.ndarray,
+    up: np.ndarray,
+    at: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+) -> np.ndarray:
+    """Per cluster (sizes *size*), whether its protocol tree holds.
+
+    Per member: its cluster number, whether it is its cluster's root, the
+    member its parent is (``-1``: none, or not a member) and its graph
+    position (``-1``: not in the graph).  A member is *linked* when it is
+    in the graph and its parent is a member of its cluster, in the graph
+    and adjacent to it.  Pointer jumping over the links (an unlinked
+    member points at itself) must carry every non-root member to its
+    cluster's root, and the root must be a member.
+    """
+    m = label.size
+    linked = ~is_root & (at >= 0) & (up >= 0)
+    linked[linked] = (label[up[linked]] == label[linked]) & (at[up[linked]] >= 0)
+    linked[linked] = _has_edges(indptr, indices, at[linked], at[up[linked]])
+    up = np.where(linked, up, np.arange(m))
+    for _ in range(max(int(size.max()) - 2, 0).bit_length()):
+        up = up[up]
+    root_item = np.full(size.size, -1, dtype=np.int64)
+    root_item[label[is_root]] = np.flatnonzero(is_root)
+    ok = (at >= 0) & (is_root | (linked & (up == root_item[label])))
+    return (root_item >= 0) & (np.bincount(label[~ok], minlength=size.size) == 0)
+
+
+def _has_edges(
+    indptr: np.ndarray, indices: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """Whether ``dst[i]`` is in CSR row ``src[i]``, for every i."""
+    slots, count = _row_slots(indptr, src)
+    pair = np.repeat(np.arange(src.size), count)
+    found = np.zeros(src.size, dtype=bool)
+    found[pair[indices[slots] == dst[pair]]] = True
+    return found
+
+
+def _row_slots(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of CSR rows *rows*, concatenated in order, and each row's
+    length."""
+    start = indptr[rows]
+    count = indptr[rows + 1] - start
+    return np.arange(int(count.sum())) + np.repeat(start - (np.cumsum(count) - count), count), count
+
+
+def _member_order(
+    graph_nodes: Sequence[Hashable],
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    at: np.ndarray,
+    label: np.ndarray,
+    roots: list[Hashable],
+    sizes: np.ndarray,
+) -> list[Hashable]:
+    """Members of connected clusters, in the order the per-root assembly
+    emits them.
+
+    *at* and *label* give each member's graph position and cluster number;
+    *roots* and *sizes* give each cluster's root and size, in ascending
+    cluster number.  The per-root assembly emits the root and then the
+    rest of ``set(component)``, where ``component`` is the set its BFS
+    grew from the cluster's first member in graph order (neighbours in
+    adjacency order).  Iteration order over a set depends on the order its
+    elements were added, so this runs the same BFS for every cluster at
+    once, one level per step, and adds each cluster's BFS order to a fresh
+    set the same way.
+    """
+    cluster = np.full(len(graph_nodes), -1, dtype=np.int64)
+    cluster[at] = label
+    by_cluster = np.lexsort((at, label))
+    head = np.ones(by_cluster.size, dtype=bool)
+    head[1:] = label[by_cluster[1:]] != label[by_cluster[:-1]]
+    frontier = at[by_cluster[head]]
+    seen = np.zeros(len(graph_nodes), dtype=bool)
+    seen[frontier] = True
+    levels = [frontier]
+    while frontier.size:
+        slots, count = _row_slots(indptr, frontier)
+        reached = indices[slots]
+        reached = reached[(cluster[reached] == np.repeat(cluster[frontier], count)) & ~seen[reached]]
+        _, once = np.unique(reached, return_index=True)
+        frontier = reached[np.sort(once)]
+        seen[frontier] = True
+        levels.append(frontier)
+    visits = np.concatenate(levels)
+    visits = visits[np.argsort(cluster[visits], kind="stable")].tolist()
+    visit_ids = [graph_nodes[g] for g in visits]
+    ordered: list[Hashable] = []
+    start = 0
+    for root, stop in zip(roots, np.cumsum(sizes).tolist()):
+        # The BFS set, then the per-root assembly's copy of it.
+        component = set(set(visit_ids[start:stop]))
+        component.discard(root)
+        ordered.append(root)
+        # Set order on purpose: fig10's pinned message total depends on it
+        # through maintenance.
+        ordered.extend(component)  # det-ok: the per-root member order
+        start = stop
+    return ordered
+
+
+def _split_cluster(
+    graph: nx.Graph,
+    graph_order: Mapping[Hashable, int],
+    root: Hashable,
+    nodes: list[Hashable],
+    base_feature: np.ndarray,
+    features: Mapping[Hashable, np.ndarray],
+    parents: Mapping[Hashable, Hashable | None],
+) -> tuple[list[tuple[Hashable, Hashable, Hashable]], list[tuple[Hashable, np.ndarray]]]:
+    """The per-root assembly of one cluster (the fallback of the array pass).
+
+    Splits the cluster rooted at *root* with members *nodes* into the
+    connected components of its member subgraph, found by BFS from the
+    members in graph order.  The component holding *root* keeps it; a
+    stray component is rooted at its member nearest *base_feature*, which
+    stays its pruning feature.  Each component keeps its protocol tree
+    (*parents*) if valid and gets a BFS tree otherwise.  Returns the
+    ``(node, component root, parent)`` rows and the ``(component root,
+    pruning feature)`` pairs, in emission order.
+    """
+    rows: list[tuple[Hashable, Hashable, Hashable]] = []
+    bases: list[tuple[Hashable, np.ndarray]] = []
+    member_set = set(nodes)
+    done: set[Hashable] = set()
+    seeds = sorted((v for v in nodes if v in graph_order), key=graph_order.__getitem__)
+    for component in _member_components(graph._adj, member_set, seeds, done):
+        comp_nodes = set(component)
+        if root in comp_nodes:
+            comp_root = root
+        else:
+            # Stray component: root it at the member nearest the original
+            # root feature (deterministic tie-break on repr).
+            comp_root = min(
+                comp_nodes,
+                key=lambda v: (
+                    float(np.linalg.norm(np.asarray(features[v]) - base_feature)),
+                    repr(v),
+                ),
+            )
+        bases.append((comp_root, base_feature))
+        tree = _component_tree(graph, comp_nodes, comp_root, parents)
+        rows.extend((node, comp_root, par) for node, par in tree.items())
+    return rows, bases
 
 
 def _member_components(
@@ -380,7 +664,9 @@ def _component_tree(
     if parents is not None:
         candidate: dict[Hashable, Hashable] = {comp_root: comp_root}
         valid = True
-        for node in comp_nodes:
+        # Set order on purpose: it is the member order of every emitted
+        # cluster, which fig10's pinned message total depends on.
+        for node in comp_nodes:  # det-ok: the emitted member order
             if node == comp_root:
                 continue
             par = parents.get(node)
@@ -390,7 +676,7 @@ def _component_tree(
             candidate[node] = par
         if valid:
             # Every member must reach the root without cycles.
-            for node in comp_nodes:
+            for node in comp_nodes:  # det-ok: all must pass, order-free
                 hops, current = 0, node
                 while candidate[current] != current and hops <= len(comp_nodes):
                     current = candidate[current]

@@ -33,16 +33,18 @@ message kinds beyond the paper's.
 Two engines run the protocol: the per-message handlers below
 (:class:`ELinkNode`) and the batched round processor of
 :mod:`repro.core.elink_vec`, which runs whenever its legality gate passes.
-Both hand their final node state (:class:`FinalState`) to one assembly in
-:func:`run_elink`, which builds the clustering, the timings and the
-:class:`ELinkResult` and runs the end-of-run checks for either engine.
+Both hand their final node state (:class:`FinalState`, index arrays over
+the node list) to one assembly in :func:`run_elink`, which builds the
+clustering, the timings and the :class:`ELinkResult` and runs the
+end-of-run checks for either engine.
 
 Because a switching node does not drag its cluster-tree subtree along, a
 cluster's *membership* can in rare cases lose connectivity; the result
 assembly repairs this by splitting stray components into their own clusters
-(see :func:`repro.core.delta.clustering_from_assignment`), which keeps
-every emitted cluster a valid δ-cluster and simply costs one extra cluster
-in the quality metric.
+(see :func:`repro.core.delta.clustering_from_arrays`, which keeps every
+protocol tree that holds in one numpy pass and runs the per-root repair
+only for the clusters that fail it), which keeps every emitted cluster a
+valid δ-cluster and simply costs one extra cluster in the quality metric.
 
 Failure detection and repair (DESIGN.md §9).  With
 ``ELinkConfig.failure_detection`` enabled (default off — the zero-fault
@@ -100,7 +102,7 @@ if TYPE_CHECKING:
 import numpy as np
 
 from repro._validation import require_non_negative, require_positive
-from repro.core.delta import Clustering, clustering_from_assignment
+from repro.core.delta import Clustering, clustering_from_arrays
 from repro.features.metrics import Metric
 from repro.geometry.quadtree import QuadTreeDecomposition
 from repro.geometry.topology import Topology
@@ -910,21 +912,26 @@ def implicit_schedule(n: int, depth: int, gamma: float) -> list[float]:
 class FinalState(NamedTuple):
     """How either engine's run ended, handed to the one assembly.
 
-    Per node, in graph order: its cluster root (``None`` if it never joined
-    a cluster), its cluster-tree parent (``None`` at a root), its feature,
-    the root feature it holds, when it last joined a cluster and the
-    switches it spent.  *protocol_done* holds when the quadtree root
-    learned the final round finished (explicit signalling only).
+    Per node of *nodes* (graph order): the positions in *nodes* of its
+    cluster root (``-1`` if it never joined a cluster) and of its
+    cluster-tree parent (``-1`` at a root), as int64 arrays; its feature;
+    when it last joined a cluster; and the switches it spent.  A member
+    holds its root's feature (elections, orphan re-roots and joins set the
+    root id and root feature as one pair), so ``features[roots[i]]`` is
+    the pruning feature of node i's cluster.  *protocol_done* holds when
+    the quadtree root learned the final round finished (explicit
+    signalling only).  *adjacency* is ``adjacency_arrays(network.graph)``
+    when the engine built it, so the assembly need not build it again.
     """
 
     nodes: Sequence[Hashable]
-    roots: Sequence[Hashable | None]
-    parents: Sequence[Hashable | None]
+    roots: np.ndarray
+    parents: np.ndarray
     features: Sequence[np.ndarray]
-    root_features: Sequence[np.ndarray | None]
     clustered_at: Sequence[float | None]
     switches: Sequence[int]
     protocol_done: Sequence[float]
+    adjacency: tuple | None = None
 
 
 def run_elink(
@@ -957,6 +964,12 @@ def run_elink(
     δ-cluster).  A node that never joined a cluster (a fault cut it off
     from every start signal and expansion) becomes a singleton.  An empty
     plan schedules nothing: byte-identical to no injector at all.
+
+    Either engine's final state is assembled by
+    :func:`repro.core.delta.clustering_from_arrays`: clusters whose
+    protocol tree holds are kept as built, the others are repaired one
+    root at a time.  The batch engine's CSR adjacency is reused when
+    ``network.graph`` is the graph the clustering is assembled on.
 
     With *tracer* (a :class:`repro.obs.trace.Tracer`), the run is traced
     end to end — message traffic, timers, faults, ELink phase transitions
@@ -1002,36 +1015,35 @@ def run_elink(
         end = _run_handlers(topology, features, metric, config, quadtree, network, injector)
 
     # The one assembly of both engines' final state.  Dead nodes drop out;
-    # a dead root's feature survives as the copy its members hold, so its
-    # stranded members keep their δ/2 pruning guarantee.
+    # a dead root's feature stays the pruning feature of its stranded
+    # members, and a node that never joined is a singleton.  The
+    # clustering and its checks cover the population it was assembled on:
+    # the surviving subgraph after a crash, the full topology otherwise.
     dead = network.dead_nodes
-    assignment: dict[Hashable, Hashable] = {}
-    parents: dict[Hashable, Hashable] = {}
-    feature_map: dict[Hashable, np.ndarray] = {}
-    root_feature_map: dict[Hashable, np.ndarray] = {}
-    for node_id, root, parent, feature, root_feature in zip(
-        end.nodes, end.roots, end.parents, end.features, end.root_features
-    ):
-        if node_id in dead:
-            continue
-        if root is None:
-            root, root_feature = node_id, feature
-        assignment[node_id] = root
-        parents[node_id] = node_id if parent is None else parent
-        feature_map[node_id] = feature
-        root_feature_map.setdefault(root, root_feature)
-    # The clustering and its checks cover the population it was assembled
-    # on: the surviving subgraph after a crash, the full topology otherwise.
     graph = network.graph if dead else topology.graph
-    clustering = clustering_from_assignment(
-        graph, assignment, feature_map, root_features=root_feature_map, parents=parents
+    nodes = end.nodes
+    alive = (
+        np.flatnonzero(np.fromiter((v not in dead for v in nodes), bool, count=len(nodes)))
+        if dead
+        else np.arange(len(nodes))
     )
-    repaired = clustering.num_clusters - len(set(assignment.values()))
+    roots = np.where(end.roots >= 0, end.roots, np.arange(len(nodes)))
+    clustering = clustering_from_arrays(
+        graph,
+        nodes,
+        roots,
+        end.parents,
+        end.features,
+        members=alive,
+        adjacency=end.adjacency if graph is network.graph else None,
+    )
+    repaired = clustering.num_clusters - np.count_nonzero(np.bincount(roots[alive]))
 
-    completion_time = max(
-        (t for v, t in zip(end.nodes, end.clustered_at) if t is not None and v not in dead),
-        default=0.0,
-    )
+    clustered_at, switches = end.clustered_at, end.switches
+    if dead:
+        clustered_at = [clustered_at[i] for i in alive.tolist()]
+        switches = [switches[i] for i in alive.tolist()]
+    completion_time = max((t for t in clustered_at if t is not None), default=0.0)
     n, depth = topology.num_nodes, quadtree.depth
     if config.signalling == "implicit":
         kappa = compute_kappa(n, config.gamma)
@@ -1050,7 +1062,7 @@ def run_elink(
             "elink.assembled",
             None,
             clusters=clustering.num_clusters,
-            survivors=len(assignment),
+            survivors=alive.size,
             dead=len(dead),
         )
     if verifier is not None:
@@ -1058,7 +1070,7 @@ def run_elink(
             network=network,
             graph=graph,
             clustering=clustering,
-            features=feature_map,
+            features={nodes[i]: end.features[i] for i in alive.tolist()},
             metric=metric,
             delta=config.delta,
         )
@@ -1067,7 +1079,7 @@ def run_elink(
         stats=network.stats.diff(start_stats),
         completion_time=completion_time,
         protocol_time=protocol_time,
-        total_switches=sum(s for v, s in zip(end.nodes, end.switches) if v not in dead),
+        total_switches=sum(switches),
         repaired_components=max(repaired, 0),
         config=config,
     )
@@ -1153,12 +1165,13 @@ def _run_handlers(
     network.run(max_events=event_budget)
 
     final = list(nodes.values())
+    index = {node_id: i for i, node_id in enumerate(nodes)}
+    index[None] = -1
     return FinalState(
         nodes=list(nodes),
-        roots=[node.root_id for node in final],
-        parents=[node.parent for node in final],
+        roots=np.fromiter((index[node.root_id] for node in final), np.int64, count=n),
+        parents=np.fromiter((index[node.parent] for node in final), np.int64, count=n),
         features=[node.feature for node in final],
-        root_features=[node.root_feature for node in final],
         clustered_at=[node.clustered_at for node in final],
         switches=[node.switches_used for node in final],
         protocol_done=protocol_done_at,

@@ -39,7 +39,8 @@ jitter or loss, an unmutated network with no dead nodes, plain Euclidean
 1-d features, and an idle kernel.  The gate alone picks the engine.
 
 The engine ends by handing its final node state
-(:class:`~repro.core.elink.FinalState`) back to
+(:class:`~repro.core.elink.FinalState`: root and parent positions over
+its node list, and its CSR adjacency) back to
 :func:`~repro.core.elink.run_elink`, which assembles the clustering and
 the result for both engines in one place.
 
@@ -159,8 +160,10 @@ class _VectorRun:
         self.explicit = config.signalling == "explicit"
 
         # The network's adjacency as CSR rows, neighbours in ``graph.adj``
-        # order (the handler engine's delivery order).
-        nodes, index, self.indptr, self.indices = adjacency_arrays(network.graph)
+        # order (the handler engine's delivery order); the final state hands
+        # them on to the clustering assembly.
+        self.adjacency = adjacency_arrays(network.graph)
+        nodes, index, self.indptr, self.indices = self.adjacency
         self.nodes, self.index = nodes, index
         self.n = len(nodes)
 
@@ -500,18 +503,15 @@ class _VectorRun:
         event_budget = 200 * n * (depth + 2) + 10_000
         network.run(max_events=event_budget)
 
-        nodes = self.nodes
-        arrays = self.feature_arrays
-        root_idx = self.root_idx
         return FinalState(
-            nodes=nodes,
-            roots=[nodes[r] if r >= 0 else None for r in root_idx],
-            parents=[nodes[p] if p >= 0 else None for p in self.parent_idx],
-            features=arrays,
-            root_features=[arrays[r] if r >= 0 else None for r in root_idx],
+            nodes=self.nodes,
+            roots=np.array(self.root_idx, dtype=np.int64),
+            parents=np.array(self.parent_idx, dtype=np.int64),
+            features=self.feature_arrays,
             clustered_at=self.clustered_at,
             switches=self.switches,
             protocol_done=self.protocol_done,
+            adjacency=self.adjacency,
         )
 
     def _fire_start_root(self) -> None:

@@ -479,7 +479,8 @@ class Network:
         Cancels every pending timer registered for the node via
         :meth:`schedule_owned`, marks it dead (so in-flight deliveries to it
         drop), mutates ``self.graph`` and clears the distance trees.
-        Returns the node's neighbours at crash time, in BFS order, for a
+        Returns the node's neighbours at crash time, its adjacency row in
+        insertion order (itself included if it has a self-loop), for a
         later :meth:`restore_node`.  Idempotent: crashing a dead node
         returns ``()``.
         """
@@ -502,8 +503,11 @@ class Network:
     def restore_node(self, node_id: Hashable, neighbours: Iterable[Hashable] = ()) -> None:
         """Recover a crashed node, re-attaching it to the still-alive subset
         of *neighbours* (typically the tuple :meth:`remove_node` returned;
-        links independently severed by :meth:`remove_edge` stay down)."""
+        links independently severed by :meth:`remove_edge` stay down).  The
+        node is alive again before its links are restored, so a self-loop
+        in *neighbours* comes back too."""
         self.graph.add_node(node_id)
+        self.dead_nodes.discard(node_id)
         for nbr in neighbours:
             if (
                 nbr in self.graph
@@ -511,7 +515,6 @@ class Network:
                 and frozenset((node_id, nbr)) not in self._removed_edges
             ):
                 self.graph.add_edge(node_id, nbr)
-        self.dead_nodes.discard(node_id)
         self._mutated = True
         self._clear_trees()
         if self._tracer is not None:

@@ -491,3 +491,16 @@ def test_adjacency_patch_preserves_neighbour_order():
     assert tuple(network.neighbors(5)) == after + (6,)
     fresh = Network(network.graph.copy())
     assert tuple(network.neighbors(5)) == tuple(fresh.neighbors(5))
+
+
+def test_restore_node_keeps_a_self_loop():
+    """A crashed node's self-loop comes back with its other links: the node
+    is alive again before its saved row is re-attached."""
+    graph = nx.Graph([(0, 1), (1, 1), (1, 2)])
+    network = Network(graph)
+    saved = network.remove_node(1)
+    assert saved == (0, 1, 2)  # the adjacency row, in insertion order
+    network.restore_node(1, saved)
+    assert list(graph.adj[1]) == [0, 1, 2]
+    assert network.neighbors(1) == (0, 1, 2)
+    assert network.is_alive(1)

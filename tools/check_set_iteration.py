@@ -6,7 +6,7 @@ produce byte-identical runs.  The classic way to break it silently is
 event schedule — Python sets iterate in hash order, which varies with
 insertion history (and, for str keys, with ``PYTHONHASHSEED``).  This
 lint walks the AST of the schedule-adjacent modules
-(``baselines/spanning_forest.py``, ``core/elink.py``,
+(``baselines/spanning_forest.py``, ``core/delta.py``, ``core/elink.py``,
 ``core/elink_vec.py``, ``core/maintenance.py``, ``geometry/quadtree.py``,
 ``geometry/topology.py``, ``sim/faults.py``, ``sim/kernel.py`` and
 ``sim/network.py`` by default) and flags ``for`` loops and comprehensions whose iterable is:
@@ -57,6 +57,7 @@ SET_RETURNING_METHODS = frozenset(
 #: Files checked when none are given on the command line.
 DEFAULT_TARGETS = (
     "src/repro/baselines/spanning_forest.py",
+    "src/repro/core/delta.py",
     "src/repro/core/elink.py",
     "src/repro/core/elink_vec.py",
     "src/repro/core/maintenance.py",
