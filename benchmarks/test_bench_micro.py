@@ -245,9 +245,10 @@ def test_backbone_build(benchmark):
 
 def test_clustering_assembly(benchmark):
     """The ELink assembly on the 4·10⁴-node seed-3 final state (the
-    ``--max-n`` rung and scale_40k), captured once from the batch engine:
-    the numpy tree check over 33,605 clusters, the member order of the
-    4,976 larger ones and the per-root code for the 6 that split."""
+    ``--max-n`` rung and scale_40k), captured once from the batch engine,
+    whose CSR the graph keeps: the numpy tree check over 33,605 clusters,
+    the member order of the 4,976 larger ones and the per-root code for
+    the 6 that split."""
     dataset = generate_synthetic_dataset(40_000, seed=3, readings=200)
     ends = []
     batch_path = elink_vec.try_run_vectorized
@@ -267,7 +268,6 @@ def test_clustering_assembly(benchmark):
         roots,
         end.parents,
         end.features,
-        adjacency=end.adjacency,
     )
     assert clustering.num_clusters == 33_605
 

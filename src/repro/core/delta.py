@@ -327,7 +327,6 @@ def clustering_from_arrays(
     *,
     root_features: Sequence[np.ndarray | None] | None = None,
     members: np.ndarray | None = None,
-    adjacency: tuple | None = None,
 ) -> Clustering:
     """Build a :class:`Clustering` from index arrays over *nodes*.
 
@@ -337,9 +336,9 @@ def clustering_from_arrays(
     ``nodes[parents[p]]`` (``-1``: none).  ``root_features[p]`` is the
     pruning feature of the cluster rooted at ``nodes[p]`` (*features* by
     default); ``features[p]`` is read only to root a stray component.
-    *adjacency* is ``adjacency_arrays(graph)`` when the caller has it.
-    The result is the one :func:`clustering_from_assignment` builds from
-    the same assignment, dict order included.
+    *graph*'s rows are read through :func:`adjacency_arrays`.  The result
+    is the one :func:`clustering_from_assignment` builds from the same
+    assignment, dict order included.
 
     One numpy pass keeps every cluster whose protocol tree holds: its root
     is a member, every member is in *graph*, and every other member's
@@ -354,9 +353,7 @@ def clustering_from_arrays(
     """
     if root_features is None:
         root_features = features
-    if adjacency is None:
-        adjacency = adjacency_arrays(graph)
-    graph_nodes, graph_order, indptr, indices = adjacency
+    graph_nodes, graph_order, indptr, indices = adjacency_arrays(graph)
     n = len(nodes)
     if members is None:
         members = np.arange(n, dtype=np.int64)
@@ -535,9 +532,11 @@ def _member_order(
     rest of ``set(component)``, where ``component`` is the set its BFS
     grew from the cluster's first member in graph order (neighbours in
     adjacency order).  Iteration order over a set depends on the order its
-    elements were added, so this runs the same BFS for every cluster at
-    once, one level per step, and adds each cluster's BFS order to a fresh
-    set the same way.
+    elements were added and on their hashes, so this runs the same BFS for
+    every cluster at once, one level per step, and adds each cluster's BFS
+    order to a fresh set the same way.  Int ids hash to themselves, so the
+    order is reproducible for them; for string ids it follows
+    ``PYTHONHASHSEED``.
     """
     cluster = np.full(len(graph_nodes), -1, dtype=np.int64)
     cluster[at] = label

@@ -920,8 +920,7 @@ class FinalState(NamedTuple):
     root id and root feature as one pair), so ``features[roots[i]]`` is
     the pruning feature of node i's cluster.  *protocol_done* holds when
     the quadtree root learned the final round finished (explicit
-    signalling only).  *adjacency* is ``adjacency_arrays(network.graph)``
-    when the engine built it, so the assembly need not build it again.
+    signalling only).
     """
 
     nodes: Sequence[Hashable]
@@ -931,7 +930,6 @@ class FinalState(NamedTuple):
     clustered_at: Sequence[float | None]
     switches: Sequence[int]
     protocol_done: Sequence[float]
-    adjacency: tuple | None = None
 
 
 def run_elink(
@@ -968,8 +966,7 @@ def run_elink(
     Either engine's final state is assembled by
     :func:`repro.core.delta.clustering_from_arrays`: clusters whose
     protocol tree holds are kept as built, the others are repaired one
-    root at a time.  The batch engine's CSR adjacency is reused when
-    ``network.graph`` is the graph the clustering is assembled on.
+    root at a time.
 
     With *tracer* (a :class:`repro.obs.trace.Tracer`), the run is traced
     end to end — message traffic, timers, faults, ELink phase transitions
@@ -1029,13 +1026,7 @@ def run_elink(
     )
     roots = np.where(end.roots >= 0, end.roots, np.arange(len(nodes)))
     clustering = clustering_from_arrays(
-        graph,
-        nodes,
-        roots,
-        end.parents,
-        end.features,
-        members=alive,
-        adjacency=end.adjacency if graph is network.graph else None,
+        graph, nodes, roots, end.parents, end.features, members=alive
     )
     repaired = clustering.num_clusters - np.count_nonzero(np.bincount(roots[alive]))
 

@@ -40,9 +40,8 @@ jitter or loss, an unmutated network with no dead nodes, plain Euclidean
 
 The engine ends by handing its final node state
 (:class:`~repro.core.elink.FinalState`: root and parent positions over
-its node list, and its CSR adjacency) back to
-:func:`~repro.core.elink.run_elink`, which assembles the clustering and
-the result for both engines in one place.
+its node list) back to :func:`~repro.core.elink.run_elink`, which
+assembles the clustering and the result for both engines in one place.
 
 Certification: the engine-equivalence suite diffs clusterings, parents,
 ``MessageStats`` and timing against the handler engine; traced runs take
@@ -160,10 +159,8 @@ class _VectorRun:
         self.explicit = config.signalling == "explicit"
 
         # The network's adjacency as CSR rows, neighbours in ``graph.adj``
-        # order (the handler engine's delivery order); the final state hands
-        # them on to the clustering assembly.
-        self.adjacency = adjacency_arrays(network.graph)
-        nodes, index, self.indptr, self.indices = self.adjacency
+        # order (the handler engine's delivery order).
+        nodes, index, self.indptr, self.indices = adjacency_arrays(network.graph)
         self.nodes, self.index = nodes, index
         self.n = len(nodes)
 
@@ -511,7 +508,6 @@ class _VectorRun:
             clustered_at=self.clustered_at,
             switches=self.switches,
             protocol_done=self.protocol_done,
-            adjacency=self.adjacency,
         )
 
     def _fire_start_root(self) -> None:

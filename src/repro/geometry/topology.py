@@ -123,6 +123,10 @@ class Topology:
         return self.num_nodes > 0 and nx.is_connected(self.graph)
 
 
+#: Key of :func:`adjacency_arrays`' entry in a graph's ``__networkx_cache__``.
+_CSR_CACHE_KEY = "repro.adjacency_arrays"
+
+
 def adjacency_arrays(
     graph: nx.Graph,
 ) -> tuple[list[Hashable], dict[Hashable, int], np.ndarray, np.ndarray]:
@@ -134,7 +138,17 @@ def adjacency_arrays(
     ``indices[indptr[i]:indptr[i + 1]]``, in ``graph.adj`` insertion
     order — the order the simulator's deliveries and BFS tie-breaks read.
     A self-loop lists its node once in its own row.
+
+    One graph state is read once: the tuple is kept in the graph's
+    ``__networkx_cache__``, which every networkx add/remove method empties,
+    and returned again until then.  A frozen graph (a subgraph view, whose
+    cache its base graph's changes leave alone) or one without that dict
+    is read afresh on every call.  *indptr* and *indices* are read-only;
+    *nodes* and *index* are shared too and must not be changed.
     """
+    cache = None if nx.is_frozen(graph) else getattr(graph, "__networkx_cache__", None)
+    if cache is not None and _CSR_CACHE_KEY in cache:
+        return cache[_CSR_CACHE_KEY]
     adj = graph._adj
     nodes = list(adj)
     index = {v: i for i, v in enumerate(nodes)}
@@ -146,7 +160,11 @@ def adjacency_arrays(
         dtype=np.int64,
         count=int(indptr[-1]),
     )
-    return nodes, index, indptr, indices
+    indptr.flags.writeable = indices.flags.writeable = False
+    arrays = (nodes, index, indptr, indices)
+    if cache is not None:
+        cache[_CSR_CACHE_KEY] = arrays
+    return arrays
 
 
 def grid_topology(rows: int, cols: int, *, spacing: float = 1.0) -> Topology:

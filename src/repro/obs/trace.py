@@ -221,13 +221,7 @@ class Tracer:
     @staticmethod
     def load_jsonl(path: str) -> list[TraceEvent]:
         """Read a JSONL trace back into a list of :class:`TraceEvent`."""
-        events = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    events.append(TraceEvent.from_json(line))
-        return events
+        return list(iter_jsonl(path))
 
     def __repr__(self) -> str:
         return (

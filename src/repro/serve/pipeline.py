@@ -60,7 +60,8 @@ class ClusteringPipeline:
     coverage_rounds:
         A node counts as *covered* while its last applied reading is at
         most this many rounds behind the stream head; the fraction of
-        covered nodes is the ``serve.coverage`` gauge.
+        covered nodes is the ``serve.coverage`` gauge, which the service's
+        watch loop sets (:meth:`apply` does not scan for it).
     metric:
         Feature-space metric (Euclidean over the 1-d α feature by default).
     """
@@ -123,7 +124,6 @@ class ClusteringPipeline:
         self.last_apply_wall = self.ctx.now()
         self.ctx.metrics.counter("serve.applied_total").inc()
         self.ctx.metrics.gauge("serve.applied_seq").set(float(self.applied_seq))
-        self.ctx.metrics.gauge("serve.coverage").set(self.coverage())
         if prev is None:
             return FIRST
         estimator = self.estimators[node]

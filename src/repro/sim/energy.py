@@ -33,9 +33,8 @@ RX_ENERGY_PER_VALUE = 30e-6
 class EnergyModel:
     """Accumulates per-node transmit/receive energy.
 
-    Attach to a :class:`~repro.sim.network.Network` via
-    :meth:`install`; every hop then charges the sender TX and the
-    receiver RX energy proportional to the values carried.
+    Callers charge each hop with :meth:`charge_hop`: the sender pays TX
+    and the receiver RX energy, proportional to the values carried.
     """
 
     tx_per_value: float = TX_ENERGY_PER_VALUE

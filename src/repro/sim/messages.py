@@ -15,9 +15,6 @@ Message kinds mirror the paper's protocol vocabulary:
   (Fig 18).
 - ``phase1`` / ``phase2`` / ``start`` — the explicit-signalling quadtree
   synchronization (Fig 18).
-- ``leave`` — sent to the previous cluster parent when a node switches
-  clusters, so the old subtree's completion accounting stays correct (the
-  paper allows switching but leaves the book-keeping implicit).
 - query/update kinds (``query``, ``result``, ``update``, ...) used by the
   index, query and maintenance layers.
 
@@ -42,7 +39,6 @@ _DEFAULT_CATEGORIES = {
     "expand": CATEGORY_CLUSTERING,
     "ack1": CATEGORY_CLUSTERING,
     "ack2": CATEGORY_CLUSTERING,
-    "leave": CATEGORY_CLUSTERING,
     "phase1": CATEGORY_SYNC,
     "phase2": CATEGORY_SYNC,
     "start": CATEGORY_SYNC,

@@ -41,8 +41,8 @@ Performance notes (see DESIGN.md §8):
   :meth:`remove_node` / :meth:`restore_node` / :meth:`remove_edge` /
   :meth:`restore_edge` change that same structure through networkx
   (removals keep the survivors' order, re-adds append), so a send sees
-  every change at once, a hand-added edge included.  The batch engine
-  and the backbone read the same rows as arrays through
+  every change at once, a hand-added edge included.  The batch engine,
+  the assembly and the backbone read the same rows as arrays through
   :func:`~repro.geometry.topology.adjacency_arrays`.
 - When ``jitter == 0 and loss is None`` (the paper's synchronous reliable
   model, and the default) deliveries take a zero-overhead fast path:

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import repro.core.delta as delta
 import repro.core.elink as elink
 import repro.core.elink_vec as elink_vec
+import repro.index.backbone as backbone
 from repro.core import ELinkConfig, run_elink
 from repro.core.delta import clustering_from_arrays, clustering_from_assignment
 from repro.core.elink import FinalState
@@ -171,8 +172,9 @@ def final_states(draw):
         switches=[0] * n,
         protocol_done=[],
     )
-    adjacency = adjacency_arrays(graph) if draw(st.booleans()) else None
-    return graph, end, {ids[i] for i in dead}, adjacency
+    if draw(st.booleans()):
+        adjacency_arrays(graph)  # the graph keeps the CSR an engine read
+    return graph, end, {ids[i] for i in dead}
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -180,14 +182,13 @@ def final_states(draw):
 def test_array_assembly_equals_oracle_on_random_final_states(case):
     """``run_elink``'s assembly of a final state: dead nodes dropped, a node
     that never joined its own root."""
-    graph, end, dead, adjacency = case
+    graph, end, dead = case
     n = len(end.nodes)
     alive = np.array([i for i, v in enumerate(end.nodes) if v not in dead], dtype=np.int64)
     roots = np.where(end.roots >= 0, end.roots, np.arange(n))
     with split_roots() as calls:
         got = clustering_from_arrays(
-            graph, end.nodes, roots, end.parents, end.features,
-            members=alive, adjacency=adjacency,
+            graph, end.nodes, roots, end.parents, end.features, members=alive
         )
     assert_same_clustering(got, assembly_oracle.final_state_assembly(graph, end, dead))
     assignment, parents, _, _ = assembly_oracle.final_state_dicts(end, dead)
@@ -199,7 +200,7 @@ def test_array_assembly_equals_oracle_on_random_final_states(case):
 def test_dict_assembly_equals_oracle(case, with_parents, with_root_features):
     """``clustering_from_assignment`` on the same dicts, with and without
     parents and root features (roots that are not assigned included)."""
-    graph, end, dead, _ = case
+    graph, end, dead = case
     assignment, parents, features, root_features = assembly_oracle.final_state_dicts(end, dead)
     kwargs = {}
     if with_parents:
@@ -276,8 +277,9 @@ def test_engine_equivalence_scenarios(topology_kind, signalling, handlers):
     with recorded_assemblies(handlers) as runs:
         result = test_engine_equivalence._vec_run(topology, signalling)
     check_runs(runs, 1)
-    end, _, _, clustering = runs[0]
-    assert (end.adjacency is None) is handlers
+    end, graph, _, clustering = runs[0]
+    # The batch engine's node list is the graph's CSR node list.
+    assert (adjacency_arrays(graph)[0] is end.nodes) is not handlers
     assert (
         result.completion_time, result.total_switches, result.repaired_components
     ) == old_result_fields(end, set(), clustering)
@@ -309,8 +311,9 @@ def test_chaos_1000_deployment():
 
 
 def test_scale_40k_seed_3():
-    """The ``--max-n`` rung at 4·10⁴ nodes: the batch engine's CSR is
-    reused, 6 clusters take the per-root assembly and the result matches."""
+    """The ``--max-n`` rung at 4·10⁴ nodes: the assembly reads the batch
+    engine's CSR, 6 clusters take the per-root assembly and the result
+    matches."""
     dataset = generate_synthetic_dataset(40_000, seed=3, readings=200)
     with recorded_assemblies() as runs, split_roots() as calls:
         result = run_elink(
@@ -319,7 +322,7 @@ def test_scale_40k_seed_3():
     check_runs(runs, 1)
     end, graph, _, clustering = runs[0]
     assert graph is dataset.topology.graph
-    assert end.adjacency[0] is end.nodes  # the engine's CSR, not a second build
+    assert adjacency_arrays(graph)[0] is end.nodes  # the engine's CSR, not a second build
     assert (result.num_clusters, result.total_messages) == (33_605, 164_547)
     assert len(calls) == result.repaired_components == 6
     assert (
@@ -331,7 +334,7 @@ def test_assembly_reads_the_assembly_graphs_rows():
     """A network over another graph object runs the batch engine on that
     graph's rows (``Graph.copy()`` reorders 11,511 of the 40,000 rows of
     the 4·10⁴ seed-3 topology); the assembly runs on the topology's graph,
-    so it builds that graph's CSR instead of reusing the engine's.  Here
+    so it reads that graph's CSR, not the engine's.  Here
     the two graphs list node 0's neighbours in opposite orders, and the
     cluster {0, 8, 16} comes out in the order of the topology's rows."""
     graph = nx.Graph([(0, 8), (0, 16)])
@@ -347,5 +350,32 @@ def test_assembly_reads_the_assembly_graphs_rows():
         )
     check_runs(runs, 1)
     end, assembled_on, _, _ = runs[0]
-    assert assembled_on is graph and end.adjacency is not None  # the batch engine ran
+    assert assembled_on is graph
+    assert adjacency_arrays(other)[0] is end.nodes  # the batch engine ran
+    assert adjacency_arrays(graph)[0] is not end.nodes
     assert list(result.clustering.assignment) == [0, 8, 16]
+
+
+def test_one_csr_build_per_graph_state():
+    """A batch run, the backbone over its clustering and a second run on
+    one unmutated topology read one CSR: every ``adjacency_arrays`` call
+    of the engine, the assembly and the backbone returns the tuple the
+    engine's first call built."""
+    dataset = generate_synthetic_dataset(1_000, seed=3, readings=200)
+    graph = dataset.topology.graph
+    config = ELinkConfig(delta=0.05)
+    calls = []
+
+    def recorded(graph):
+        calls.append(adjacency_arrays(graph))
+        return calls[-1]
+
+    with mock.patch.object(elink_vec, "adjacency_arrays", recorded), mock.patch.object(
+        delta, "adjacency_arrays", recorded
+    ), mock.patch.object(backbone, "adjacency_arrays", recorded):
+        first = run_elink(dataset.topology, dataset.features, dataset.metric(), config)
+        backbone.build_backbone(graph, first.clustering)
+        second = run_elink(dataset.topology, dataset.features, dataset.metric(), config)
+    assert len(calls) == 5  # engine, assembly, backbone, engine, assembly
+    assert all(arrays is calls[0] for arrays in calls)
+    assert_same_clustering(second.clustering, first.clustering)

@@ -14,6 +14,7 @@ from repro.serve import (
     ChaosDriver,
     CheckpointManager,
     ClusteringPipeline,
+    ClusteringService,
     NotReadyError,
     POLICY_BLOCK,
     POLICY_SHED_OLDEST,
@@ -23,6 +24,7 @@ from repro.serve import (
     ReplaySpec,
     ReplayStream,
     ServeContext,
+    ServiceConfig,
     StageCrash,
     Supervisor,
 )
@@ -298,6 +300,36 @@ def test_pipeline_builds_clustering_after_bootstrap():
     assert pipeline.num_clusters > 0
     assert any(e.type == "serve.clustered" for e in ctx.tracer.events())
     assert ctx.metrics.counter("serve.maintenance_updates").value > 0
+
+
+def test_coverage_gauge_has_one_writer(tmp_path, monkeypatch):
+    """Applying readings never scans coverage: the service's watch loop
+    alone sets the ``serve.coverage`` gauge, and ``--metrics-out`` still
+    holds the final coverage."""
+    calls = []
+    coverage = ClusteringPipeline.coverage
+
+    def counted(pipeline):
+        calls.append(pipeline)
+        return coverage(pipeline)
+
+    monkeypatch.setattr(ClusteringPipeline, "coverage", counted)
+    stream = _stream(n=6, rounds=10)
+    pipeline = ClusteringPipeline(stream.topology, _ctx(), delta=0.35, slack=0.05, bootstrap_rounds=4)
+    _feed(pipeline, stream, 0, stream.total_readings)
+    assert pipeline.applied_total == stream.total_readings
+    assert calls == []
+
+    metrics = tmp_path / "metrics.json"
+    service = ClusteringService(
+        ServiceConfig(
+            n=16, seed=7, rounds=60, delta=0.35, slack=0.05, bootstrap_rounds=8,
+            metrics_out=str(metrics),
+        )
+    )
+    assert service.run() == 0
+    final = json.loads(metrics.read_text())["serve.coverage"]
+    assert final == {"type": "gauge", "value": coverage(service.pipeline)}
 
 
 @pytest.mark.parametrize("cut_round", [5, 11, 16])

@@ -14,11 +14,13 @@ order, where the oracle used set iteration order.  So the graphs can
 differ only on an input with such a tie; ``tied_rounds`` counts the
 rounds that may have had one, and every pinned input has none.
 
-The CSR arrays the batch engine and the backbone read
-(``adjacency_arrays``) must equal the per-edge loop ``Network`` once ran
-(``topology_oracle.adjacency_arrays``), on generated graphs, on any
-graph, and on graphs a network has crashed and restored nodes and links
-of.
+The CSR arrays the batch engine, the clustering assembly and the
+backbone read (``adjacency_arrays``) must equal the per-edge loop
+``Network`` once ran (``topology_oracle.adjacency_arrays``), on generated
+graphs, on any graph, and on graphs a network has crashed and restored
+nodes and links of.  One graph state is read once: a second call returns
+the same read-only arrays, every networkx mutation makes the next call
+read the graph again, and a subgraph view is never kept.
 """
 
 import hashlib
@@ -325,21 +327,47 @@ def test_adjacency_arrays_any_graph(graph):
 
 
 _MUTATIONS = st.lists(
-    st.tuples(st.sampled_from(["crash", "recover", "cut", "mend"]), st.integers(0, 10**6)),
+    st.tuples(
+        st.sampled_from(
+            ["crash", "recover", "cut", "mend", "add_edge", "remove_node", "add_edges_from"]
+        ),
+        st.integers(0, 10**6),
+    ),
     max_size=20,
 )
+
+
+def assert_one_build(graph):
+    """Two calls return one tuple, equal to the oracle's, with read-only
+    arrays; a subgraph view of *graph* is read afresh on every call."""
+    arrays = adjacency_arrays(graph)
+    assert adjacency_arrays(graph) is arrays
+    assert_same_arrays(graph)
+    _, _, indptr, indices = arrays
+    for array in (indptr, indices):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = 0
+    view = graph.subgraph(list(graph)[::2])
+    assert adjacency_arrays(view) is not adjacency_arrays(view)
+    assert not view.__networkx_cache__
+    assert_same_arrays(view)
+    return arrays
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(graphs(), _MUTATIONS)
 def test_adjacency_arrays_after_removals_and_readds(graph, operations):
     """After every crash, recovery, cut and mend through a network, which
-    move re-added nodes and neighbours to the ends of their dicts, the
-    arrays still equal the per-edge loop's."""
+    move re-added nodes and neighbours to the ends of their dicts, and
+    after every raw networkx ``add_edge``, ``remove_node`` and
+    ``add_edges_from``, the next call builds the arrays again, equal to
+    the per-edge loop's, and the call after it returns the same ones."""
     network = Network(graph)
     saved, cut = {}, []
+    arrays = assert_one_build(graph)
     for op, k in operations:
         nodes, edges = list(graph), list(graph.edges)
+        changed = True
         if op == "crash" and len(nodes) > 1:
             node = nodes[k % len(nodes)]
             saved[node] = network.remove_node(node)
@@ -351,5 +379,14 @@ def test_adjacency_arrays_after_removals_and_readds(graph, operations):
             assert network.remove_edge(*edge)
             cut.append(edge)
         elif op == "mend" and cut:
-            network.restore_edge(*cut.pop(k % len(cut)))
-        assert_same_arrays(graph)
+            changed = network.restore_edge(*cut.pop(k % len(cut)))
+        elif op == "add_edge":
+            graph.add_edge(nodes[k % len(nodes)], nodes[k // len(nodes) % len(nodes)])
+        elif op == "remove_node" and len(nodes) > 1:
+            graph.remove_node(nodes[k % len(nodes)])
+        elif op == "add_edges_from":
+            graph.add_edges_from([(nodes[k % len(nodes)], ("new", k)), (("new", k), nodes[0])])
+        else:
+            changed = False
+        assert (adjacency_arrays(graph) is arrays) is not changed
+        arrays = assert_one_build(graph)
