@@ -272,6 +272,29 @@ def test_clustering_assembly(benchmark):
     assert clustering.num_clusters == 33_605
 
 
+@pytest.fixture(scope="module")
+def scale_40k_clustering():
+    """fig13's 4·10⁴ seed-3 rung clustered at δ = 0.05 (scale_40k's op)."""
+    dataset = generate_synthetic_dataset(40_000, seed=3, readings=200)
+    metric = dataset.metric()
+    result = run_elink(dataset.topology, dataset.features, metric, ELinkConfig(delta=0.05))
+    return dataset, metric, result.clustering
+
+
+@pytest.mark.parametrize("layer", ["mtree", "backbone"])
+def test_index_build(benchmark, scale_40k_clustering, layer):
+    """The index build over 33,605 clusters, 28,629 of them singletons:
+    the M-tree over 6,395 tree edges and the backbone over 33,604 root
+    pairs, 31,606 of them one hop long."""
+    dataset, metric, clustering = scale_40k_clustering
+    if layer == "mtree":
+        index = benchmark(build_mtree, clustering, dataset.features, metric)
+        assert index.build_messages == 12_790
+    else:
+        backbone = benchmark(build_backbone, dataset.topology.graph, clustering)
+        assert backbone.build_messages == 71_714
+
+
 def test_range_query_latency(benchmark):
     topology, features = _gradient_instance(15)
     metric = EuclideanMetric()

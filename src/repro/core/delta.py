@@ -88,12 +88,21 @@ class Clustering:
             self._members = members
         return self._members
 
-    def tree_children(self) -> dict[Hashable, list[Hashable]]:
-        """Mapping node -> its cluster-tree children."""
-        children: dict[Hashable, list[Hashable]] = {node: [] for node in self.assignment}
+    def tree_children(self) -> dict[Hashable, Sequence[Hashable]]:
+        """Mapping node -> its cluster-tree children, in ``parent`` order.
+
+        Only internal nodes get a list of their own; every leaf maps to
+        one shared empty tuple, so the map costs one entry per node and
+        one list per internal node.
+        """
+        children: dict[Hashable, Sequence[Hashable]] = dict.fromkeys(self.assignment, ())
         for node, par in self.parent.items():
             if par != node:
-                children[par].append(node)
+                siblings = children[par]
+                if siblings:
+                    siblings.append(node)
+                else:
+                    children[par] = [node]
         return children
 
     def path_to_root(self, node: Hashable) -> list[Hashable]:

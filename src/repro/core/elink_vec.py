@@ -23,6 +23,11 @@ timestamp:
 - ``ack1``/``ack2``/``phase1``/``phase2``/``start`` deliveries and
   episode leaf timers stay individual kernel entries, one per serial
   push, so no commutativity argument is ever needed for them.
+- Implicit start signals are one kernel entry per sentinel level.  An
+  implicit election pushes nothing but its broadcast one hop later, so
+  a level's elections append their rows to that timestamp's batch in
+  one step, under the same tail rule.  Explicit elections stay one call
+  each: every one opens an episode and pushes its leaf timer.
 
 Within a batch, eligible rows are processed in row order — exactly the
 order the network delivers the handler engine's per-neighbour ``send``
@@ -223,12 +228,18 @@ class _VectorRun:
     # ------------------------------------------------------------------
     # calendar pushes (every serial kernel push mirrored 1:1)
     # ------------------------------------------------------------------
-    def _push_expand(self, time: float, src: int, val: float, root: int, m: int, ep: int) -> None:
+    def _expand_tail(self, time: float) -> _ExpandBatch:
+        """The batch that broadcasts pushed now for *time* join: the tail
+        entry at *time* if it is a batch, else a new kernel entry."""
         tail = self._tails.get(time)
         if type(tail) is not _ExpandBatch:
             tail = _ExpandBatch()
             self.kernel.post_at(time, self._fire_expand, time, tail)
             self._tails[time] = tail
+        return tail
+
+    def _push_expand(self, time: float, src: int, val: float, root: int, m: int, ep: int) -> None:
+        tail = self._expand_tail(time)
         tail.srcs.append(src)
         tail.vals.append(val)
         tail.roots.append(root)
@@ -242,25 +253,33 @@ class _VectorRun:
     # ------------------------------------------------------------------
     # Fig 16: election / join (shared by both signalling modes)
     # ------------------------------------------------------------------
-    def _elect(self, i: int) -> None:
+    def _make_roots(self, rows: list[int]) -> None:
+        """Election state for the unclustered nodes *rows*: each is the
+        root of its own cluster, with its own feature, from now on (an
+        unclustered node never had a parent, so ``parent_idx`` stays -1)."""
         now = self.kernel.now
-        self.clustered[i] = 1
-        self.is_root[i] = 1
-        self.root_idx[i] = i
-        val = self.feats_list[i]
-        self.root_val[i] = val
-        m = self.level[i]
-        self.m_level[i] = m
-        self.parent_idx[i] = -1
-        self.clustered_at[i] = now
-        ep = self._open_episode(i, -1, -1) if self.explicit else -1
-        self._push_expand(now + HOP_DELAY, i, val, i, m, ep)
-        if self.explicit:
-            self._push_scalar(
-                now + self.config.ack_window * self.network.max_hop_delay,
-                self._fire_timeout,
-                ep,
-            )
+        clustered, is_root, root_idx = self.clustered, self.is_root, self.root_idx
+        root_val, m_level, clustered_at = self.root_val, self.m_level, self.clustered_at
+        feats_list, level = self.feats_list, self.level
+        for i in rows:
+            clustered[i] = 1
+            is_root[i] = 1
+            root_idx[i] = i
+            root_val[i] = feats_list[i]
+            m_level[i] = level[i]
+            clustered_at[i] = now
+
+    def _elect(self, i: int) -> None:
+        """Explicit mode: an election also opens an episode and its timer."""
+        now = self.kernel.now
+        self._make_roots([i])
+        ep = self._open_episode(i, -1, -1)
+        self._push_expand(now + HOP_DELAY, i, self.root_val[i], i, self.m_level[i], ep)
+        self._push_scalar(
+            now + self.config.ack_window * self.network.max_hop_delay,
+            self._fire_timeout,
+            ep,
+        )
 
     def _join(self, i: int, via: int, val: float, root: int, m: int, parent_ep: int) -> None:
         now = self.kernel.now
@@ -359,13 +378,27 @@ class _VectorRun:
     # ------------------------------------------------------------------
     def _fire_starts(self, level: int) -> None:
         """Implicit mode: one entry per sentinel level (the serial engine's
-        per-sentinel timers fire back-to-back at the same instant)."""
+        per-sentinel timers fire back-to-back at the same instant).
+
+        An implicit election only sets its node's state and broadcasts
+        one hop later, and nothing else is pushed between two elections,
+        so the level's elections append their rows to one batch, as one
+        :meth:`_push_expand` call per election would.
+        """
         clustered = self.clustered
-        index = self.index
-        for sentinel in self.quadtree.sentinel_sets[level]:
-            i = index[sentinel]
-            if not clustered[i]:
-                self._elect(i)
+        # A level's sentinels are distinct nodes, so the ones unclustered
+        # now are the ones a per-sentinel loop would elect.
+        sentinels = map(self.index.__getitem__, self.quadtree.sentinel_sets[level])
+        rows = [i for i in sentinels if not clustered[i]]
+        if not rows:
+            return
+        self._make_roots(rows)
+        tail = self._expand_tail(self.kernel.now + HOP_DELAY)
+        tail.srcs += rows
+        tail.vals += [self.root_val[i] for i in rows]
+        tail.roots += rows
+        tail.ms += [self.m_level[i] for i in rows]
+        tail.eps += [-1] * len(rows)
 
     def _start_elink(self, i: int) -> None:
         if not self.clustered[i]:

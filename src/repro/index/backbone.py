@@ -20,7 +20,8 @@ is one handshake (2 control values) per hop of every backbone edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from functools import cached_property
+from typing import Hashable, Mapping
 
 import networkx as nx
 import numpy as np
@@ -33,27 +34,38 @@ from repro.sim.stats import MessageStats
 
 @dataclass
 class BackboneTree:
-    """Spanning tree over cluster roots with per-edge routing paths."""
+    """Spanning tree over cluster roots with per-edge routing paths.
 
-    tree: nx.Graph  # nodes are cluster roots
-    paths: dict[tuple[Hashable, Hashable], Sequence[Hashable]]
+    The tree's edges are the keys of :attr:`paths`, each mapped to its hop
+    path as a tuple (a one-hop edge's path is its key).  :attr:`tree` is
+    the same tree as an ``nx.Graph``, built on first read and kept.
+    """
+
+    #: The cluster roots: the tree's nodes, in order.
+    roots: list[Hashable]
+    paths: dict[tuple[Hashable, Hashable], tuple[Hashable, ...]]
     build_messages: int = 0
     stats: MessageStats = field(default_factory=MessageStats)
 
-    def path(self, a: Hashable, b: Hashable) -> Sequence[Hashable]:
+    @cached_property
+    def tree(self) -> nx.Graph:
+        """The tree as an ``nx.Graph``: :attr:`roots`, then the edges in
+        :attr:`paths` order."""
+        tree = nx.Graph()
+        tree.add_nodes_from(self.roots)
+        tree.add_edges_from(self.paths)
+        return tree
+
+    def path(self, a: Hashable, b: Hashable) -> tuple[Hashable, ...]:
         """Hop path of backbone edge (a, b)."""
         if (a, b) in self.paths:
             return self.paths[(a, b)]
-        return list(reversed(self.paths[(b, a)]))
+        return self.paths[(b, a)][::-1]
 
     def edge_hops(self, a: Hashable, b: Hashable) -> int:
         """Hop length of backbone edge (a, b)."""
         path = self.paths[(a, b)] if (a, b) in self.paths else self.paths[(b, a)]
         return len(path) - 1
-
-    def neighbors(self, root: Hashable):
-        """Neighbours in the underlying structure."""
-        return self.tree.neighbors(root)
 
     def reroute_around(
         self, graph: nx.Graph, dead_root: Hashable, replacement: Hashable
@@ -77,12 +89,13 @@ class BackboneTree:
         for key in [k for k in self.paths if dead_root in k]:
             del self.paths[key]
         self.tree.add_node(replacement)
+        self.roots = list(self.tree)
         rerouted = 0
         for neighbour in neighbours:
             if neighbour == replacement or neighbour not in graph:
                 continue
             try:
-                path = nx.shortest_path(graph, replacement, neighbour)
+                path = tuple(nx.shortest_path(graph, replacement, neighbour))
             except (nx.NodeNotFound, nx.NetworkXNoPath):
                 continue  # unreachable survivor: this edge stays severed
             self.tree.add_edge(replacement, neighbour)
@@ -108,7 +121,7 @@ def build_backbone(graph: nx.Graph, clustering: Clustering) -> BackboneTree:
     roots = clustering.roots
     stats = MessageStats()
     if len(roots) == 1:
-        return BackboneTree(_single(roots[0]), {}, 0, stats)
+        return BackboneTree(roots, {}, 0, stats)
 
     lo, hi, adjacent = _root_pairs(graph, clustering.assignment, roots)
     # Kruskal with networkx's tie-break: pairs stably sorted by hop
@@ -118,10 +131,12 @@ def build_backbone(graph: nx.Graph, clustering: Clustering) -> BackboneTree:
     chosen = _join(parent, lo, hi, np.flatnonzero(adjacent).tolist())
     # A pair whose roots those 1-hop pairs already joined can never enter
     # the tree, so only the others are searched for their hop path.
-    detours: dict[int, list[Hashable]] = {}
+    detours: dict[int, tuple[Hashable, ...]] = {}
     for k in np.flatnonzero(~adjacent).tolist():
         if _find(parent, lo[k]) != _find(parent, hi[k]):
-            detours[k] = nx.bidirectional_shortest_path(graph, roots[lo[k]], roots[hi[k]])
+            detours[k] = tuple(
+                nx.bidirectional_shortest_path(graph, roots[lo[k]], roots[hi[k]])
+            )
     chosen += _join(parent, lo, hi, sorted(detours, key=lambda k: len(detours[k])))
     if len(chosen) != len(roots) - 1:
         # The communication graph is connected, so cluster adjacency must
@@ -131,16 +146,13 @@ def build_backbone(graph: nx.Graph, clustering: Clustering) -> BackboneTree:
     # ``nx.Graph.edges`` lists a tree edge under its earlier root, and a
     # root's edges in the order Kruskal added them.
     chosen.sort(key=lo.__getitem__)
-    paths: dict[tuple[Hashable, Hashable], Sequence[Hashable]] = {}
+    paths: dict[tuple[Hashable, Hashable], tuple[Hashable, ...]] = {}
     for k in chosen:
         edge = (roots[lo[k]], roots[hi[k]])
-        paths[edge] = detours[k] if k in detours else list(edge)
-    tree = nx.Graph()
-    tree.add_nodes_from(roots)
-    tree.add_edges_from(paths)
+        paths[edge] = detours.get(k, edge)
     # Handshake: 2 control values per hop of every backbone edge.
     stats.charge("feature", CATEGORY_DATA, 2, hops=sum(len(p) - 1 for p in paths.values()))
-    return BackboneTree(tree, paths, stats.total_values, stats)
+    return BackboneTree(roots, paths, stats.total_values, stats)
 
 
 def _root_pairs(
@@ -200,8 +212,3 @@ def _find(parent: list[int], p: int) -> int:
         parent[p] = p = parent[parent[p]]
     return p
 
-
-def _single(root: Hashable) -> nx.Graph:
-    tree = nx.Graph()
-    tree.add_node(root)
-    return tree

@@ -14,19 +14,26 @@ pruning checks of §7.1 without extra messages at query time.
 
 The build is charged ``(dim+1)`` values per cluster-tree edge (feature +
 radius flowing upward), mirroring the physical bottom-up aggregation.
+Its work is per tree edge too: a leaf (every member of a singleton
+cluster is one) keeps the shared empty child list and child table, and
+a singleton cluster's root is not walked at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from types import MappingProxyType
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.delta import Clustering
 from repro.features.metrics import Metric
-from repro.sim.messages import Message
+from repro.sim.messages import CATEGORY_DATA
 from repro.sim.stats import MessageStats
+
+#: The child table of every leaf: one shared, read-only empty mapping.
+_LEAF_INFO: Mapping[Hashable, tuple[float, float]] = MappingProxyType({})
 
 
 @dataclass
@@ -35,9 +42,9 @@ class MTreeIndex:
 
     routing_feature: dict[Hashable, np.ndarray]
     covering_radius: dict[Hashable, float]
-    children: dict[Hashable, list[Hashable]]
+    children: dict[Hashable, Sequence[Hashable]]
     #: parent-side table: node -> child -> (d(F_i^R, F_j^R), R_j)
-    child_info: dict[Hashable, dict[Hashable, tuple[float, float]]]
+    child_info: dict[Hashable, Mapping[Hashable, tuple[float, float]]]
     build_messages: int = 0
     stats: MessageStats = field(default_factory=MessageStats)
 
@@ -57,13 +64,16 @@ def build_mtree(
         node: np.asarray(features[node], dtype=np.float64) for node in clustering.assignment
     }
     covering_radius: dict[Hashable, float] = {}
-    child_info: dict[Hashable, dict[Hashable, tuple[float, float]]] = {
-        node: {} for node in clustering.assignment
-    }
-    stats = MessageStats()
+    child_info: dict[Hashable, Mapping[Hashable, tuple[float, float]]] = dict.fromkeys(
+        clustering.assignment, _LEAF_INFO
+    )
     dim = int(next(iter(routing_feature.values())).shape[0]) if routing_feature else 1
+    edges = 0
 
     for root in clustering.roots:
+        if not children[root]:
+            covering_radius[root] = 0.0  # a singleton cluster
+            continue
         # Post-order over the cluster tree (iterative to spare the stack).
         order: list[Hashable] = []
         stack = [root]
@@ -73,15 +83,22 @@ def build_mtree(
             stack.extend(children[node])
         for node in reversed(order):
             radius = 0.0
-            for child in children[node]:
-                d = metric.distance(routing_feature[node], routing_feature[child])
-                child_radius = covering_radius[child]
-                child_info[node][child] = (d, child_radius)
-                radius = max(radius, d + child_radius)
-                # The child ships (feature, radius) one hop up the tree.
-                stats.record(Message("feature", child, node, values=dim + 1), hops=1)
+            kids = children[node]
+            if kids:
+                info = child_info[node] = {}
+                feature = routing_feature[node]
+                for child in kids:
+                    d = metric.distance(feature, routing_feature[child])
+                    child_radius = covering_radius[child]
+                    info[child] = (d, child_radius)
+                    radius = max(radius, d + child_radius)
+                edges += len(kids)
             covering_radius[node] = radius
 
+    stats = MessageStats()
+    if edges:
+        # Each child ships (feature, radius) one hop up the tree.
+        stats.charge("feature", CATEGORY_DATA, dim + 1, hops=edges)
     return MTreeIndex(
         routing_feature,
         covering_radius,

@@ -1,10 +1,12 @@
 """Reference leader-backbone build: the networkx formulation, kept as an oracle.
 
-This is the original ``repro.index.backbone.build_backbone``, unchanged:
-it builds the cluster adjacency graph as an ``nx.Graph``, weights every
-edge with ``nx.shortest_path_length``, takes ``nx.minimum_spanning_tree``
-and routes every tree edge with ``nx.shortest_path``.  The production
-build must reproduce its tree, paths, build cost and stats exactly
+This is the original ``repro.index.backbone.build_backbone``: it builds
+the cluster adjacency graph as an ``nx.Graph``, weights every edge with
+``nx.shortest_path_length``, takes ``nx.minimum_spanning_tree``, routes
+every tree edge with ``nx.shortest_path`` and builds its own tree graph
+from the spanning tree's edges (the production build makes its graph
+from the paths on first read instead).  The production build must
+reproduce its tree, paths, build cost and stats exactly
 (``tests/test_backbone_identity.py``); nothing under ``src/`` imports it.
 """
 
@@ -25,7 +27,7 @@ def build_backbone(graph: nx.Graph, clustering: Clustering) -> BackboneTree:
     roots = clustering.roots
     stats = MessageStats()
     if len(roots) == 1:
-        return BackboneTree(_single(roots[0]), {}, 0, stats)
+        return _with_tree(BackboneTree(roots, {}, 0, stats), _single(roots[0]))
 
     adjacency = nx.Graph()
     adjacency.add_nodes_from(roots)
@@ -53,7 +55,13 @@ def build_backbone(graph: nx.Graph, clustering: Clustering) -> BackboneTree:
     tree = nx.Graph()
     tree.add_nodes_from(roots)
     tree.add_edges_from(mst.edges)
-    return BackboneTree(tree, paths, stats.total_values, stats)
+    return _with_tree(BackboneTree(roots, paths, stats.total_values, stats), tree)
+
+
+def _with_tree(backbone: BackboneTree, tree: nx.Graph) -> BackboneTree:
+    """*backbone* holding the oracle's own *tree* instead of one built lazily."""
+    backbone.tree = tree
+    return backbone
 
 
 def _single(root: Hashable) -> nx.Graph:

@@ -5,7 +5,9 @@ cluster adjacency weighted by ``nx.shortest_path_length``, its
 ``nx.minimum_spanning_tree``, and ``nx.shortest_path`` for every tree
 edge.  Every case here checks that ``build_backbone`` reproduces it
 exactly: the tree's node and neighbour order, every path with its key
-order and orientation, ``build_messages`` and the stats counters.
+order and orientation, ``build_messages`` and the stats counters.  The
+build makes its ``nx.Graph`` only when ``.tree`` is first read; the
+oracle builds its own from the spanning tree's edges.
 """
 
 import random
@@ -59,7 +61,10 @@ def assert_same_backbone(new, old):
     """Tree, paths, build cost and stats of *new* equal *old*'s, in order."""
     assert _adjacency(new.tree) == _adjacency(old.tree)
     assert list(new.tree.nodes(data=True)) == list(old.tree.nodes(data=True))
-    assert list(new.paths.items()) == list(old.paths.items())
+    # The oracle keeps networkx's path lists; the build keeps tuples.
+    assert [(key, tuple(path)) for key, path in new.paths.items()] == [
+        (key, tuple(path)) for key, path in old.paths.items()
+    ]
     assert new.build_messages == old.build_messages
     assert _counters(new.stats) == _counters(old.stats)
 
@@ -141,15 +146,39 @@ def test_reroute_around_matches_oracle_build(n, seed):
     # The busiest backbone root that has a member to take its place.
     dead = max(
         (root for root in clustering.roots if len(clustering.members(root)) > 1),
-        key=new.tree.degree,
+        key=old.tree.degree,
     )
     replacement = next(m for m in clustering.members(dead) if m != dead)
     surviving = topology.graph.copy()
     surviving.remove_node(dead)
+    assert "tree" not in vars(new)  # the repair builds the graph it edits
     rerouted = new.reroute_around(surviving, dead, replacement)
     assert rerouted == old.reroute_around(surviving, dead, replacement)
     assert rerouted == new.tree.degree(replacement) > 0
+    assert new.roots == list(new.tree)
     assert_same_backbone(new, old)
+
+
+def test_tree_is_built_on_first_read(monkeypatch):
+    topology = random_geometric_topology(600, seed=2)
+    clustering = _clustering(topology, 0.4, seed=2)
+    built = []
+    init = nx.Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(nx.Graph, "__init__", counting_init)
+    backbone = build_backbone(topology.graph, clustering)
+    assert built == []
+    assert all(type(path) is tuple for path in backbone.paths.values())
+    tree = backbone.tree
+    assert built == [nx.Graph]
+    assert backbone.tree is tree
+    assert built == [nx.Graph]
+    monkeypatch.undo()
+    assert_same_backbone(backbone, backbone_oracle.build_backbone(topology.graph, clustering))
 
 
 def _rows(graph, rows):

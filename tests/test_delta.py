@@ -49,9 +49,9 @@ def test_path_to_root_detects_cycle():
 def test_tree_children():
     graph, features, clustering = _valid_line_clustering()
     children = clustering.tree_children()
-    assert children[0] == [1]
-    assert children[1] == [2]
-    assert children[2] == []
+    assert list(children[0]) == [1]
+    assert list(children[1]) == [2]
+    assert list(children[2]) == []
 
 
 def test_check_delta_compact_finds_violating_pair():
