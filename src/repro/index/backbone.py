@@ -9,9 +9,21 @@ graph, and we remember the concrete hop path for every backbone edge so
 query routing can be charged exactly.
 
 The tree is the one ``nx.minimum_spanning_tree`` (Kruskal, with its
-tie-break) picks over that weighted graph, but the graph is never built:
-roots that are graph neighbours are one hop apart, and only the other
-root pairs that can still join the tree are searched for their hop path.
+tie-break) picks over that weighted graph, but the graph is never built,
+and numpy does the work per root pair:
+
+- one stable sort of the cross-cluster communication edges lists the
+  root pairs in ``nx.Graph.edges`` order and marks the pairs whose roots
+  are graph neighbours, one hop apart;
+- those pairs come first in Kruskal's order, so the tree's one-hop edges
+  are their minimum spanning forest under pair-index weights, found by
+  Borůvka;
+- of the other pairs, only those whose roots that forest left apart can
+  join the tree.  Where the roots share a neighbour, the pair is two hops
+  long and its middle node is read from the adjacency rows, as networkx's
+  search would pick it; only the rest, three hops or more, are searched;
+- a second Borůvka forest over the first one's components, with these
+  pairs stably sorted by hop length, adds the rest of the tree.
 
 The paper accounts the backbone construction cost to ELink; the cost here
 is one handshake (2 control values) per hop of every backbone edge.
@@ -21,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat
 from typing import Hashable, Mapping
 
 import networkx as nx
@@ -123,41 +136,65 @@ def build_backbone(graph: nx.Graph, clustering: Clustering) -> BackboneTree:
     if len(roots) == 1:
         return BackboneTree(roots, {}, 0, stats)
 
-    lo, hi, adjacent = _root_pairs(graph, clustering.assignment, roots)
-    # Kruskal with networkx's tie-break: pairs stably sorted by hop
-    # weight.  Roots that are graph neighbours weigh 1, so their pairs
+    nodes, index, indptr, heads = adjacency_arrays(graph)
+    root_node = np.fromiter(map(index.get, roots, repeat(-1)), dtype=np.int64, count=len(roots))
+    lo, hi, adjacent = _root_pairs(clustering.assignment, roots, root_node, nodes, indptr, heads)
+    # Kruskal with networkx's tie-break takes the pairs stably sorted by
+    # hop weight.  Roots that are graph neighbours weigh 1, so their pairs
     # come first, in pair order.
-    parent = list(range(len(roots)))
-    chosen = _join(parent, lo, hi, np.flatnonzero(adjacent).tolist())
-    # A pair whose roots those 1-hop pairs already joined can never enter
-    # the tree, so only the others are searched for their hop path.
-    detours: dict[int, tuple[Hashable, ...]] = {}
-    for k in np.flatnonzero(~adjacent).tolist():
-        if _find(parent, lo[k]) != _find(parent, hi[k]):
-            detours[k] = tuple(
-                nx.bidirectional_shortest_path(graph, roots[lo[k]], roots[hi[k]])
-            )
-    chosen += _join(parent, lo, hi, sorted(detours, key=lambda k: len(detours[k])))
-    if len(chosen) != len(roots) - 1:
+    one = np.flatnonzero(adjacent)
+    kept, component = _spanning_forest(len(roots), lo[one], hi[one])
+    one = one[kept]
+    # A pair whose roots the one-hop edges already joined can never enter
+    # the tree.  Of the others, the detours, only those three or more hops
+    # long are searched for their hop path.
+    detour = np.flatnonzero(~adjacent & (component[lo] != component[hi]))
+    middle = _two_hop_middles(indptr, heads, root_node[lo[detour]], root_node[hi[detour]])
+    far = np.flatnonzero(middle < 0)
+    searched = {
+        j: tuple(nx.bidirectional_shortest_path(graph, roots[p], roots[q]))
+        for j, p, q in zip(far.tolist(), lo[detour[far]].tolist(), hi[detour[far]].tolist())
+    }
+    hops = np.full(len(detour), 2)
+    hops[far] = [len(path) - 1 for path in searched.values()]
+    order = np.argsort(hops, kind="stable")
+    ends = detour[order]
+    kept, _ = _spanning_forest(len(roots), component[lo[ends]], component[hi[ends]])
+    joined = order[kept]  # the detours Kruskal adds, as places in detour, in its order
+    if len(one) + len(joined) != len(roots) - 1:
         # The communication graph is connected, so cluster adjacency must
         # be too; a disconnect indicates a broken clustering.
         raise ValueError("cluster adjacency graph is disconnected")
 
     # ``nx.Graph.edges`` lists a tree edge under its earlier root, and a
     # root's edges in the order Kruskal added them.
-    chosen.sort(key=lo.__getitem__)
-    paths: dict[tuple[Hashable, Hashable], tuple[Hashable, ...]] = {}
-    for k in chosen:
-        edge = (roots[lo[k]], roots[hi[k]])
-        paths[edge] = detours.get(k, edge)
+    chosen = np.concatenate([one, detour[joined]])
+    chosen = chosen[np.argsort(lo[chosen], kind="stable")]
+    root_at = roots.__getitem__
+    keys = list(zip(map(root_at, lo[chosen].tolist()), map(root_at, hi[chosen].tolist())))
+    # A one-hop edge's path is its key; a detour's replaces it in place.
+    paths: dict[tuple[Hashable, Hashable], tuple[Hashable, ...]] = dict(zip(keys, keys))
+    for j, p, w, q in zip(
+        joined.tolist(),
+        lo[detour[joined]].tolist(),
+        middle[joined].tolist(),
+        hi[detour[joined]].tolist(),
+    ):
+        a, b = roots[p], roots[q]
+        paths[a, b] = (a, nodes[w], b) if w >= 0 else searched[j]
     # Handshake: 2 control values per hop of every backbone edge.
-    stats.charge("feature", CATEGORY_DATA, 2, hops=sum(len(p) - 1 for p in paths.values()))
+    stats.charge("feature", CATEGORY_DATA, 2, hops=len(one) + int(hops[joined].sum()))
     return BackboneTree(roots, paths, stats.total_values, stats)
 
 
 def _root_pairs(
-    graph: nx.Graph, assignment: Mapping[Hashable, Hashable], roots: list[Hashable]
-) -> tuple[list[int], list[int], np.ndarray]:
+    assignment: Mapping[Hashable, Hashable],
+    roots: list[Hashable],
+    root_node: np.ndarray,
+    nodes: list[Hashable],
+    indptr: np.ndarray,
+    heads: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cluster adjacency graph's edges, as positions in *roots*.
 
     Returns ``(lo, hi, adjacent)``: pair ``k`` joins ``roots[lo[k]]`` and
@@ -166,16 +203,19 @@ def _root_pairs(
     whose nodes are *roots* and whose edges were added in ``graph.edges``
     order: by earlier root, then by the first communication edge between
     the two clusters.  ``adjacent[k]`` is true when the two roots are
-    themselves graph neighbours.
+    themselves graph neighbours.  *root_node* holds each root's position
+    in *nodes* (-1 outside the graph), and *indptr* and *heads* are the
+    graph's CSR rows.
     """
-    position = {root: k for k, root in enumerate(roots)}
-    nodes, index, indptr, heads = adjacency_arrays(graph)
+    position = dict(zip(roots, range(len(roots))))
     degree = np.diff(indptr)
     # Only nodes with an edge need a cluster: graph.edges is all that is read.
-    cluster = np.fromiter(
-        (position[assignment[node]] if d else -1 for node, d in zip(nodes, degree.tolist())),
+    linked = degree > 0
+    cluster = np.full(len(nodes), -1)
+    cluster[linked] = np.fromiter(
+        map(position.__getitem__, map(assignment.__getitem__, compress(nodes, linked.tolist()))),
         dtype=np.int64,
-        count=len(nodes),
+        count=int(linked.sum()),
     )
     tails = np.repeat(np.arange(len(nodes)), degree)
     # graph.edges lists each edge once, from its earlier node, in
@@ -187,28 +227,88 @@ def _root_pairs(
     cross = a != b
     tails, heads, a, b = tails[cross], heads[cross], a[cross], b[cross]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
+    between_roots = (root_node[a] == tails) & (root_node[b] == heads)
+    # One stable sort groups every pair's edges, each group in edge order.
     key = lo * len(roots) + hi
-    root_node = np.array([index.get(root, -1) for root in roots], dtype=np.int64)
-    between_roots = key[(root_node[a] == tails) & (root_node[b] == heads)]
-    _, first = np.unique(key, return_index=True)  # first edge of each pair
-    first = first[np.lexsort((first, lo[first]))]
-    return lo[first].tolist(), hi[first].tolist(), np.isin(key[first], between_roots)
+    by_pair = np.argsort(key, kind="stable")
+    start = np.flatnonzero(np.diff(key[by_pair], prepend=-1))
+    first = by_pair[start]  # each pair's first communication edge
+    adjacent = np.logical_or.reduceat(between_roots[by_pair], start)
+    emit = np.argsort(lo[first] * len(key) + first)  # by earlier root, then first edge
+    return lo[first[emit]], hi[first[emit]], adjacent[emit]
 
 
-def _join(parent: list[int], lo: list[int], hi: list[int], order: list[int]) -> list[int]:
-    """Union the pairs in *order*; return those that joined two components."""
-    joined = []
-    for k in order:
-        p, q = _find(parent, lo[k]), _find(parent, hi[k])
-        if p != q:
-            parent[p] = q
-            joined.append(k)
-    return joined
+def _spanning_forest(size: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum spanning forest over nodes ``0 .. size - 1``, by Borůvka.
+
+    Edge ``i`` joins ``lo[i]`` and ``hi[i]`` and weighs ``i``.  The weights
+    are distinct, so the forest is unique: it holds exactly the edges that
+    Kruskal keeps when it takes them in order.  Returns ``(kept,
+    component)``: the mask of those edges, and each node's component,
+    named by one of its nodes.
+    """
+    component = np.arange(size)
+    kept = np.zeros(len(lo), dtype=bool)
+    live = np.arange(len(lo))
+    while True:
+        ends_lo, ends_hi = component[lo[live]], component[hi[live]]
+        between = ends_lo != ends_hi
+        live, ends_lo, ends_hi = live[between], ends_lo[between], ends_hi[between]
+        if not live.size:
+            return kept, component
+        # Every component picks its lightest edge out and hooks onto the
+        # component across it; two components that picked the same edge
+        # hook onto each other, and the smaller one stays a root.
+        lightest = np.full(size, len(lo))
+        np.minimum.at(lightest, ends_lo, live)
+        np.minimum.at(lightest, ends_hi, live)
+        hooked = np.flatnonzero(lightest < len(lo))
+        edge = lightest[hooked]
+        kept[edge] = True
+        across = component[lo[edge]] + component[hi[edge]] - hooked
+        parent = np.arange(size)
+        parent[hooked] = across
+        mutual = (parent[across] == hooked) & (hooked < across)
+        parent[hooked[mutual]] = hooked[mutual]
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+        component = parent[component]
 
 
-def _find(parent: list[int], p: int) -> int:
-    """Component of *p* in the union-find forest *parent*, halving its path."""
-    while parent[p] != p:
-        parent[p] = p = parent[parent[p]]
-    return p
+def _two_hop_middles(
+    indptr: np.ndarray, heads: np.ndarray, sources: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Middle node of ``nx.bidirectional_shortest_path`` from node
+    ``sources[i]`` to node ``targets[i]`` where the two are two hops apart;
+    -1 where they are further apart or either is -1 (outside the graph).
 
+    No source neighbours its target.  At two hops the search returns the
+    first node of the target's row that neighbours the source: it expands
+    the source, then the target, and stops at the first node there that
+    it has reached.  When the source has one neighbour besides itself,
+    the search expands that neighbour instead, and it is then the only
+    node of the target's row next to the source.
+    """
+    near_source, source_row = _rows(indptr, heads, sources)
+    near_target, target_row = _rows(indptr, heads, targets)
+    width = len(indptr)  # more than any node position
+    common = np.flatnonzero(
+        np.isin(target_row * width + near_target, source_row * width + near_source)
+    )
+    first = common[np.diff(target_row[common], prepend=-1) != 0]  # first in each row
+    middle = np.full(len(targets), -1)
+    middle[target_row[first]] = near_target[first]
+    return middle
+
+
+def _rows(
+    indptr: np.ndarray, heads: np.ndarray, which: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows of nodes *which* end to end, as ``(neighbours, row)``:
+    ``neighbours[i]`` is in the row of node ``which[row[i]]``.  Node -1
+    has an empty row."""
+    start = indptr[which]
+    length = np.where(which >= 0, indptr[which + 1] - start, 0)
+    row = np.repeat(np.arange(len(which)), length)
+    within = np.arange(len(row)) - np.repeat(np.cumsum(length) - length, length)
+    return heads[start[row] + within], row
