@@ -26,8 +26,10 @@ timestamp:
 - Implicit start signals are one kernel entry per sentinel level.  An
   implicit election pushes nothing but its broadcast one hop later, so
   a level's elections append their rows to that timestamp's batch in
-  one step, under the same tail rule.  Explicit elections stay one call
-  each: every one opens an episode and pushes its leaf timer.
+  one step, under the same tail rule; the rows come from the quadtree's
+  level arrays and their election state is written as arrays.  Explicit
+  elections stay one call each: every one opens an episode and pushes
+  its leaf timer.
 
 Within a batch, eligible rows are processed in row order — exactly the
 order the network delivers the handler engine's per-neighbour ``send``
@@ -56,7 +58,10 @@ of that fallback.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Mapping
+import math
+from array import array
+from operator import attrgetter
+from typing import TYPE_CHECKING, Hashable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -75,6 +80,17 @@ __all__ = ["try_run_vectorized"]
 #: Tail marker for scalar (non-batch) pushes: blocks expand-row merging at
 #: that timestamp without carrying any state.
 _OPAQUE = object()
+
+
+class _Views(NamedTuple):
+    """Numpy views over a :class:`_VectorRun`'s election state columns."""
+
+    clustered: np.ndarray
+    is_root: np.ndarray
+    root_idx: np.ndarray
+    root_val: np.ndarray
+    m_level: np.ndarray
+    clustered_at: np.ndarray
 
 
 class _ExpandBatch:
@@ -169,20 +185,43 @@ class _VectorRun:
         self.nodes, self.index = nodes, index
         self.n = len(nodes)
 
-        lvl_of = quadtree.level_of
-        self.level = [lvl_of[v] for v in nodes]
+        # Each level's sentinels as rows of this node list, and each row's
+        # level, from the quadtree's position arrays.
+        level_rows = quadtree.level_rows
+        if quadtree.nodes != nodes:
+            qnodes = quadtree.nodes
+            row_of = np.fromiter(map(index.__getitem__, qnodes), np.int64, len(qnodes))
+            level_rows = [row_of[rows] for rows in level_rows]
+        self.level_rows = level_rows
+        self.levels = levels = np.full(self.n, -1, dtype=np.int64)
+        for level, rows in enumerate(level_rows):
+            levels[rows] = level
+        if levels.min() < 0:  # a network node the quadtree does not hold
+            raise KeyError(nodes[int(levels.argmin())])
         self.max_level = quadtree.depth
 
-        # Fig 16 state, struct-of-arrays (Python lists: the residue loop is
-        # scalar and list indexing beats numpy scalar boxing there).
+        # Fig 16 state, struct-of-arrays.  The residue loop reads and
+        # writes one element at a time, so the columns are bytearrays,
+        # ``array.array``s and lists: their scalar reads cost half or less
+        # of a numpy array's.  The numpy views in ``_view`` share the
+        # columns' memory and write an election's rows at once.
         self.clustered = bytearray(self.n)
         self.is_root = bytearray(self.n)
-        self.root_idx = [-1] * self.n
-        self.root_val = [0.0] * self.n
-        self.m_level = [-1] * self.n
-        self.parent_idx = [-1] * self.n
+        self.root_idx = array("q", [-1]) * self.n
+        self.root_val = array("d", [0.0]) * self.n
+        self.m_level = array("q", [-1]) * self.n
+        self.parent_idx = array("q", [-1]) * self.n
         self.switches = [0] * self.n
-        self.clustered_at: list[float | None] = [None] * self.n
+        #: When each node last joined a cluster (NaN: never).
+        self.clustered_at = array("d", [math.nan]) * self.n
+        self._view = _Views(
+            clustered=np.frombuffer(self.clustered, dtype=np.uint8),
+            is_root=np.frombuffer(self.is_root, dtype=np.uint8),
+            root_idx=np.frombuffer(self.root_idx, dtype=np.int64),
+            root_val=np.frombuffer(self.root_val, dtype=np.float64),
+            m_level=np.frombuffer(self.m_level, dtype=np.int64),
+            clustered_at=np.frombuffer(self.clustered_at, dtype=np.float64),
+        )
         #: When the quadtree root learned the final round finished.
         self.protocol_done: list[float] = []
 
@@ -201,6 +240,7 @@ class _VectorRun:
             self.ep_owner: list[int] = []
             self.phase1_sent = bytearray(self.n)
             self.phase1_received: dict[tuple[int, int], int] = {}
+            self.level = levels.tolist()
             self.quad_parent_idx = [index[quadtree.quad_parent[v]] for v in nodes]
             self.quad_children_idx = [
                 [index[c] for c in quadtree.quad_children.get(v, [])] for v in nodes
@@ -210,16 +250,29 @@ class _VectorRun:
             self.root_i = index[quadtree.root]
 
     def load_features(self) -> bool:
-        """Build the feature column; False when any feature is not 1-d."""
-        feats = np.empty(self.n, dtype=np.float64)
-        arrays = []
-        features = self.features
-        for i, v in enumerate(self.nodes):
-            a = np.asarray(features[v], dtype=np.float64)
-            if a.shape != (1,):
-                return False
-            arrays.append(a)
-            feats[i] = a[0]
+        """Build the feature column; False when any feature is not 1-d.
+
+        Float64 ndarrays of shape (1,) are used as they are, so
+        ``FinalState.features`` holds the caller's objects, and their
+        8-byte buffers, joined end to end, are the column.  Any other
+        input is converted one node at a time, as the handler engine
+        converts it.
+        """
+        arrays = list(map(self.features.__getitem__, self.nodes))
+        if (
+            set(map(type, arrays)) == {np.ndarray}
+            and set(map(attrgetter("dtype"), arrays)) == {np.dtype(np.float64)}
+            and set(map(attrgetter("shape"), arrays)) == {(1,)}
+        ):
+            feats = np.frombuffer(b"".join(arrays), dtype=np.float64)
+        else:
+            feats = np.empty(self.n, dtype=np.float64)
+            for i, feature in enumerate(arrays):
+                a = np.asarray(feature, dtype=np.float64)
+                if a.shape != (1,):
+                    return False
+                arrays[i] = a
+                feats[i] = a[0]
         self.feats = feats
         self.feats_list = feats.tolist()
         self.feature_arrays = arrays
@@ -253,26 +306,23 @@ class _VectorRun:
     # ------------------------------------------------------------------
     # Fig 16: election / join (shared by both signalling modes)
     # ------------------------------------------------------------------
-    def _make_roots(self, rows: list[int]) -> None:
-        """Election state for the unclustered nodes *rows*: each is the
-        root of its own cluster, with its own feature, from now on (an
-        unclustered node never had a parent, so ``parent_idx`` stays -1)."""
-        now = self.kernel.now
-        clustered, is_root, root_idx = self.clustered, self.is_root, self.root_idx
-        root_val, m_level, clustered_at = self.root_val, self.m_level, self.clustered_at
-        feats_list, level = self.feats_list, self.level
-        for i in rows:
-            clustered[i] = 1
-            is_root[i] = 1
-            root_idx[i] = i
-            root_val[i] = feats_list[i]
-            m_level[i] = level[i]
-            clustered_at[i] = now
+    def _make_roots(self, rows: int | np.ndarray) -> None:
+        """Election state for the unclustered nodes *rows* (one row or an
+        index array): each is the root of its own cluster, with its own
+        feature and level, from now on (an unclustered node never had a
+        parent, so ``parent_idx`` stays -1)."""
+        view = self._view
+        view.clustered[rows] = 1
+        view.is_root[rows] = 1
+        view.root_idx[rows] = rows
+        view.root_val[rows] = self.feats[rows]
+        view.m_level[rows] = self.levels[rows]
+        view.clustered_at[rows] = self.kernel.now
 
     def _elect(self, i: int) -> None:
         """Explicit mode: an election also opens an episode and its timer."""
         now = self.kernel.now
-        self._make_roots([i])
+        self._make_roots(i)
         ep = self._open_episode(i, -1, -1)
         self._push_expand(now + HOP_DELAY, i, self.root_val[i], i, self.m_level[i], ep)
         self._push_scalar(
@@ -385,20 +435,20 @@ class _VectorRun:
         so the level's elections append their rows to one batch, as one
         :meth:`_push_expand` call per election would.
         """
-        clustered = self.clustered
         # A level's sentinels are distinct nodes, so the ones unclustered
         # now are the ones a per-sentinel loop would elect.
-        sentinels = map(self.index.__getitem__, self.quadtree.sentinel_sets[level])
-        rows = [i for i in sentinels if not clustered[i]]
-        if not rows:
+        rows = self.level_rows[level]
+        rows = rows[self._view.clustered[rows] == 0]
+        if not rows.size:
             return
         self._make_roots(rows)
         tail = self._expand_tail(self.kernel.now + HOP_DELAY)
-        tail.srcs += rows
-        tail.vals += [self.root_val[i] for i in rows]
-        tail.roots += rows
-        tail.ms += [self.m_level[i] for i in rows]
-        tail.eps += [-1] * len(rows)
+        elected = rows.tolist()
+        tail.srcs += elected
+        tail.vals += self.feats[rows].tolist()
+        tail.roots += elected
+        tail.ms += [level] * len(elected)
+        tail.eps += [-1] * len(elected)
 
     def _start_elink(self, i: int) -> None:
         if not self.clustered[i]:
@@ -521,7 +571,7 @@ class _VectorRun:
         if config.signalling == "implicit":
             starts = implicit_schedule(n, depth, config.gamma)
             now = kernel.now
-            for level in range(len(self.quadtree.sentinel_sets)):
+            for level in range(len(self.level_rows)):
                 time = now + max(starts[level] - now, 0.0)
                 kernel.post_at(time, self._fire_starts, level)
                 self._tails[time] = _OPAQUE
@@ -533,12 +583,15 @@ class _VectorRun:
         event_budget = 200 * n * (depth + 2) + 10_000
         network.run(max_events=event_budget)
 
+        clustered_at = self.clustered_at.tolist()
+        for i in np.flatnonzero(self._view.clustered == 0).tolist():
+            clustered_at[i] = None
         return FinalState(
             nodes=self.nodes,
             roots=np.array(self.root_idx, dtype=np.int64),
             parents=np.array(self.parent_idx, dtype=np.int64),
             features=self.feature_arrays,
-            clustered_at=self.clustered_at,
+            clustered_at=clustered_at,
             switches=self.switches,
             protocol_done=self.protocol_done,
         )

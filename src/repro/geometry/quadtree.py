@@ -18,18 +18,28 @@ against pathological co-located points, flushing any remaining unelected
 nodes into the deepest level.
 
 The build is columnar and works for any hashable node ids: nodes are
-indexed in ``graph.nodes`` order, each level is one array of member
-indices grouped by cell, and election and subdivision are array
-expressions.  Exact centroid-distance ties and the depth-cap flush are
-ordered by ``repr`` of the node id, so the outputs, including every dict
-insertion order, depend only on the ids and positions.
+indexed in ``graph.nodes`` order (:attr:`QuadTreeDecomposition.nodes`),
+each level is one array of member indices grouped by cell, and election
+and subdivision are array expressions.  A cell with no unelected member
+left elects nothing, and neither does any cell inside it, so such closed
+cells leave the level loop and every cell a level keeps elects a leader.
+Exact centroid-distance ties and the depth-cap flush are ordered by
+``repr`` of the node id, so the outputs, including every dict insertion
+order, depend only on the ids and positions.
+
+The build keeps each level's sentinels and their quadtree parents as
+position arrays (:attr:`~QuadTreeDecomposition.level_rows`,
+:attr:`~QuadTreeDecomposition.parent_rows`), which the batch ELink engine
+reads directly; the id-keyed maps ``level_of``, ``quad_parent`` and
+``quad_children`` are built from them on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Hashable, Iterator
 
 import numpy as np
@@ -39,20 +49,19 @@ from repro.geometry.topology import Topology
 
 @dataclass
 class _Level:
-    """Columnar snapshot of one quadtree level.
+    """Columnar snapshot of one electing quadtree level.
 
     ``order`` holds member indices grouped by cell (cells in build order,
     members in ``graph.nodes`` order within a cell), ``starts`` each
-    cell's offset into it, ``cx``/``cy`` the cell centroids and
-    ``leaders`` each cell's elected member index (−1 where the cell
-    elected none).
+    cell's offset into it and ``cx``/``cy`` the cell centroids.  Every
+    cell of the level elected a leader: cell *c*'s is the level's
+    ``level_rows[c]``.
     """
 
     order: np.ndarray
     starts: np.ndarray
     cx: np.ndarray
     cy: np.ndarray
-    leaders: np.ndarray
 
 
 class QuadTreeDecomposition:
@@ -63,13 +72,23 @@ class QuadTreeDecomposition:
     sentinel_sets:
         ``sentinel_sets[l]`` is the list of sentinels (cell leaders) at
         level *l*; every network node appears in exactly one set.
+    nodes:
+        Node ids in ``graph.nodes`` order; the row arrays hold positions
+        in it.
+    level_rows:
+        ``level_rows[l]`` holds the positions of ``sentinel_sets[l]``, in
+        the same order (int64).
+    parent_rows:
+        ``parent_rows[l]`` holds the position of each of those sentinels'
+        quadtree parent (the root is its own parent).
     level_of:
-        Mapping node -> its sentinel level.
+        Mapping node -> its sentinel level (built on first read).
     quad_parent:
         Mapping sentinel -> its quadtree parent sentinel (the root maps to
-        itself).
+        itself; built on first read).
     quad_children:
-        Mapping sentinel -> list of its quadtree child sentinels.
+        Mapping sentinel -> list of its quadtree child sentinels (built on
+        first read).
     """
 
     #: Hard depth cap; co-located nodes would otherwise split forever.
@@ -78,11 +97,9 @@ class QuadTreeDecomposition:
     def __init__(self, topology: Topology):
         self.topology = topology
         self.sentinel_sets: list[list[Hashable]] = []
-        self.level_of: dict[Hashable, int] = {}
-        self.quad_parent: dict[Hashable, Hashable] = {}
-        self.quad_children: dict[Hashable, list[Hashable]] = {}
-        #: Node ids in ``graph.nodes`` order; the arrays hold indices into it.
-        self._nodes = nodes = list(topology.graph.nodes)
+        self.level_rows: list[np.ndarray] = []
+        self.parent_rows: list[np.ndarray] = []
+        self.nodes = nodes = list(topology.graph.nodes)
         #: One snapshot per electing level, for :meth:`takeover_orders`.
         self._levels: list[_Level] = []
         n = len(nodes)
@@ -102,46 +119,37 @@ class QuadTreeDecomposition:
         ymin = np.array([b.ymin])
         xmax = np.array([b.xmax])
         ymax = np.array([b.ymax])
-        anc = np.full(1, -1, dtype=np.int64)  # nearest elected ancestor leader
+        parents = None  # each cell's parent-cell leader (none at the root)
         assigned = np.zeros(n, dtype=bool)
-        assigned_count = 0
-        level = 0
-        level_of = self.level_of
-        quad_parent = self.quad_parent
-        quad_children = self.quad_children
+        unassigned = n
 
-        while True:
-            num_cells = starts.size
-            cell_of = np.repeat(
-                np.arange(num_cells, dtype=np.int64), np.diff(np.append(starts, n))
-            )
+        for level in range(self.MAX_DEPTH + 1):
             unelected = ~assigned[order]
-            cx = (xmin + xmax) / 2.0
-            cy = (ymin + ymax) / 2.0
-
-            if level >= self.MAX_DEPTH:
+            if level == self.MAX_DEPTH:
                 # Depth-cap flush (footnote 2's "+k" tolerance): every
                 # remaining node becomes a sentinel of this level, in repr
-                # order per cell, under the cell's nearest elected ancestor.
-                flushed: list[Hashable] = []
-                offsets = np.append(starts, n).tolist()
-                for c, ancestor in enumerate(anc.tolist()):
+                # order per cell, under the cell's parent-cell leader.
+                flushed: list[int] = []
+                under: list[int] = []
+                offsets = np.append(starts, order.size).tolist()
+                for c, parent in enumerate(parents.tolist()):
                     lo, hi = offsets[c], offsets[c + 1]
                     remaining = order[lo:hi][unelected[lo:hi]].tolist()
-                    if not remaining:
-                        continue
-                    parent = node_at(ancestor)
-                    for node in sorted(map(node_at, remaining), key=repr):
-                        flushed.append(node)
-                        level_of[node] = level
-                        quad_parent[node] = parent
-                        quad_children[parent].append(node)
-                        quad_children[node] = []
-                self.sentinel_sets.append(flushed)
+                    remaining.sort(key=lambda i: repr(node_at(i)))
+                    flushed += remaining
+                    under += [parent] * len(remaining)
+                self._add_level(np.array(flushed, dtype=np.int64), np.array(under, dtype=np.int64))
                 break
 
+            num_cells = starts.size
+            cell_of = np.repeat(
+                np.arange(num_cells, dtype=np.int64), np.diff(np.append(starts, order.size))
+            )
+            cx = (xmin + xmax) / 2.0
+            cy = (ymin + ymax) / 2.0
             # Election: per-cell argmin of the squared centroid distance
             # over the still-unelected members (``inf`` masks the elected).
+            # Every cell here has one, so every cell elects.
             xo = xs[order]
             yo = ys[order]
             cxo = cx[cell_of]
@@ -152,7 +160,7 @@ class QuadTreeDecomposition:
             cand = np.flatnonzero((d2 == best[cell_of]) & unelected)
             cand_cell = cell_of[cand]
             single = np.bincount(cand_cell, minlength=num_cells)[cand_cell] == 1
-            leaders = np.full(num_cells, -1, dtype=np.int64)
+            leaders = np.empty(num_cells, dtype=np.int64)
             leaders[cand_cell[single]] = order[cand[single]]
             if not single.all():
                 # Exact-distance ties (real on grids): the smallest repr of
@@ -162,35 +170,26 @@ class QuadTreeDecomposition:
                     tied.setdefault(c, []).append(i)
                 for c, members in tied.items():
                     leaders[c] = min(members, key=lambda i: repr(node_at(i)))
-            self._levels.append(_Level(order, starts, cx, cy, leaders))
-
-            elected = np.flatnonzero(leaders >= 0)
-            won = leaders[elected]
-            assigned[won] = True
-            assigned_count += won.size
-            leader_ids = list(map(node_at, won.tolist()))
-            if level:
-                parent_ids = map(node_at, anc[elected].tolist())
-                for leader, parent in zip(leader_ids, parent_ids):
-                    level_of[leader] = level
-                    quad_parent[leader] = parent
-                    quad_children[parent].append(leader)
-                    quad_children[leader] = []
-            else:  # the root is its own quadtree parent
-                (root,) = leader_ids
-                level_of[root] = 0
-                quad_parent[root] = root
-                quad_children[root] = []
-            self.sentinel_sets.append(leader_ids)
-            if assigned_count == n:
+            self._levels.append(_Level(order, starts, cx, cy))
+            # The root is its own quadtree parent.
+            self._add_level(leaders, leaders if parents is None else parents)
+            assigned[leaders] = True
+            unassigned -= num_cells
+            if not unassigned:
                 break
 
-            # Subdivision: a stable sort by (cell, quadrant) keeps members
-            # in graph order within each child and children in quadrant
-            # order 0..3; points on a splitting line go left/bottom.
+            # Subdivision: members go to quadrant 0..3 of their cell
+            # (points on a splitting line go left/bottom).  Only the
+            # members of subcells with an unelected member are kept, and a
+            # stable sort by (cell, quadrant) keeps them in graph order
+            # within each subcell and the subcells in quadrant order.
             key = cell_of * 4 + np.where(xo <= cxo, 0, 1) + np.where(yo <= cyo, 0, 2)
+            still_open = np.zeros(4 * num_cells, dtype=bool)
+            still_open[key[~assigned[order]]] = True
+            kept = still_open[key]
+            key = key[kept]
             perm = np.argsort(key, kind="stable")
-            order = order[perm]
+            order = order[kept][perm]
             skey = key[perm]
             starts = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
             group_key = skey[starts]
@@ -207,8 +206,44 @@ class QuadTreeDecomposition:
                 np.where(bottom, ymin[parent_cell], pmy),
                 np.where(bottom, pmy, ymax[parent_cell]),
             )
-            anc = np.where(leaders >= 0, leaders, anc)[parent_cell]
-            level += 1
+            parents = leaders[parent_cell]
+
+    def _add_level(self, rows: np.ndarray, parents: np.ndarray) -> None:
+        """Append one sentinel level: its positions and its parents'."""
+        self.level_rows.append(rows)
+        self.parent_rows.append(parents)
+        self.sentinel_sets.append(list(map(self.nodes.__getitem__, rows.tolist())))
+
+    # ------------------------------------------------------------------
+    # id-keyed maps, built from the level arrays on first read
+    # ------------------------------------------------------------------
+    def _parent_ids(self) -> Iterator[Hashable]:
+        """Each sentinel's quadtree parent id, in sentinel order."""
+        return map(self.nodes.__getitem__, np.concatenate(self.parent_rows).tolist())
+
+    @cached_property
+    def level_of(self) -> dict[Hashable, int]:
+        """Node -> its sentinel level, in sentinel order."""
+        levels = (repeat(level, len(s)) for level, s in enumerate(self.sentinel_sets))
+        return dict(zip(chain.from_iterable(self.sentinel_sets), chain.from_iterable(levels)))
+
+    @cached_property
+    def quad_parent(self) -> dict[Hashable, Hashable]:
+        """Sentinel -> its quadtree parent, in sentinel order."""
+        return dict(zip(chain.from_iterable(self.sentinel_sets), self._parent_ids()))
+
+    @cached_property
+    def quad_children(self) -> dict[Hashable, list[Hashable]]:
+        """Sentinel -> its quadtree children, keys in sentinel order and
+        children in the order they were elected."""
+        children: dict[Hashable, list[Hashable]] = {
+            v: [] for v in chain.from_iterable(self.sentinel_sets)
+        }
+        pairs = zip(chain.from_iterable(self.sentinel_sets), self._parent_ids())
+        next(pairs)  # the root, its own parent
+        for child, parent in pairs:
+            children[parent].append(child)
+        return children
 
     # ------------------------------------------------------------------
     # derived orders (computed on call; callers may mutate the result)
@@ -241,25 +276,23 @@ class QuadTreeDecomposition:
         flush nodes lead no cell and have none.  Each call returns a
         fresh dict.
         """
-        node_at = self._nodes.__getitem__
+        node_at = self.nodes.__getitem__
         xs, ys = self._xs, self._ys
-        reprs = list(map(repr, self._nodes))
+        reprs = list(map(repr, self.nodes))
         rank_of = {r: i for i, r in enumerate(sorted(set(reprs)))}
         repr_rank = np.array([rank_of[r] for r in reprs], dtype=np.int64)
         orders: dict[Hashable, tuple] = {}
-        for lv in self._levels:
+        for lv, leaders in zip(self._levels, self.level_rows):
             sizes = np.diff(np.append(lv.starts, lv.order.size))
             cell_of = np.repeat(np.arange(lv.starts.size, dtype=np.int64), sizes)
-            leader_of = lv.leaders[cell_of]
-            keep = (leader_of >= 0) & (lv.order != leader_of)
+            keep = lv.order != leaders[cell_of]
             members = lv.order[keep]
             cells = cell_of[keep]
             d2 = (xs[members] - lv.cx[cells]) ** 2 + (ys[members] - lv.cy[cells]) ** 2
             ids = list(map(node_at, members[np.lexsort((repr_rank[members], d2, cells))].tolist()))
-            elected = np.flatnonzero(lv.leaders >= 0)
-            ends = np.cumsum(sizes[elected] - 1).tolist()
+            ends = np.cumsum(sizes - 1).tolist()
             lo = 0
-            for leader, hi in zip(map(node_at, lv.leaders[elected].tolist()), ends):
+            for leader, hi in zip(map(node_at, leaders.tolist()), ends):
                 orders[leader] = tuple(ids[lo:hi])
                 lo = hi
         return orders

@@ -10,6 +10,7 @@ handlers, and chaos and traced runs must fall back to those handlers.
 
 import hashlib
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -307,3 +308,110 @@ def test_traced_runs_stay_on_handler_path(monkeypatch):
     )
     assert engaged == [False]
     assert sum(1 for _ in tracer.events()) > 0
+
+
+# ----------------------------------------------------------------------
+# the batch engine's feature column
+# ----------------------------------------------------------------------
+def _final_state_spy(monkeypatch):
+    """Wrap try_run_vectorized to record what it returned."""
+    returned = []
+    real = elink_vec.try_run_vectorized
+
+    def spy(*args, **kwargs):
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(elink_vec, "try_run_vectorized", spy)
+    return returned
+
+
+def _feature_run(topology, features, signalling="implicit"):
+    return run_elink(
+        topology, features, EuclideanMetric(),
+        ELinkConfig(delta=0.6, signalling=signalling), network=Network(topology.graph),
+    )
+
+
+_FEATURE_FORMS = {
+    "float64": lambda value: np.array([value]),
+    "list": lambda value: [value],
+    "float32": lambda value: np.array([value], dtype=np.float32),
+}
+
+
+@pytest.mark.parametrize("signalling", ["implicit", "explicit"])
+@pytest.mark.parametrize("form", list(_FEATURE_FORMS))
+def test_batch_engine_accepts_1d_feature_forms(form, signalling, monkeypatch):
+    topology = _topology("geometric")
+    make = _FEATURE_FORMS[form]
+    features = {v: make(float(f[0])) for v, f in _features(topology).items()}
+    handler = _on_handlers(monkeypatch, lambda: _feature_run(topology, features, signalling))
+    returned = _final_state_spy(monkeypatch)
+    batched = _feature_run(topology, features, signalling)
+    (end,) = returned
+    assert end is not None  # the batch path ran
+    assert _vec_summary(batched) == _vec_summary(handler)
+    for node, feature in zip(end.nodes, end.features):
+        if form == "float64":
+            assert feature is features[node]  # the caller's own objects
+        else:
+            assert type(feature) is np.ndarray and feature.dtype == np.float64
+            assert feature.tolist() == np.asarray(features[node], dtype=np.float64).tolist()
+
+
+@pytest.mark.parametrize("shape", ["2-d", "mixed"])
+def test_batch_engine_declines_non_1d_features(shape):
+    topology = _topology("geometric")
+    if shape == "2-d":
+        features = {v: np.array([x, y]) for v, (x, y) in topology.positions.items()}
+    else:  # one node's feature is 2-d, every other one 1-d
+        features = _features(topology)
+        features[list(features)[-1]] = np.array([0.5, 0.5])
+    network = Network(topology.graph)
+    quadtree = QuadTreeDecomposition(topology)
+    declined = elink_vec.try_run_vectorized(
+        topology, features, EuclideanMetric(), ELinkConfig(delta=0.6),
+        quadtree=quadtree, network=network, injector=None,
+    )
+    assert declined is None
+    assert network.kernel.pending == 0 and network.stats.total_packets == 0
+
+
+def test_batch_engine_maps_quadtree_rows_onto_its_own_node_order(monkeypatch):
+    # The quadtree indexes one node order and the network graph lists the
+    # same nodes in another: the batch engine reaches the quadtree's rows
+    # through its own index and matches the handler engine.
+    topology = _topology("geometric")
+    quadtree = QuadTreeDecomposition(topology)
+    graph = nx.Graph()
+    graph.add_nodes_from(sorted(topology.graph.nodes, key=lambda v: -v))
+    graph.add_edges_from(topology.graph.edges)
+    reordered = Topology(graph, dict(topology.positions))
+    features = _features(topology)
+
+    def run():
+        return run_elink(
+            reordered, features, EuclideanMetric(), ELinkConfig(delta=0.6),
+            quadtree=quadtree, network=Network(graph),
+        )
+
+    handler = _on_handlers(monkeypatch, run)
+    returned = _final_state_spy(monkeypatch)
+    batched = run()
+    (end,) = returned
+    assert end is not None and list(end.nodes) != quadtree.nodes
+    assert _vec_summary(batched) == _vec_summary(handler)
+
+
+def test_batch_engine_rejects_a_network_node_outside_the_quadtree():
+    topology = _topology("geometric")
+    features = _features(topology)
+    graph = topology.graph.copy()
+    graph.add_edge(0, "outside")
+    features["outside"] = np.array([0.0])
+    with pytest.raises(KeyError, match="outside"):
+        run_elink(
+            topology, features, EuclideanMetric(), ELinkConfig(delta=0.6),
+            network=Network(graph),
+        )

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.elink_vec as elink_vec
 from repro.core import ELinkConfig, run_elink
 from repro.core.elink import compute_kappa
 from repro.datasets.death_valley import generate_death_valley_dataset
@@ -20,6 +21,7 @@ from repro.geometry import (
     grid_topology,
     random_geometric_topology,
 )
+from repro.index import build_backbone, build_mtree
 from repro.io import topology_from_dict, topology_to_dict
 from repro.sim import FaultInjector, FaultPlan, Network
 from tests import quadtree_oracle
@@ -130,7 +132,14 @@ def test_coincident_points_hit_depth_cap_gracefully():
 # ----------------------------------------------------------------------
 def assert_same_quadtree(new, old):
     """Maps (with insertion order), subtree levels and takeover orders of
-    *new* equal the oracle build *old*'s exactly."""
+    *new* equal the oracle build *old*'s exactly, and *new*'s per-level
+    position arrays map back to its sentinel sets and their parents."""
+    assert new.nodes == list(old.topology.graph.nodes)
+    assert len(new.level_rows) == len(new.parent_rows) == len(old.sentinel_sets)
+    for rows, parents, sentinels in zip(new.level_rows, new.parent_rows, old.sentinel_sets):
+        assert rows.dtype == parents.dtype == np.int64
+        assert [new.nodes[i] for i in rows.tolist()] == sentinels
+        assert [new.nodes[i] for i in parents.tolist()] == [old.quad_parent[v] for v in sentinels]
     assert new.sentinel_sets == old.sentinel_sets
     assert list(new.level_of.items()) == list(old.level_of.items())
     assert list(new.quad_parent.items()) == list(old.quad_parent.items())
@@ -295,3 +304,51 @@ def test_sentinel_takeover_leaves_quadtree_unchanged():
     assert list(first.clustering.parent.items()) == list(second.clustering.parent.items())
     assert first.stats == second.stats
     assert _snapshot(quadtree) == before
+
+
+# ----------------------------------------------------------------------
+# the id-keyed maps are built on first read
+# ----------------------------------------------------------------------
+_MAPS = ("level_of", "quad_parent", "quad_children")
+
+
+def test_implicit_batch_run_and_index_build_leave_maps_unbuilt(monkeypatch):
+    topology = random_geometric_topology(2_000, seed=3)
+    features = {v: np.array([0.02 * (x + y)]) for v, (x, y) in topology.positions.items()}
+    metric = EuclideanMetric()
+    quadtree = QuadTreeDecomposition(topology)
+    engaged = []
+    real = elink_vec.try_run_vectorized
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        engaged.append(out is not None)
+        return out
+
+    monkeypatch.setattr(elink_vec, "try_run_vectorized", spy)
+    result = run_elink(
+        topology, features, metric, ELinkConfig(delta=0.3),
+        quadtree=quadtree, network=Network(topology.graph),
+    )
+    build_mtree(result.clustering, features, metric)
+    build_backbone(topology.graph, result.clustering)
+    assert engaged == [True]
+    assert result.num_clusters > 1
+    assert [name for name in _MAPS if name in quadtree.__dict__] == []
+    # A first read builds each map once, with the oracle's contents.
+    oracle = quadtree_oracle.QuadTreeDecomposition(topology)
+    assert list(quadtree.level_of.items()) == list(oracle.level_of.items())
+    assert quadtree.__dict__["level_of"] is quadtree.level_of
+
+
+def test_explicit_handler_run_with_failure_detection_builds_the_maps():
+    topology = grid_topology(9, 7)
+    features = {v: np.array([(x + 2 * y) / 10.0]) for v, (x, y) in topology.positions.items()}
+    quadtree = QuadTreeDecomposition(topology)
+    assert [name for name in _MAPS if name in quadtree.__dict__] == []
+    config = ELinkConfig(delta=1.0, signalling="explicit", failure_detection=True)
+    run_elink(topology, features, EuclideanMetric(), config, quadtree=quadtree)
+    assert [name for name in _MAPS if name in quadtree.__dict__] == list(_MAPS)
+    oracle = quadtree_oracle.QuadTreeDecomposition(topology)
+    for name in _MAPS:
+        assert list(quadtree.__dict__[name].items()) == list(getattr(oracle, name).items())
