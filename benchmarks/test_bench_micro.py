@@ -27,7 +27,7 @@ from repro.geometry.topology import (
     _stitch_components_grid,
 )
 from repro.index import build_backbone, build_mtree
-from repro.queries import RangeQueryEngine
+from repro.queries import QueryContext, RangeQueryEngine
 from repro.sim import EventKernel, Message, Network, ProtocolNode
 from repro.sim.radio import LossyLinkModel
 
@@ -307,7 +307,7 @@ def test_range_query_latency(benchmark):
     clustering = run_elink(topology, features, metric, ELinkConfig(delta=0.4)).clustering
     mtree = build_mtree(clustering, features, metric)
     backbone = build_backbone(topology.graph, clustering)
-    engine = RangeQueryEngine(clustering, features, metric, mtree, backbone)
+    engine = RangeQueryEngine(QueryContext(clustering, features, metric, mtree, backbone))
     q = features[0]
     out = benchmark(engine.query, q, 0.3, 0)
     assert out.messages >= 0

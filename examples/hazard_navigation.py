@@ -13,7 +13,14 @@ Run:  python examples/hazard_navigation.py
 
 import numpy as np
 
-from repro import ELinkConfig, PathQueryEngine, bfs_flood_path, build_mtree, run_elink
+from repro import (
+    ELinkConfig,
+    PathQueryEngine,
+    QueryContext,
+    bfs_flood_path,
+    build_mtree,
+    run_elink,
+)
 from repro.datasets import generate_death_valley_dataset
 
 DELTA = 150.0  # clustering threshold in metres of elevation
@@ -32,7 +39,7 @@ def main() -> None:
     print(f"elevation clusters: {clustering.num_clusters} (delta={DELTA} m)")
 
     mtree = build_mtree(clustering, dataset.features, metric)
-    engine = PathQueryEngine(graph, clustering, dataset.features, metric, mtree)
+    engine = PathQueryEngine(QueryContext(clustering, dataset.features, metric, mtree), graph)
 
     danger = np.array([1996.0])  # the ridge line's elevation
     # Source: the lowest-lying sensor.  Destination: the safe sensor

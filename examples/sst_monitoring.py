@@ -24,7 +24,7 @@ from repro import (
     run_elink,
 )
 from repro.datasets import fit_features, generate_tao_dataset
-from repro.queries import RangeQueryEngine
+from repro.queries import QueryContext, RangeQueryEngine
 
 DELTA = 0.08
 SLACK = 0.01
@@ -49,7 +49,9 @@ def main() -> None:
     # 3. Range query: which buoys behave like buoy 0?
     mtree = build_mtree(result.clustering, features, metric)
     backbone = build_backbone(topology.graph, result.clustering)
-    engine = RangeQueryEngine(result.clustering, features, metric, mtree, backbone)
+    engine = RangeQueryEngine(
+        QueryContext(result.clustering, features, metric, mtree, backbone)
+    )
     tag = TagEngine(topology.graph, features, metric)
     q = features[0]
     radius = 0.8 * DELTA

@@ -77,6 +77,7 @@ from repro.obs import KernelProfiler, MetricsRegistry, TraceInspector, Tracer, p
 from repro.queries import (
     KnnQueryEngine,
     PathQueryEngine,
+    QueryContext,
     RangeQueryEngine,
     TagEngine,
     bfs_flood_path,
@@ -124,6 +125,7 @@ __all__ = [
     "PathQueryEngine",
     "ProtocolNode",
     "QuadTreeDecomposition",
+    "QueryContext",
     "RangeQueryEngine",
     "RecursiveLeastSquares",
     "RepresentativeSampler",

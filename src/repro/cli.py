@@ -324,7 +324,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.features import EuclideanMetric, WeightedEuclideanMetric, TAO_WEIGHTS
     from repro.index import build_backbone, build_mtree
     from repro.io import load_state
-    from repro.queries import RangeQueryEngine
+    from repro.queries import QueryContext, RangeQueryEngine
 
     topology, features, clustering, metadata = load_state(args.state)
     if clustering is None:
@@ -357,7 +357,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(planned.explain_text())
             out = planned.result
         else:
-            engine = RangeQueryEngine(clustering, features, metric, mtree, backbone)
+            context = QueryContext(clustering, features, metric, mtree, backbone)
+            engine = RangeQueryEngine(context)
             out = engine.query(q, args.radius, initiator)
         print(f"matches ({len(out.matches)}): {sorted(out.matches, key=repr)[:30]}")
         print(

@@ -915,20 +915,20 @@ class FinalState(NamedTuple):
     Per node of *nodes* (graph order): the positions in *nodes* of its
     cluster root (``-1`` if it never joined a cluster) and of its
     cluster-tree parent (``-1`` at a root), as int64 arrays; its feature;
-    when it last joined a cluster; and the switches it spent.  A member
-    holds its root's feature (elections, orphan re-roots and joins set the
-    root id and root feature as one pair), so ``features[roots[i]]`` is
-    the pruning feature of node i's cluster.  *protocol_done* holds when
-    the quadtree root learned the final round finished (explicit
-    signalling only).
+    when it last joined a cluster (float64, NaN if it never joined); and
+    the switches it spent (int64).  A member holds its root's feature
+    (elections, orphan re-roots and joins set the root id and root feature
+    as one pair), so ``features[roots[i]]`` is the pruning feature of node
+    i's cluster.  *protocol_done* holds when the quadtree root learned the
+    final round finished (explicit signalling only).
     """
 
     nodes: Sequence[Hashable]
     roots: np.ndarray
     parents: np.ndarray
     features: Sequence[np.ndarray]
-    clustered_at: Sequence[float | None]
-    switches: Sequence[int]
+    clustered_at: np.ndarray
+    switches: np.ndarray
     protocol_done: Sequence[float]
 
 
@@ -976,9 +976,9 @@ def run_elink(
     tracer (the default) leaves the run byte-identical to pre-tracing
     builds.
     """
-    missing = set(topology.graph.nodes) - set(features)
-    if missing:
-        raise ValueError(f"features missing for nodes: {sorted(missing, key=repr)[:5]}")
+    if not features.keys() >= topology.graph.nodes:
+        missing = sorted((v for v in topology.graph if v not in features), key=repr)
+        raise ValueError(f"features missing for nodes: {missing[:5]}")
     if quadtree is None:
         quadtree = QuadTreeDecomposition(topology)
     if network is None:
@@ -1032,9 +1032,9 @@ def run_elink(
 
     clustered_at, switches = end.clustered_at, end.switches
     if dead:
-        clustered_at = [clustered_at[i] for i in alive.tolist()]
-        switches = [switches[i] for i in alive.tolist()]
-    completion_time = max((t for t in clustered_at if t is not None), default=0.0)
+        clustered_at, switches = clustered_at[alive], switches[alive]
+    # The last join among the nodes assembled (NaN: never joined).
+    completion_time = float(np.nanmax(clustered_at, initial=0.0))
     n, depth = topology.num_nodes, quadtree.depth
     if config.signalling == "implicit":
         kappa = compute_kappa(n, config.gamma)
@@ -1070,7 +1070,7 @@ def run_elink(
         stats=network.stats.diff(start_stats),
         completion_time=completion_time,
         protocol_time=protocol_time,
-        total_switches=sum(switches),
+        total_switches=int(switches.sum()),
         repaired_components=max(repaired, 0),
         config=config,
     )
@@ -1163,7 +1163,11 @@ def _run_handlers(
         roots=np.fromiter((index[node.root_id] for node in final), np.int64, count=n),
         parents=np.fromiter((index[node.parent] for node in final), np.int64, count=n),
         features=[node.feature for node in final],
-        clustered_at=[node.clustered_at for node in final],
-        switches=[node.switches_used for node in final],
+        clustered_at=np.fromiter(
+            (math.nan if node.clustered_at is None else node.clustered_at for node in final),
+            np.float64,
+            count=n,
+        ),
+        switches=np.fromiter((node.switches_used for node in final), np.int64, count=n),
         protocol_done=protocol_done_at,
     )

@@ -47,8 +47,9 @@ jitter or loss, an unmutated network with no dead nodes, plain Euclidean
 
 The engine ends by handing its final node state
 (:class:`~repro.core.elink.FinalState`: root and parent positions over
-its node list) back to :func:`~repro.core.elink.run_elink`, which
-assembles the clustering and the result for both engines in one place.
+its node list, and its join-time and switch columns as they are) back to
+:func:`~repro.core.elink.run_elink`, which assembles the clustering and
+the result for both engines in one place.
 
 Certification: the engine-equivalence suite diffs clusterings, parents,
 ``MessageStats`` and timing against the handler engine; traced runs take
@@ -201,17 +202,18 @@ class _VectorRun:
         self.max_level = quadtree.depth
 
         # Fig 16 state, struct-of-arrays.  The residue loop reads and
-        # writes one element at a time, so the columns are bytearrays,
-        # ``array.array``s and lists: their scalar reads cost half or less
-        # of a numpy array's.  The numpy views in ``_view`` share the
-        # columns' memory and write an election's rows at once.
+        # writes one element at a time, so the columns are bytearrays and
+        # ``array.array``s: their scalar reads cost half or less of a numpy
+        # array's.  The numpy views in ``_view`` share the columns' memory
+        # and write an election's rows at once; the run hands the
+        # ``clustered_at`` view and a view of ``switches`` to the assembly.
         self.clustered = bytearray(self.n)
         self.is_root = bytearray(self.n)
         self.root_idx = array("q", [-1]) * self.n
         self.root_val = array("d", [0.0]) * self.n
         self.m_level = array("q", [-1]) * self.n
         self.parent_idx = array("q", [-1]) * self.n
-        self.switches = [0] * self.n
+        self.switches = array("q", [0]) * self.n
         #: When each node last joined a cluster (NaN: never).
         self.clustered_at = array("d", [math.nan]) * self.n
         self._view = _Views(
@@ -583,16 +585,13 @@ class _VectorRun:
         event_budget = 200 * n * (depth + 2) + 10_000
         network.run(max_events=event_budget)
 
-        clustered_at = self.clustered_at.tolist()
-        for i in np.flatnonzero(self._view.clustered == 0).tolist():
-            clustered_at[i] = None
         return FinalState(
             nodes=self.nodes,
             roots=np.array(self.root_idx, dtype=np.int64),
             parents=np.array(self.parent_idx, dtype=np.int64),
             features=self.feature_arrays,
-            clustered_at=clustered_at,
-            switches=self.switches,
+            clustered_at=self._view.clustered_at,
+            switches=np.frombuffer(self.switches, dtype=np.int64),
             protocol_done=self.protocol_done,
         )
 

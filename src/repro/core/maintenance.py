@@ -49,11 +49,6 @@ class UpdateOutcome:
     kind: str  # "silent" | "revalidated" | "merged" | "singleton" | "root_broadcast"
     messages: int  # values x hops charged for this update
 
-    @property
-    def was_silent(self) -> bool:
-        """True when the update cost no messages."""
-        return self.kind == "silent"
-
 
 class MaintenanceSession:
     """Mutable cluster state absorbing a stream of feature updates.

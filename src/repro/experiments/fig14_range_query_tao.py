@@ -31,7 +31,7 @@ from repro.experiments.common import ExperimentTable, check_profile
 from repro.experiments.streaming import tao_features
 from repro.index import build_backbone, build_mtree
 from repro.perf import process_memo
-from repro.queries import RangeQueryEngine, TagEngine, brute_force_range
+from repro.queries import QueryContext, RangeQueryEngine, TagEngine, brute_force_range
 
 DELTA = 0.08
 RADIUS_FRACTIONS = (0.7, 0.75, 0.8, 0.85, 0.9)
@@ -40,7 +40,7 @@ RADIUS_FRACTIONS = (0.7, 0.75, 0.8, 0.85, 0.9)
 def _engine(graph, clustering: Clustering, features, metric) -> RangeQueryEngine:
     mtree = build_mtree(clustering, features, metric)
     backbone = build_backbone(graph, clustering)
-    return RangeQueryEngine(clustering, features, metric, mtree, backbone)
+    return RangeQueryEngine(QueryContext(clustering, features, metric, mtree, backbone))
 
 
 def _num_queries(profile: str) -> int:

@@ -28,7 +28,7 @@ from repro.datasets import generate_death_valley_dataset
 from repro.experiments.common import ExperimentTable, check_profile
 from repro.index import build_mtree
 from repro.perf import process_memo
-from repro.queries import PathQueryEngine, bfs_flood_path
+from repro.queries import PathQueryEngine, QueryContext, bfs_flood_path
 
 DELTA = 150.0
 GAMMAS = (300.0, 500.0, 700.0, 900.0)
@@ -53,7 +53,8 @@ def _context(profile: str, seed: int) -> dict[str, Any]:
             dataset.topology, dataset.features, metric, ELinkConfig(delta=DELTA)
         ).clustering
         mtree = build_mtree(clustering, dataset.features, metric)
-        engine = PathQueryEngine(graph, clustering, dataset.features, metric, mtree)
+        context = QueryContext(clustering, dataset.features, metric, mtree)
+        engine = PathQueryEngine(context, graph)
         return {
             "graph": graph,
             "nodes": list(graph.nodes),

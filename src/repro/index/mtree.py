@@ -48,10 +48,6 @@ class MTreeIndex:
     build_messages: int = 0
     stats: MessageStats = field(default_factory=MessageStats)
 
-    def radius_of(self, node: Hashable) -> float:
-        """Covering radius of *node*."""
-        return self.covering_radius[node]
-
 
 def build_mtree(
     clustering: Clustering,

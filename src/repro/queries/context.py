@@ -33,12 +33,14 @@ structures and about crashes, so each rule below is written once:
   must embed.
 
 With ``dead`` and ``root_replacements`` empty every rule reduces to the
-fault-free bookkeeping.  The planner builds one context and its range,
-k-NN and path engines read that same object (``from_context``); an engine
-built through its own constructor builds a private one.  The backbone is
-read as built: its split test, its preorder and the unpruned fan-out of
-the most recent starts are cached, so a backbone repaired later needs a
-new context.
+fault-free bookkeeping.  Every engine takes the context it reads as its
+first argument (``RangeQueryEngine(context)``, ``KnnQueryEngine(context)``,
+``PathQueryEngine(context, graph)``), and there is one way to share a
+context: pass the same object, as the planner does with its three
+engines.  Engines on one context share its crash bookkeeping, its
+metrics registry and its walk cache.  The backbone is read as built: its
+split test, its preorder and the unpruned fan-out of the most recent
+starts are cached, so a backbone repaired later needs a new context.
 """
 
 from __future__ import annotations
@@ -85,9 +87,9 @@ Preorder = tuple[list[list[Hashable]], dict[Hashable, tuple[int, int, int]]]
 class QueryContext:
     """Serving structures plus the crash context every query plan reads.
 
-    *backbone* may be ``None`` for a context that never walks it (the
-    path engine's own).  ``dead`` is the crashed node set and
-    ``root_replacements`` maps a dead root to its re-elected
+    *backbone* may be ``None`` for a context only a path engine reads;
+    the range and k-NN engines walk it.  ``dead`` is the crashed node set
+    and ``root_replacements`` maps a dead root to its re-elected
     representative; both default empty.
     """
 

@@ -12,18 +12,19 @@ range engine, so costs are comparable.  The backbone plan
 instead, merging k candidates per edge on the way back.
 
 Degraded operation follows the shared rules of
-:class:`~repro.queries.context.QueryContext`: pass ``dead`` (the crashed
-node set) and the search answers from the reachable part of the network
-with a ``coverage`` fraction instead of crashing — dead backbone relays
-and a split backbone cut off their far-side clusters, dead nodes are
-never ranked, and an initiator whose own representative died (and was
-not re-elected) is answered from its surviving cluster members alone.
-``root_replacements`` lets re-elected representatives stand in for dead
-roots with a conservative covering ball.  Every degraded-path loss is
-recorded in the per-query ``MessageStats`` ``drops_by_reason``
-(``dead_relay`` / ``dead_root`` / ``no_survivors``) and mirrored into the
-engine's ``queries.drops.<reason>`` metrics counters, so both accounting
-systems agree — the same double-entry contract the range engine keeps.
+:class:`~repro.queries.context.QueryContext`: given a context with a
+``dead`` set (the crashed nodes), the search answers from the reachable
+part of the network with a ``coverage`` fraction instead of crashing —
+dead backbone relays and a split backbone cut off their far-side
+clusters, dead nodes are never ranked, and an initiator whose own
+representative died (and was not re-elected) is answered from its
+surviving cluster members alone.  The context's ``root_replacements``
+let re-elected representatives stand in for dead roots with a
+conservative covering ball.  Every degraded-path loss is recorded in the
+per-query ``MessageStats`` ``drops_by_reason`` (``dead_relay`` /
+``dead_root`` / ``no_survivors``) and mirrored into the context's
+``queries.drops.<reason>`` metrics counters, so both accounting systems
+agree — the same double-entry contract the range engine keeps.
 """
 
 from __future__ import annotations
@@ -36,11 +37,7 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from repro._validation import require_int_at_least
-from repro.core.delta import Clustering
 from repro.features.metrics import Metric
-from repro.index.backbone import BackboneTree
-from repro.index.mtree import MTreeIndex
-from repro.obs.metrics import MetricsRegistry
 from repro.queries.context import QueryContext
 from repro.sim.stats import MessageStats
 
@@ -56,42 +53,22 @@ class KnnResult:
     #: (1.0 unless crashes severed parts of the backbone).
     coverage: float = 1.0
     #: Query deliveries dropped on degraded paths (dead relays/roots);
-    #: per-reason detail is mirrored into the engine's metrics registry.
+    #: per-reason detail is mirrored into the context's metrics registry.
     drops: int = 0
 
 
 class KnnQueryEngine:
-    """Best-first k-NN search over clustering + M-tree + backbone.
+    """Best-first k-NN search over one :class:`~repro.queries.context.QueryContext`.
 
-    Fault-free by default; ``dead`` / ``root_replacements`` switch on the
-    degraded mode described in the module docstring.  A *metrics*
-    registry, when supplied, receives ``queries.drops.<reason>`` counters
-    that agree with each result's ``drops`` total.
+    The context must carry a backbone.  ``dead``, ``root_replacements``
+    and ``metrics`` come from the context: a degraded context switches on
+    the degraded mode described in the module docstring, and its metrics
+    registry, when it has one, receives ``queries.drops.<reason>``
+    counters that agree with each result's ``drops`` total.
     """
 
-    def __init__(
-        self,
-        clustering: Clustering,
-        features: Mapping[Hashable, np.ndarray],
-        metric: Metric,
-        mtree: MTreeIndex,
-        backbone: BackboneTree,
-        *,
-        dead: "set[Hashable] | frozenset[Hashable] | None" = None,
-        root_replacements: Mapping[Hashable, Hashable] | None = None,
-        metrics: MetricsRegistry | None = None,
-    ):
-        self.context = QueryContext(
-            clustering, features, metric, mtree, backbone,
-            dead=dead, root_replacements=root_replacements, metrics=metrics,
-        )
-
-    @classmethod
-    def from_context(cls, context: QueryContext) -> "KnnQueryEngine":
-        """An engine reading a shared *context* (the planner's)."""
-        engine = cls.__new__(cls)
-        engine.context = context
-        return engine
+    def __init__(self, context: QueryContext):
+        self.context = context
 
     def query(self, q: np.ndarray, k: int, initiator: Hashable) -> KnnResult:
         """Return the *k* nodes with smallest feature distance to *q*."""

@@ -45,10 +45,8 @@ import networkx as nx
 import numpy as np
 
 from repro._validation import require_non_negative
-from repro.core.delta import Clustering, _member_components
+from repro.core.delta import _member_components
 from repro.features.metrics import Metric
-from repro.index.mtree import MTreeIndex
-from repro.obs.metrics import MetricsRegistry
 from repro.queries.context import DROP_DEAD_ENDPOINT, DROP_DEAD_ROOT, QueryContext
 from repro.sim.messages import Message
 from repro.sim.stats import MessageStats
@@ -66,50 +64,33 @@ class PathQueryResult:
     #: (1.0 unless crashes removed cluster representatives).
     coverage: float = 1.0
     #: Query deliveries dropped on degraded paths (dead roots/endpoints);
-    #: per-reason detail is mirrored into the engine's metrics registry.
+    #: per-reason detail is mirrored into the context's metrics registry.
     drops: int = 0
 
 
 class PathQueryEngine:
-    """Safe-path search over a clustering + M-tree.
+    """Safe-path search over *graph* and one :class:`~repro.queries.context.QueryContext`.
 
-    Degraded operation after fail-stop crashes: pass ``dead`` (the crashed
-    node set) and clusters whose representative died are excluded from the
-    safe set — their surviving members cannot be classified, so they count
-    as uncovered and the result carries a coverage fraction instead of a
-    crash.  Re-elected roots are not consulted.  Dead nodes are never part
-    of a returned path, and a dead endpoint answers "no path" at once.
-    ``dead`` defaults to empty: the fault-free path is untouched.
+    The path plans classify clusters by their root balls and route over
+    *graph*; they never walk the backbone, so the context may have none.
+    ``dead`` and ``metrics`` come from the context; its
+    ``root_replacements`` are never read.  After fail-stop crashes,
+    clusters whose representative died are excluded from the safe set —
+    their surviving members cannot be classified, so they count as
+    uncovered and the result carries a coverage fraction instead of a
+    crash.  Dead nodes are never part of a returned path, and a dead
+    endpoint answers "no path" at once.  A fault-free context leaves the
+    fault-free path untouched.
 
     Degraded-path losses are recorded in the per-query ``MessageStats``
     under ``drops_by_reason`` (``dead_root`` / ``dead_endpoint``) and
-    mirrored into ``queries.drops.<reason>`` counters when a *metrics*
-    registry is supplied, so both accounting systems agree.
+    mirrored into ``queries.drops.<reason>`` counters when the context
+    has a metrics registry, so both accounting systems agree.
     """
 
-    def __init__(
-        self,
-        graph: nx.Graph,
-        clustering: Clustering,
-        features: Mapping[Hashable, np.ndarray],
-        metric: Metric,
-        mtree: MTreeIndex,
-        *,
-        dead: "set[Hashable] | frozenset[Hashable] | None" = None,
-        metrics: MetricsRegistry | None = None,
-    ):
+    def __init__(self, context: QueryContext, graph: nx.Graph):
+        self.context = context
         self.graph = graph
-        self.context = QueryContext(
-            clustering, features, metric, mtree, dead=dead, metrics=metrics
-        )
-
-    @classmethod
-    def from_context(cls, context: QueryContext, graph: nx.Graph) -> "PathQueryEngine":
-        """An engine over *graph* reading a shared *context* (the planner's)."""
-        engine = cls.__new__(cls)
-        engine.graph = graph
-        engine.context = context
-        return engine
 
     # ------------------------------------------------------------------
     def query(

@@ -38,22 +38,22 @@ Results are memoized through :class:`~repro.queries.result_cache.QueryResultCach
 (content-addressed keys via :meth:`~repro.queries.result_cache.QueryResultCache.key`) and
 invalidated by the maintenance layer's structure generation — see the
 cache module docstring for the staleness contract.  Planning, execution,
-and cache traffic emit ``queries.*`` trace events consumed by
-``repro trace --queries`` and ``queries.*`` counters in the metrics
-registry.
+and cache traffic emit ``queries.*`` trace events through the planner's
+one event sink (``emit``), consumed by ``repro trace --queries``, and
+``queries.*`` counters in the metrics registry.
 
-The planner serves the fault-free path by default.  Pass ``dead`` /
-``root_replacements`` and it builds one
-:class:`~repro.queries.context.QueryContext` that its three engines
-share, so cost model and execution read the same crash bookkeeping:
-re-elected roots prune with conservative replacement balls, backbone hop
-terms count only edges a query can actually traverse (fan-out stops at
-dead relays and at the edge of a split backbone, and the far sides
-contribute no descent cost), per-cluster sizes count surviving members,
-and clusters whose representative died unreplaced are costed as
-unreachable.  The flood backend is unavailable degraded — its overlay
-tree routes through dead nodes — so it is never chosen and cannot be
-forced.  Cache keys embed the degraded context
+The planner builds one :class:`~repro.queries.context.QueryContext` and
+passes that object to its three engines, so cost model and execution
+read the same crash bookkeeping.  It serves the fault-free path by
+default.  Pass ``dead`` / ``root_replacements`` and re-elected roots
+prune with conservative replacement balls, backbone hop terms count
+only edges a query can actually traverse (fan-out stops at dead relays
+and at the edge of a split backbone, and the far sides contribute no
+descent cost), per-cluster sizes count surviving members, and clusters
+whose representative died unreplaced are costed as unreachable.  The
+flood backend is unavailable degraded — its overlay tree routes through
+dead nodes — so it is never chosen and cannot be forced.  Cache keys
+embed the degraded context
 (:meth:`~repro.queries.result_cache.QueryResultCache.key`), so a
 fault-free cached answer is never served for a degraded query.
 """
@@ -73,7 +73,6 @@ from repro.features.metrics import Metric
 from repro.index.backbone import BackboneTree
 from repro.index.mtree import MTreeIndex
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
 from repro.queries.context import QueryContext
 from repro.queries.knn import KnnQueryEngine, KnnResult, brute_force_knn
 from repro.queries.path_query import PathQueryEngine
@@ -172,13 +171,10 @@ class QueryPlanner:
         The serving structures every engine shares.
     metrics:
         Optional registry for ``queries.*`` counters.
-    tracer:
-        Optional :class:`~repro.obs.trace.Tracer`; the planner stamps its
-        events with a per-planner sequence clock (deterministic).
     emit:
-        Alternative event sink ``emit(type, **data)`` — the serving layer
-        passes its context emitter so events share the service clock.
-        Wins over *tracer* when both are given.
+        Optional event sink ``emit(type, **data)`` for the ``queries.*``
+        trace events; the serving layer passes its context emitter so
+        events share the service clock.
     cache:
         Optional :class:`~repro.queries.result_cache.QueryResultCache`.
         Auto-planned answers are memoized in it; forced-backend runs
@@ -189,10 +185,10 @@ class QueryPlanner:
         cache sweeps stale entries whenever it advances.  ``None`` pins
         generation 0 (static snapshots).
     dead, root_replacements:
-        The degraded-topology context, with the same semantics the
-        engines give them (crashed node set; dead root -> re-elected
-        representative); see :class:`~repro.queries.context.QueryContext`.
-        Both default empty (fault-free).
+        The degraded-topology context (crashed node set; dead root ->
+        re-elected representative), passed on to the planner's
+        :class:`~repro.queries.context.QueryContext`.  Both default empty
+        (fault-free).
     """
 
     def __init__(
@@ -205,7 +201,6 @@ class QueryPlanner:
         backbone: BackboneTree,
         *,
         metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
         emit: Callable[..., None] | None = None,
         cache: QueryResultCache | None = None,
         generation: Callable[[], int] | None = None,
@@ -213,24 +208,18 @@ class QueryPlanner:
         root_replacements: Mapping[Hashable, Hashable] | None = None,
     ):
         self._metrics = metrics
+        self._emit_fn = emit
         self._cache = cache
         self._generation = generation
-        self._seq = 0
-        if emit is not None:
-            self._emit_fn = emit
-        elif tracer is not None:
-            self._emit_fn = self._tracer_emit(tracer)
-        else:
-            self._emit_fn = None
 
         # One context: the three engines read the same crash bookkeeping.
         self.context = ctx = QueryContext(
             clustering, features, metric, mtree, backbone,
             dead=dead, root_replacements=root_replacements, metrics=metrics,
         )
-        self._range = RangeQueryEngine.from_context(ctx)
-        self._knn = KnnQueryEngine.from_context(ctx)
-        self._path = PathQueryEngine.from_context(ctx, graph)
+        self._range = RangeQueryEngine(ctx)
+        self._knn = KnnQueryEngine(ctx)
+        self._path = PathQueryEngine(ctx, graph)
         # One overlay for the flood backend; TAG's per-query cost does not
         # depend on where the overlay is rooted (it is always n-1 edges),
         # so a fixed deterministic base station keeps plans comparable.
@@ -438,10 +427,6 @@ class QueryPlanner:
             "path", params, lambda: self.plan_path(*args), runners, backend
         )
 
-    def cache_stats(self) -> dict[str, int] | None:
-        """The attached cache's counters, or None without a cache."""
-        return None if self._cache is None else self._cache.stats()
-
     # ------------------------------------------------------------------
     # flood backends (the engines run the mtree and backbone plans)
     # ------------------------------------------------------------------
@@ -533,10 +518,3 @@ class QueryPlanner:
     def _emit(self, type_: str, **data: Any) -> None:
         if self._emit_fn is not None:
             self._emit_fn(type_, **data)
-
-    def _tracer_emit(self, tracer: Tracer) -> Callable[..., None]:
-        def emit(type_: str, **data: Any) -> None:
-            self._seq += 1
-            tracer.emit(float(self._seq), type_, None, **data)
-
-        return emit

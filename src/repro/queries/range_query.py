@@ -37,7 +37,7 @@ Cost accounting: every traversed cluster-tree edge and every backbone-path
 hop is charged ``dim+1`` values for the query going down and 1 value for
 the aggregate coming back — the same convention the TAG baseline is
 charged under, so the comparison in Figs 14–15 is apples-to-apples.  The
-summary build itself is not charged (see :meth:`RangeQueryEngine._bind`).
+summary build itself is not charged (see :class:`RangeQueryEngine`).
 
 The backbone plan (:meth:`RangeQueryEngine.backbone_query`) is the same
 pipeline without the index: step 2 without summary pruning, and step 4
@@ -55,11 +55,7 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from repro._validation import require_non_negative
-from repro.core.delta import Clustering
 from repro.features.metrics import Metric
-from repro.index.backbone import BackboneTree
-from repro.index.mtree import MTreeIndex
-from repro.obs.metrics import MetricsRegistry
 from repro.queries.context import QueryContext
 from repro.sim.stats import MessageStats
 
@@ -77,62 +73,39 @@ class RangeQueryResult:
     #: (1.0 unless crashes severed parts of the backbone).
     coverage: float = 1.0
     #: Query deliveries dropped on degraded paths (dead relays/roots);
-    #: per-reason detail is mirrored into the engine's metrics registry.
+    #: per-reason detail is mirrored into the context's metrics registry.
     drops: int = 0
 
 
 class RangeQueryEngine:
-    """Executes range queries over a clustering + M-tree + backbone.
+    """Executes range queries over one :class:`~repro.queries.context.QueryContext`.
 
     Two plans share one fan-out: :meth:`query` (the paper's, with
     directional-summary pruning and M-tree descent) and
-    :meth:`backbone_query` (the same walk without the index).  Degraded
-    operation after fail-stop crashes: pass ``dead`` (the crashed node
-    set) and ``root_replacements`` (re-elected representatives, after
-    :meth:`~repro.index.backbone.BackboneTree.reroute_around` repaired the
-    backbone) and both plans return **partial results with a coverage
-    fraction** instead of crashing, under the rules of
-    :class:`~repro.queries.context.QueryContext`: dead relays and a split
-    backbone cut off their far-side clusters, dead nodes are filtered from
-    match sets, a query whose own representative died unreplaced is
-    answered from the surviving cluster members alone, and a replacement
-    prunes with a conservative covering ball.  Both parameters default to
-    empty: the fault-free path is untouched.
+    :meth:`backbone_query` (the same walk without the index).  The
+    context must carry a backbone; its directional summaries are built
+    here, once, and are not charged.
+
+    ``dead``, ``root_replacements`` and ``metrics`` come from the
+    context.  After fail-stop crashes (and a backbone repaired with
+    :meth:`~repro.index.backbone.BackboneTree.reroute_around`) both plans
+    return **partial results with a coverage fraction** instead of
+    crashing, under the context's rules: dead relays and a split backbone
+    cut off their far-side clusters, dead nodes are filtered from match
+    sets, a query whose own representative died unreplaced is answered
+    from the surviving cluster members alone, and a replacement prunes
+    with a conservative covering ball.  A fault-free context leaves the
+    fault-free path untouched.
 
     Every degraded-path loss is recorded in the per-query
     ``MessageStats`` under ``drops_by_reason`` (``dead_relay`` /
-    ``dead_root`` / ``no_survivors``) and, when a *metrics* registry is
-    supplied, as ``queries.drops.<reason>`` counters, so a service-level
-    registry and the per-query stats always agree.
+    ``dead_root`` / ``no_survivors``) and, when the context has a
+    metrics registry, as ``queries.drops.<reason>`` counters, so a
+    service-level registry and the per-query stats always agree.  Engines
+    built on the same context share its crash bookkeeping and walk cache.
     """
 
-    def __init__(
-        self,
-        clustering: Clustering,
-        features: Mapping[Hashable, np.ndarray],
-        metric: Metric,
-        mtree: MTreeIndex,
-        backbone: BackboneTree,
-        *,
-        dead: "set[Hashable] | frozenset[Hashable] | None" = None,
-        root_replacements: Mapping[Hashable, Hashable] | None = None,
-        metrics: MetricsRegistry | None = None,
-    ):
-        self._bind(
-            QueryContext(
-                clustering, features, metric, mtree, backbone,
-                dead=dead, root_replacements=root_replacements, metrics=metrics,
-            )
-        )
-
-    @classmethod
-    def from_context(cls, context: QueryContext) -> "RangeQueryEngine":
-        """An engine reading a shared *context* (the planner's)."""
-        engine = cls.__new__(cls)
-        engine._bind(context)
-        return engine
-
-    def _bind(self, context: QueryContext) -> None:
+    def __init__(self, context: QueryContext):
         self.context = context
         # Directional backbone summaries: (src, dst) -> a ball centred on
         # dst's routing feature covering every cluster ball on dst's side of

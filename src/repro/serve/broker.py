@@ -96,13 +96,6 @@ class Subscription:
             self._not_full.set()
         return item
 
-    def get_nowait(self) -> Any:
-        """Dequeue without waiting; raises :class:`IndexError` when empty."""
-        item = self._items.popleft()
-        if len(self._items) < self.maxsize:
-            self._not_full.set()
-        return item
-
     def _flush_shed_episode(self) -> None:
         if self._shed_episode:
             self._ctx.emit(

@@ -1,6 +1,6 @@
 """Reference range-summary build: the per-pair loop, kept as an oracle.
 
-This is the original ``RangeQueryEngine._bind`` summary loop and the BFS
+This is the original summary loop of the ``RangeQueryEngine`` build and the BFS
 ``QueryContext.far_side`` it walked, unchanged: one far-side BFS per
 backbone edge direction and one scalar ``metric.distance`` per
 (direction, far-side cluster) pair.  The production build (one preorder

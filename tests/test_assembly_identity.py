@@ -12,6 +12,7 @@ re-check finds broken, in cluster order.
 """
 
 import contextlib
+import math
 from unittest import mock
 
 import networkx as nx
@@ -168,8 +169,8 @@ def final_states(draw):
         roots=np.array([relabel[roots[i]] if roots[i] >= 0 else -1 for i in order], np.int64),
         parents=np.array([relabel[parents[i]] if parents[i] >= 0 else -1 for i in order], np.int64),
         features=[np.array([float(values[i])]) for i in order],
-        clustered_at=[0.0] * n,
-        switches=[0] * n,
+        clustered_at=np.zeros(n),
+        switches=np.zeros(n, np.int64),
         protocol_done=[],
     )
     if draw(st.booleans()):
@@ -258,12 +259,10 @@ def check_runs(runs, expected: int) -> None:
 
 def old_result_fields(end, dead, clustering) -> tuple:
     """Completion time, switches and repaired components as the dict
-    assembly computed them."""
+    assembly computed them (a NaN join time: the node never joined)."""
     assignment, _, _, _ = assembly_oracle.final_state_dicts(end, dead)
-    completion = max(
-        (t for v, t in zip(end.nodes, end.clustered_at) if t is not None and v not in dead),
-        default=0.0,
-    )
+    joined = zip(end.nodes, end.clustered_at.tolist())
+    completion = max((t for v, t in joined if not math.isnan(t) and v not in dead), default=0.0)
     switches = sum(s for v, s in zip(end.nodes, end.switches) if v not in dead)
     repaired = max(clustering.num_clusters - len(set(assignment.values())), 0)
     return completion, switches, repaired
@@ -300,14 +299,30 @@ def test_churn_only_runs(seed):
 
 
 def test_chaos_1000_deployment():
+    """50 nodes crash and 6 survivors never join (NaN join times): the
+    result's completion time and switches count the survivors only."""
     dataset = generate_synthetic_dataset(1_000, seed=3, readings=200)
     stream_measurements(dataset, 50, seed=3)
-    with recorded_assemblies() as runs:
+    results = []
+
+    def run_and_keep(*args, **kwargs):
+        results.append(run_elink(*args, **kwargs))
+        return results[-1]
+
+    with recorded_assemblies() as runs, mock.patch.object(
+        test_engine_equivalence, "run_elink", run_and_keep
+    ):
         outputs = test_engine_equivalence._chaos_1000_run(dataset)
     assert outputs == test_engine_equivalence.CHAOS_1000_PIN
     check_runs(runs, 1)
-    end, _, members, _ = runs[0]
+    end, _, members, clustering = runs[0]
     assert members.size == len(end.nodes) - test_engine_equivalence.CHAOS_1000_PIN[3]
+    assert np.isnan(end.clustered_at[members]).sum() == 6
+    dead = set(end.nodes) - {end.nodes[i] for i in members.tolist()}
+    result = results[0]
+    assert (
+        result.completion_time, result.total_switches, result.repaired_components
+    ) == old_result_fields(end, dead, clustering)
 
 
 def test_scale_40k_seed_3():

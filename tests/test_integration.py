@@ -14,6 +14,7 @@ from repro.datasets import fit_features, generate_tao_dataset
 from repro.index import build_backbone, build_mtree, verify_covering_invariant
 from repro.queries import (
     PathQueryEngine,
+    QueryContext,
     RangeQueryEngine,
     TagEngine,
     bfs_flood_path,
@@ -56,7 +57,7 @@ def test_full_pipeline_on_tao():
     assert set(backbone.tree.nodes) == set(clustering.roots)
 
     # 3. Range queries agree with brute force and undercut TAG on average.
-    engine = RangeQueryEngine(clustering, features, metric, mtree, backbone)
+    engine = RangeQueryEngine(QueryContext(clustering, features, metric, mtree, backbone))
     tag = TagEngine(topology.graph, features, metric)
     rng = np.random.default_rng(0)
     nodes = list(topology.graph.nodes)
@@ -70,7 +71,8 @@ def test_full_pipeline_on_tao():
     assert np.mean(clustered_costs) < tag.per_query_cost()
 
     # 4. Path queries agree with the flood baseline on feasibility.
-    path_engine = PathQueryEngine(topology.graph, clustering, features, metric, mtree)
+    path_context = QueryContext(clustering, features, metric, mtree)
+    path_engine = PathQueryEngine(path_context, topology.graph)
     danger = features[nodes[0]]
     for destination in nodes[1::7]:
         ours = path_engine.query(nodes[-1], destination, danger, gamma=0.05)

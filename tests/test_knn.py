@@ -9,7 +9,7 @@ from repro.core import ELinkConfig, run_elink
 from repro.features import EuclideanMetric
 from repro.geometry import random_geometric_topology
 from repro.index import build_backbone, build_mtree
-from repro.queries import KnnQueryEngine, brute_force_knn
+from repro.queries import KnnQueryEngine, QueryContext, brute_force_knn
 
 
 def _engine_for(topology, features, delta=1.5):
@@ -17,7 +17,8 @@ def _engine_for(topology, features, delta=1.5):
     clustering = run_elink(topology, features, metric, ELinkConfig(delta=delta)).clustering
     mtree = build_mtree(clustering, features, metric)
     backbone = build_backbone(topology.graph, clustering)
-    return KnnQueryEngine(clustering, features, metric, mtree, backbone), metric
+    context = QueryContext(clustering, features, metric, mtree, backbone)
+    return KnnQueryEngine(context), metric
 
 
 def test_knn_matches_brute_force(random_topology, random_features):
@@ -100,7 +101,7 @@ def _fault_knn(topology, features, delta, dead=None, root_replacements=None, met
     clustering = run_elink(topology, features, metric, ELinkConfig(delta=delta)).clustering
     mtree = build_mtree(clustering, features, metric)
     backbone = build_backbone(topology.graph, clustering)
-    engine = KnnQueryEngine(
+    context = QueryContext(
         clustering,
         features,
         metric,
@@ -110,6 +111,7 @@ def _fault_knn(topology, features, delta, dead=None, root_replacements=None, met
         root_replacements=root_replacements,
         metrics=metrics,
     )
+    engine = KnnQueryEngine(context)
     return engine, clustering, backbone, metric
 
 
@@ -187,7 +189,7 @@ def test_knn_replacement_root_restores_full_coverage(random_topology, random_fea
     surviving.remove_node(dead)
     mtree = build_mtree(clustering, random_features, metric)
     backbone.reroute_around(surviving, dead, replacement)
-    engine = KnnQueryEngine(
+    context = QueryContext(
         clustering,
         random_features,
         metric,
@@ -196,6 +198,7 @@ def test_knn_replacement_root_restores_full_coverage(random_topology, random_fea
         dead={dead},
         root_replacements={dead: replacement},
     )
+    engine = KnnQueryEngine(context)
     initiator = next(
         n for n in surviving.nodes if clustering.root_of(n) != dead
     )

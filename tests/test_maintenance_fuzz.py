@@ -17,7 +17,7 @@ from repro.core import ELinkConfig, MaintenanceSession, run_elink
 from repro.features import EuclideanMetric
 from repro.geometry import random_geometric_topology
 from repro.index import build_backbone, build_mtree
-from repro.queries import RangeQueryEngine, brute_force_range
+from repro.queries import QueryContext, RangeQueryEngine, brute_force_range
 
 DELTA = 1.2
 SLACK = 0.15
@@ -90,7 +90,7 @@ def test_queries_exact_after_drift(seed):
     features = session.features
     mtree = build_mtree(clustering, features, metric)
     backbone = build_backbone(topology.graph, clustering)
-    engine = RangeQueryEngine(clustering, features, metric, mtree, backbone)
+    engine = RangeQueryEngine(QueryContext(clustering, features, metric, mtree, backbone))
     for _ in range(5):
         q = rng.normal(size=1)
         radius = float(rng.uniform(0.2, 1.5))

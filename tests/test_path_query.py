@@ -9,7 +9,7 @@ from repro.core import ELinkConfig, run_elink
 from repro.features import EuclideanMetric
 from repro.geometry import grid_topology, random_geometric_topology
 from repro.index import build_mtree
-from repro.queries import PathQueryEngine, bfs_flood_path
+from repro.queries import PathQueryEngine, QueryContext, bfs_flood_path
 
 
 def _terrain_instance(side=8, seed=0):
@@ -27,7 +27,8 @@ def _engine(topology, features, delta=2.0):
     metric = EuclideanMetric()
     clustering = run_elink(topology, features, metric, ELinkConfig(delta=delta)).clustering
     mtree = build_mtree(clustering, features, metric)
-    return PathQueryEngine(topology.graph, clustering, features, metric, mtree), metric
+    context = QueryContext(clustering, features, metric, mtree)
+    return PathQueryEngine(context, topology.graph), metric
 
 
 def test_path_found_when_safe_corridor_exists():
@@ -212,9 +213,8 @@ def test_dead_representative_partial_coverage():
     ).clustering
     mtree = build_mtree(clustering, features, metric)
     dead = next(r for r in clustering.roots if len(clustering.members(r)) >= 2)
-    engine = PathQueryEngine(
-        topology.graph, clustering, features, metric, mtree, dead={dead}
-    )
+    context = QueryContext(clustering, features, metric, mtree, dead={dead})
+    engine = PathQueryEngine(context, topology.graph)
     # gamma=0: every classified node is safe; the dead root's cluster is
     # unclassifiable and counted uncovered.
     result = engine.query(0, 56, np.array([10.0]), gamma=0.0)
@@ -242,9 +242,8 @@ def test_path_drop_accounting_agrees_between_stats_and_metrics():
     metrics = MetricsRegistry()
     dead = set(clustering.roots)
     alive = [n for n in topology.graph.nodes if n not in dead]
-    engine = PathQueryEngine(
-        topology.graph, clustering, features, metric, mtree, dead=dead, metrics=metrics
-    )
+    context = QueryContext(clustering, features, metric, mtree, dead=dead, metrics=metrics)
+    engine = PathQueryEngine(context, topology.graph)
     out = engine.query(alive[0], alive[-1], np.zeros(1), 1e6)
     assert out.drops > 0
     assert out.coverage == 0.0  # every root dead: nothing classifiable

@@ -1,5 +1,7 @@
 """Tests for the cost-model query planner and its result cache."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -499,7 +501,7 @@ def test_planner_emits_queries_trace_events():
         ctx["metric"],
         ctx["mtree"],
         ctx["backbone"],
-        tracer=tracer,
+        emit=functools.partial(tracer.emit, 0.0),
         cache=QueryResultCache(),
         generation=lambda: 0,
         metrics=MetricsRegistry(),

@@ -11,6 +11,7 @@ from repro.features import EuclideanMetric
 from repro.geometry import random_geometric_topology
 from repro.index import build_backbone, build_mtree
 from repro.queries import (
+    QueryContext,
     RangeQueryEngine,
     TagEngine,
     brute_force_range,
@@ -22,7 +23,8 @@ def _engine_for(topology, features, delta):
     clustering = run_elink(topology, features, metric, ELinkConfig(delta=delta)).clustering
     mtree = build_mtree(clustering, features, metric)
     backbone = build_backbone(topology.graph, clustering)
-    return RangeQueryEngine(clustering, features, metric, mtree, backbone), metric
+    context = QueryContext(clustering, features, metric, mtree, backbone)
+    return RangeQueryEngine(context), metric
 
 
 def test_range_query_matches_brute_force(random_topology, random_features):
@@ -85,7 +87,8 @@ def test_query_on_spanning_forest_clustering(random_topology, random_features):
     ).clustering
     mtree = build_mtree(clustering, random_features, metric)
     backbone = build_backbone(random_topology.graph, clustering)
-    engine = RangeQueryEngine(clustering, random_features, metric, mtree, backbone)
+    context = QueryContext(clustering, random_features, metric, mtree, backbone)
+    engine = RangeQueryEngine(context)
     rng = np.random.default_rng(1)
     nodes = list(random_topology.graph.nodes)
     for _ in range(10):
@@ -143,7 +146,7 @@ def test_clustered_query_beats_tag_on_correlated_data():
     clustering = run_elink(topology, features, metric, ELinkConfig(delta=0.3)).clustering
     mtree = build_mtree(clustering, features, metric)
     backbone = build_backbone(topology.graph, clustering)
-    engine = RangeQueryEngine(clustering, features, metric, mtree, backbone)
+    engine = RangeQueryEngine(QueryContext(clustering, features, metric, mtree, backbone))
     tag = TagEngine(topology.graph, features, metric)
     rng = np.random.default_rng(3)
     nodes = list(topology.graph.nodes)
@@ -169,7 +172,7 @@ def _fault_engine(topology, features, delta, dead=None, root_replacements=None):
     clustering = run_elink(topology, features, metric, ELinkConfig(delta=delta)).clustering
     mtree = _build_mtree(clustering, features, metric)
     backbone = _build_backbone(topology.graph, clustering)
-    engine = RangeQueryEngine(
+    context = QueryContext(
         clustering,
         features,
         metric,
@@ -178,6 +181,7 @@ def _fault_engine(topology, features, delta, dead=None, root_replacements=None):
         dead=dead,
         root_replacements=root_replacements,
     )
+    engine = RangeQueryEngine(context)
     return engine, clustering, backbone, metric
 
 
@@ -252,7 +256,7 @@ def test_replacement_root_restores_coverage(random_topology, random_features):
     surviving.remove_node(dead)
     mtree = _build_mtree(clustering, random_features, metric)
     rerouted = backbone.reroute_around(surviving, dead, replacement)
-    engine = RangeQueryEngine(
+    context = QueryContext(
         clustering,
         random_features,
         metric,
@@ -261,6 +265,7 @@ def test_replacement_root_restores_coverage(random_topology, random_features):
         dead={dead},
         root_replacements={dead: replacement},
     )
+    engine = RangeQueryEngine(context)
     initiator = next(
         n for n in surviving.nodes if clustering.root_of(n) != dead
     )
@@ -284,9 +289,10 @@ def test_zero_survivors_reports_zero_coverage():
     clustering = run_elink(topology, features, metric, ELinkConfig(delta=1.5)).clustering
     mtree = build_mtree(clustering, features, metric)
     backbone = build_backbone(topology.graph, clustering)
-    engine = RangeQueryEngine(
+    context = QueryContext(
         clustering, features, metric, mtree, backbone, dead=set(topology.graph.nodes)
     )
+    engine = RangeQueryEngine(context)
     out = engine.query(np.zeros(1), 1e6, next(iter(topology.graph.nodes)))
     assert out.coverage == 0.0
     assert out.matches == set()
@@ -309,9 +315,10 @@ def test_drop_accounting_agrees_between_stats_and_metrics():
     backbone = build_backbone(topology.graph, clustering)
     metrics = MetricsRegistry()
     dead = set(clustering.roots)  # every root dead: local-only degraded path
-    engine = RangeQueryEngine(
+    context = QueryContext(
         clustering, features, metric, mtree, backbone, dead=dead, metrics=metrics
     )
+    engine = RangeQueryEngine(context)
     initiator = next(n for n in topology.graph.nodes if n not in dead)
     out = engine.query(np.zeros(1), 1e6, initiator)
     assert out.drops > 0

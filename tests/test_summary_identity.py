@@ -48,7 +48,7 @@ def check_context(context: QueryContext, engine: RangeQueryEngine | None = None)
     *engine* defaults to a range engine built on *context*.
     """
     if engine is None:
-        engine = RangeQueryEngine.from_context(context)
+        engine = RangeQueryEngine(context)
     assert_same_summaries(engine._summaries, summary_oracle.summaries(context))
     tree = context.backbone.tree
     for a, b in tree.edges:

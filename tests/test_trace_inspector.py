@@ -2,6 +2,7 @@
 crash -> detection -> repair report, CLI plumbing, and a smoke test over
 the checked-in chaos fixture (``tests/data/chaos_small.jsonl``)."""
 
+import functools
 import importlib.util
 import pathlib
 
@@ -336,7 +337,7 @@ def test_queries_rollup_from_live_planner_trace(tmp_path, capsys):
         ctx["metric"],
         ctx["mtree"],
         ctx["backbone"],
-        tracer=tracer,
+        emit=functools.partial(tracer.emit, 0.0),
         cache=QueryResultCache(),
         generation=lambda: ctx["session"].generation,
     )
