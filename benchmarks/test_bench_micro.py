@@ -70,9 +70,10 @@ def test_elink_explicit_clustering(benchmark):
 
 
 def test_explicit_elink_grid(benchmark):
-    """Explicit signalling on a 50x50 grid (δ = 0.5): every sentinel
-    message is charged by hop count, so the vectorised rounds lean on
-    ``Network.hop_distance``'s distance trees."""
+    """Explicit signalling on a 50x50 grid (δ = 0.5), which only the
+    per-message handler engine runs: every sentinel message is charged by
+    hop count, so the run leans on ``Network.hop_distance``'s distance
+    trees."""
     topology, features = _gradient_instance(50)
     config = ELinkConfig(delta=0.5, signalling="explicit")
     result = benchmark.pedantic(

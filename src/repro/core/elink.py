@@ -31,12 +31,14 @@ exact — and deadlock-free — under arbitrary bounded switching, with no
 message kinds beyond the paper's.
 
 Two engines run the protocol: the per-message handlers below
-(:class:`ELinkNode`) and the batched round processor of
-:mod:`repro.core.elink_vec`, which runs whenever its legality gate passes.
-Both hand their final node state (:class:`FinalState`, index arrays over
-the node list) to one assembly in :func:`run_elink`, which builds the
-clustering, the timings and the :class:`ELinkResult` and runs the
-end-of-run checks for either engine.
+(:class:`ELinkNode`), which run every signalling mode, and the batched
+round processor of :mod:`repro.core.elink_vec`, which runs implicit
+signalling whenever its legality gate passes.  Explicit signalling
+(episodes, acks and the Fig 18 phase waves) is implemented once, here.
+Both engines hand their final node state (:class:`FinalState`, index
+arrays over the node list) to one assembly in :func:`run_elink`, which
+builds the clustering, the timings and the :class:`ELinkResult` and runs
+the end-of-run checks for either engine.
 
 Because a switching node does not drag its cluster-tree subtree along, a
 cluster's *membership* can in rare cases lose connectivity; the result
@@ -271,7 +273,6 @@ class ELinkNode(ProtocolNode):
         level: int,
         quad_parent: Hashable,
         quad_children: list[Hashable],
-        subtree_max_level: int,
         max_level: int,
     ):
         super().__init__(node_id, network, feature)
@@ -280,7 +281,6 @@ class ELinkNode(ProtocolNode):
         self.level = level
         self.quad_parent = quad_parent
         self.quad_children = list(quad_children)
-        self.subtree_max_level = subtree_max_level
         self.max_level = max_level
 
         # Fig 16 state.
@@ -662,14 +662,6 @@ class ELinkNode(ProtocolNode):
     # ------------------------------------------------------------------
     # Fig 18: quadtree synchronization (explicit mode)
     # ------------------------------------------------------------------
-    def _expected_phase1(self, round_level: int) -> int:
-        """Quad children whose subtree holds sentinels at *round_level*."""
-        return sum(
-            1
-            for child in self.quad_children
-            if self._child_subtree_max[child] >= round_level
-        )
-
     def _send_phase1(self, round_level: int) -> None:
         if self.config.signalling != "explicit":
             return
@@ -696,11 +688,12 @@ class ELinkNode(ProtocolNode):
             self._phase1_senders.setdefault(round_level, set()).add(message.src)
             self._check_round_progress(round_level)
             return
-        if got > self._expected_phase1(round_level):
+        expected = len(self._eligible_children(round_level))
+        if got > expected:
             raise RuntimeError(
                 f"node {self.node_id!r}: too many phase1({round_level}) messages"
             )
-        if got == self._expected_phase1(round_level):
+        if got == expected:
             if self.level == 0:
                 self._round_complete(round_level)
             else:
@@ -858,9 +851,8 @@ class ELinkNode(ProtocolNode):
             for child in self.quad_children:
                 self.route(child, "start")
         else:
-            for child in self.quad_children:
-                if self._child_subtree_max[child] >= round_level:
-                    self.route(child, "phase2", payload=round_level)
+            for child in self._eligible_children(round_level):
+                self.route(child, "phase2", payload=round_level)
         if self.config.failure_detection and self._eligible_children(round_level + 1):
             # We just kicked off (or relayed) round round_level+1 and will
             # be waiting on its phase1 reports: arm the watchdog.
@@ -1028,7 +1020,7 @@ def run_elink(
     clustering = clustering_from_arrays(
         graph, nodes, roots, end.parents, end.features, members=alive
     )
-    repaired = clustering.num_clusters - np.count_nonzero(np.bincount(roots[alive]))
+    repaired = clustering.num_clusters - int(np.count_nonzero(np.bincount(roots[alive])))
 
     clustered_at, switches = end.clustered_at, end.switches
     if dead:
@@ -1102,7 +1094,6 @@ def _run_handlers(
             level=quadtree.level_of[node_id],
             quad_parent=quadtree.quad_parent[node_id],
             quad_children=quadtree.quad_children.get(node_id, []),
-            subtree_max_level=subtree_max[node_id],
             max_level=depth,
         )
         elink_node._child_subtree_max = subtree_max

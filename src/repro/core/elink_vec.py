@@ -1,35 +1,35 @@
-"""Vectorised ELink protocol rounds (DESIGN.md §8.2).
+"""Vectorised implicit ELink rounds (DESIGN.md §8.2).
 
 The handler engine in :mod:`repro.core.elink` runs one Python method per
 delivered message.  On the jitter-free, loss-free, untraced fast path that
 is pure overhead: every ``expand`` copy in a broadcast cohort is charged
 the same way, filtered by the same δ/2 distance test, and — for the vast
-majority of copies — discarded.  This module processes an entire
-same-timestamp cohort as numpy operations over per-round arrays and runs
-per-node Python only for the *eligible* residue (joins, switches, and the
-explicit-mode ack/phase bookkeeping).
+majority of copies — discarded.  This module runs implicit signalling
+(§4) only: it processes an entire same-timestamp cohort as numpy
+operations over per-round arrays and runs per-node Python only for the
+*eligible* residue (joins and switches).  Explicit signalling (§5,
+Fig 18) has one implementation, the handler engine.
 
 Correctness strategy — exact event-order mirroring, not approximation.
-Every logical kernel push the handler engine would make is mirrored
-one-for-one on the same kernel (via ``post_at``) at the same float
-timestamp:
+An implicit handler run pushes two kinds of kernel entry: each
+sentinel's start timer, all scheduled before the run, and the deliveries
+of its ``expand`` broadcasts.  This module mirrors both on the same
+kernel (via ``post_at``) at the same float timestamps:
 
-- ``expand`` broadcasts become *batch* entries: one kernel event carrying
-  the cohort's broadcaster rows.  A new broadcast merges into an existing
-  batch only while that batch is still the **tail entry at its
-  timestamp** (nothing else was pushed to that time since), which keeps
-  the global ``(time, seq)`` sequence identical to the handler engine —
-  the same sealing argument the network's delivery cohorts use.
-- ``ack1``/``ack2``/``phase1``/``phase2``/``start`` deliveries and
-  episode leaf timers stay individual kernel entries, one per serial
-  push, so no commutativity argument is ever needed for them.
-- Implicit start signals are one kernel entry per sentinel level.  An
-  implicit election pushes nothing but its broadcast one hop later, so
-  a level's elections append their rows to that timestamp's batch in
-  one step, under the same tail rule; the rows come from the quadtree's
-  level arrays and their election state is written as arrays.  Explicit
-  elections stay one call each: every one opens an episode and pushes
-  its leaf timer.
+- Start signals are one kernel entry per sentinel level, posted before
+  the run, as the handler engine's per-sentinel timers all fire at the
+  level's start time.  An implicit election pushes nothing but its
+  broadcast one hop later, so a level's elections append their rows to
+  that timestamp's batch in one step; the rows come from the quadtree's
+  level arrays and their election state is written as arrays.
+- ``expand`` broadcasts become *batch* entries: one kernel entry
+  carrying the cohort's broadcaster rows.  Every start entry is posted
+  before the first batch, and nothing but batches is pushed during the
+  run, so each timestamp has at most one open batch and it is always the
+  tail entry at that time: every broadcast pushed for that time joins
+  it, which keeps the global ``(time, seq)`` sequence identical to the
+  handler engine — the same sealing argument the network's delivery
+  cohorts use.
 
 Within a batch, eligible rows are processed in row order — exactly the
 order the network delivers the handler engine's per-neighbour ``send``
@@ -39,11 +39,11 @@ Distances are computed vectorised; for 1-d features ``EuclideanMetric``
 is an elementwise ``abs(a - b)``, bit-identical to the scalar path.
 
 Legality gate (:func:`try_run_vectorized` returns ``None`` and the caller
-falls back to the handler engine): implicit or explicit signalling only,
-no failure detection, no fault injector, no tracer (a tracer needs
-per-message events — traced "vectorized" runs *are* handler runs), no
-jitter or loss, an unmutated network with no dead nodes, plain Euclidean
-1-d features, and an idle kernel.  The gate alone picks the engine.
+falls back to the handler engine): implicit signalling only, no failure
+detection, no fault injector, no tracer (a tracer needs per-message
+events — traced "vectorized" runs *are* handler runs), no jitter or
+loss, an unmutated network with no dead nodes, plain Euclidean 1-d
+features, and an idle kernel.  The gate alone picks the engine.
 
 The engine ends by handing its final node state
 (:class:`~repro.core.elink.FinalState`: root and parent positions over
@@ -70,17 +70,13 @@ from repro.core.elink import ELinkConfig, FinalState, implicit_schedule
 from repro.features.metrics import EuclideanMetric, Metric
 from repro.geometry.quadtree import QuadTreeDecomposition
 from repro.geometry.topology import Topology, adjacency_arrays
-from repro.sim.messages import CATEGORY_CLUSTERING, CATEGORY_SYNC
+from repro.sim.messages import CATEGORY_CLUSTERING
 from repro.sim.network import HOP_DELAY, Network
 
 if TYPE_CHECKING:
     from repro.sim.faults import FaultInjector
 
 __all__ = ["try_run_vectorized"]
-
-#: Tail marker for scalar (non-batch) pushes: blocks expand-row merging at
-#: that timestamp without carrying any state.
-_OPAQUE = object()
 
 
 class _Views(NamedTuple):
@@ -98,19 +94,16 @@ class _ExpandBatch:
     """One kernel entry's worth of pending ``expand`` broadcasts.
 
     Columns are parallel per-*broadcaster* rows; the fire expands them to
-    per-delivery arrays through the CSR adjacency.  ``eps`` carries the
-    broadcaster's episode row (explicit mode; ``-1`` implicit) so acks
-    target episode rows directly instead of ``(node, seq)`` lookups.
+    per-delivery arrays through the CSR adjacency.
     """
 
-    __slots__ = ("srcs", "vals", "roots", "ms", "eps")
+    __slots__ = ("srcs", "vals", "roots", "ms")
 
     def __init__(self):
         self.srcs: list[int] = []
         self.vals: list[float] = []
         self.roots: list[int] = []
         self.ms: list[int] = []
-        self.eps: list[int] = []
 
 
 def _eligible(
@@ -121,7 +114,7 @@ def _eligible(
 ) -> bool:
     """Static legality of the batch path (feature shapes checked later)."""
     return (
-        config.signalling in ("implicit", "explicit")
+        config.signalling == "implicit"
         and not config.failure_detection
         and injector is None
         and type(network) is Network
@@ -178,28 +171,26 @@ class _VectorRun:
         self.network = network
         self.kernel = network.kernel
         self.stats = network.stats
-        self.explicit = config.signalling == "explicit"
 
         # The network's adjacency as CSR rows, neighbours in ``graph.adj``
         # order (the handler engine's delivery order).
         nodes, index, self.indptr, self.indices = adjacency_arrays(network.graph)
-        self.nodes, self.index = nodes, index
+        self.nodes = nodes
         self.n = len(nodes)
 
-        # Each level's sentinels as rows of this node list, and each row's
-        # level, from the quadtree's position arrays.
+        # Each level's sentinels as rows of this node list, from the
+        # quadtree's position arrays.
         level_rows = quadtree.level_rows
         if quadtree.nodes != nodes:
             qnodes = quadtree.nodes
             row_of = np.fromiter(map(index.__getitem__, qnodes), np.int64, len(qnodes))
             level_rows = [row_of[rows] for rows in level_rows]
         self.level_rows = level_rows
-        self.levels = levels = np.full(self.n, -1, dtype=np.int64)
-        for level, rows in enumerate(level_rows):
-            levels[rows] = level
-        if levels.min() < 0:  # a network node the quadtree does not hold
-            raise KeyError(nodes[int(levels.argmin())])
-        self.max_level = quadtree.depth
+        held = np.zeros(self.n, dtype=bool)
+        for rows in level_rows:
+            held[rows] = True
+        if not held.all():  # a network node the quadtree does not hold
+            raise KeyError(nodes[int(held.argmin())])
 
         # Fig 16 state, struct-of-arrays.  The residue loop reads and
         # writes one element at a time, so the columns are bytearrays and
@@ -224,32 +215,10 @@ class _VectorRun:
             m_level=np.frombuffer(self.m_level, dtype=np.int64),
             clustered_at=np.frombuffer(self.clustered_at, dtype=np.float64),
         )
-        #: When the quadtree root learned the final round finished.
-        self.protocol_done: list[float] = []
 
-        # Calendar: timestamp -> tail entry (an _ExpandBatch accepts row
-        # appends only while it is still the tail at its own timestamp).
-        self._tails: dict[float, object] = {}
-
-        if self.explicit:
-            # Episode table (struct-of-arrays rows; ``parent_ep`` is a row
-            # index in this table, matching the serial payload chain).
-            self.ep_children: list[int] = []
-            self.ep_timeout = bytearray()
-            self.ep_completed = bytearray()
-            self.ep_parent: list[int] = []
-            self.ep_parent_ep: list[int] = []
-            self.ep_owner: list[int] = []
-            self.phase1_sent = bytearray(self.n)
-            self.phase1_received: dict[tuple[int, int], int] = {}
-            self.level = levels.tolist()
-            self.quad_parent_idx = [index[quadtree.quad_parent[v]] for v in nodes]
-            self.quad_children_idx = [
-                [index[c] for c in quadtree.quad_children.get(v, [])] for v in nodes
-            ]
-            subtree_max = quadtree.subtree_max_levels()
-            self.subtree_max = [subtree_max[v] for v in nodes]
-            self.root_i = index[quadtree.root]
+        # Calendar: timestamp -> the open batch at that time, which every
+        # broadcast pushed for that time joins until it fires.
+        self._tails: dict[float, _ExpandBatch] = {}
 
     def load_features(self) -> bool:
         """Build the feature column; False when any feature is not 1-d.
@@ -284,56 +253,39 @@ class _VectorRun:
     # calendar pushes (every serial kernel push mirrored 1:1)
     # ------------------------------------------------------------------
     def _expand_tail(self, time: float) -> _ExpandBatch:
-        """The batch that broadcasts pushed now for *time* join: the tail
-        entry at *time* if it is a batch, else a new kernel entry."""
+        """The batch that broadcasts pushed now for *time* join: the open
+        batch at *time*, else a new kernel entry."""
         tail = self._tails.get(time)
-        if type(tail) is not _ExpandBatch:
+        if tail is None:
             tail = _ExpandBatch()
             self.kernel.post_at(time, self._fire_expand, time, tail)
             self._tails[time] = tail
         return tail
 
-    def _push_expand(self, time: float, src: int, val: float, root: int, m: int, ep: int) -> None:
+    def _push_expand(self, time: float, src: int, val: float, root: int, m: int) -> None:
         tail = self._expand_tail(time)
         tail.srcs.append(src)
         tail.vals.append(val)
         tail.roots.append(root)
         tail.ms.append(m)
-        tail.eps.append(ep)
-
-    def _push_scalar(self, time: float, fire, *args) -> None:
-        self.kernel.post_at(time, fire, *args)
-        self._tails[time] = _OPAQUE
 
     # ------------------------------------------------------------------
-    # Fig 16: election / join (shared by both signalling modes)
+    # Fig 16: election / join
     # ------------------------------------------------------------------
-    def _make_roots(self, rows: int | np.ndarray) -> None:
-        """Election state for the unclustered nodes *rows* (one row or an
-        index array): each is the root of its own cluster, with its own
-        feature and level, from now on (an unclustered node never had a
-        parent, so ``parent_idx`` stays -1)."""
+    def _make_roots(self, rows: np.ndarray, level: int) -> None:
+        """Election state for the unclustered sentinels *rows* of *level*:
+        each is the root of its own cluster, with its own feature and
+        level, from now on (an unclustered node never had a parent, so
+        ``parent_idx`` stays -1)."""
         view = self._view
         view.clustered[rows] = 1
         view.is_root[rows] = 1
         view.root_idx[rows] = rows
         view.root_val[rows] = self.feats[rows]
-        view.m_level[rows] = self.levels[rows]
+        view.m_level[rows] = level
         view.clustered_at[rows] = self.kernel.now
 
-    def _elect(self, i: int) -> None:
-        """Explicit mode: an election also opens an episode and its timer."""
-        now = self.kernel.now
-        self._make_roots(i)
-        ep = self._open_episode(i, -1, -1)
-        self._push_expand(now + HOP_DELAY, i, self.root_val[i], i, self.m_level[i], ep)
-        self._push_scalar(
-            now + self.config.ack_window * self.network.max_hop_delay,
-            self._fire_timeout,
-            ep,
-        )
-
-    def _join(self, i: int, via: int, val: float, root: int, m: int, parent_ep: int) -> None:
+    def _join(self, i: int, via: int, val: float, root: int, m: int) -> None:
         now = self.kernel.now
         self.clustered[i] = 1
         self.root_idx[i] = root
@@ -341,34 +293,13 @@ class _VectorRun:
         self.m_level[i] = m
         self.parent_idx[i] = via
         self.clustered_at[i] = now
-        ep = self._open_episode(i, via, parent_ep) if self.explicit else -1
-        # Serial _open_episode order: broadcast, then ack1, then leaf timer.
-        self._push_expand(now + HOP_DELAY, i, val, root, m, ep)
-        if self.explicit:
-            self.stats.charge("ack1", CATEGORY_CLUSTERING, 1, 1)
-            self._push_scalar(now + HOP_DELAY, self._fire_ack1, parent_ep, i)
-            self._push_scalar(
-                now + self.config.ack_window * self.network.max_hop_delay,
-                self._fire_timeout,
-                ep,
-            )
-
-    def _open_episode(self, owner: int, parent: int, parent_ep: int) -> int:
-        row = len(self.ep_children)
-        self.ep_children.append(0)
-        self.ep_timeout.append(0)
-        self.ep_completed.append(0)
-        self.ep_parent.append(parent)
-        self.ep_parent_ep.append(parent_ep)
-        self.ep_owner.append(owner)
-        return row
+        self._push_expand(now + HOP_DELAY, i, val, root, m)
 
     # ------------------------------------------------------------------
     # cohort processing: the hot path
     # ------------------------------------------------------------------
     def _fire_expand(self, time: float, batch: _ExpandBatch) -> None:
-        if self._tails.get(time) is batch:
-            del self._tails[time]
+        del self._tails[time]
         indptr = self.indptr
         srcs = np.asarray(batch.srcs, dtype=np.int64)
         counts = indptr[srcs + 1] - indptr[srcs]
@@ -395,7 +326,6 @@ class _VectorRun:
         b_vals = batch.vals
         b_roots = batch.roots
         b_ms = batch.ms
-        b_eps = batch.eps
         clustered = self.clustered
         is_root = self.is_root
         root_idx = self.root_idx
@@ -412,7 +342,7 @@ class _VectorRun:
             d = e_dst[k]
             r = e_origin[k]
             if not clustered[d]:
-                join(d, b_srcs[r], b_vals[r], b_roots[r], b_ms[r], b_eps[r])
+                join(d, b_srcs[r], b_vals[r], b_roots[r], b_ms[r])
                 continue
             if b_roots[r] == root_idx[d]:
                 continue
@@ -423,14 +353,14 @@ class _VectorRun:
             if e_dist[k] + threshold >= abs(root_val[d] - feats_list[d]):
                 continue
             switches[d] += 1
-            join(d, b_srcs[r], b_vals[r], b_roots[r], b_ms[r], b_eps[r])
+            join(d, b_srcs[r], b_vals[r], b_roots[r], b_ms[r])
 
     # ------------------------------------------------------------------
     # start signals
     # ------------------------------------------------------------------
     def _fire_starts(self, level: int) -> None:
-        """Implicit mode: one entry per sentinel level (the serial engine's
-        per-sentinel timers fire back-to-back at the same instant).
+        """One entry per sentinel level (the serial engine's per-sentinel
+        timers fire back-to-back at the same instant).
 
         An implicit election only sets its node's state and broadcasts
         one hop later, and nothing else is pushed between two elections,
@@ -443,147 +373,30 @@ class _VectorRun:
         rows = rows[self._view.clustered[rows] == 0]
         if not rows.size:
             return
-        self._make_roots(rows)
+        self._make_roots(rows, level)
         tail = self._expand_tail(self.kernel.now + HOP_DELAY)
         elected = rows.tolist()
         tail.srcs += elected
         tail.vals += self.feats[rows].tolist()
         tail.roots += elected
         tail.ms += [level] * len(elected)
-        tail.eps += [-1] * len(elected)
-
-    def _start_elink(self, i: int) -> None:
-        if not self.clustered[i]:
-            self._elect(i)
-        elif self.explicit and not self.phase1_sent[i]:
-            self._send_phase1(i, self.level[i])
-
-    def _fire_start(self, i: int) -> None:
-        self.phase1_sent[i] = 0
-        self._start_elink(i)
-
-    # ------------------------------------------------------------------
-    # explicit mode: episodes and quadtree synchronization
-    # ------------------------------------------------------------------
-    def _fire_ack1(self, ep: int, src: int) -> None:
-        if self.ep_timeout[ep]:
-            raise RuntimeError(
-                f"node {self.nodes[self.ep_owner[ep]]!r}: ack1 arrived after leaf "
-                f"timeout of episode {ep}; increase ack_window"
-            )
-        self.ep_children[ep] += 1
-
-    def _fire_ack2(self, ep: int, src: int) -> None:
-        if self.ep_children[ep] <= 0:
-            raise RuntimeError(
-                f"node {self.nodes[self.ep_owner[ep]]!r}: ack2 underflow on episode {ep}"
-            )
-        self.ep_children[ep] -= 1
-        self._maybe_complete(ep)
-
-    def _fire_timeout(self, ep: int) -> None:
-        self.ep_timeout[ep] = 1
-        self._maybe_complete(ep)
-
-    def _maybe_complete(self, ep: int) -> None:
-        if self.ep_completed[ep] or not self.ep_timeout[ep] or self.ep_children[ep] > 0:
-            return
-        self.ep_completed[ep] = 1
-        parent = self.ep_parent[ep]
-        if parent >= 0:
-            self.stats.charge("ack2", CATEGORY_CLUSTERING, 1, 1)
-            self._push_scalar(
-                self.kernel.now + HOP_DELAY,
-                self._fire_ack2,
-                self.ep_parent_ep[ep],
-                self.ep_owner[ep],
-            )
-        else:
-            owner = self.ep_owner[ep]
-            self._send_phase1(owner, self.level[owner])
-
-    def _route(self, src: int, dst: int, kind: str, fire, *args) -> None:
-        """Mirror ``Network.route`` on the fast path: hop-count charge,
-        one delivery push at ``hops × HOP_DELAY`` (self-routes are free and
-        land after one processing delay)."""
-        hops = self.network.hop_distance(self.nodes[src], self.nodes[dst])
-        if hops == 0:
-            self._push_scalar(self.kernel.now + HOP_DELAY, fire, *args)
-            return
-        self.stats.charge(kind, CATEGORY_SYNC, 1, hops)
-        self._push_scalar(self.kernel.now + hops * HOP_DELAY, fire, *args)
-
-    def _expected_phase1(self, i: int, round_level: int) -> int:
-        subtree_max = self.subtree_max
-        return sum(1 for c in self.quad_children_idx[i] if subtree_max[c] >= round_level)
-
-    def _send_phase1(self, i: int, round_level: int) -> None:
-        self.phase1_sent[i] = 1
-        if self.level[i] == 0:
-            self._round_complete(round_level)
-        else:
-            self._route(i, self.quad_parent_idx[i], "phase1", self._fire_phase1,
-                        self.quad_parent_idx[i], round_level)
-
-    def _fire_phase1(self, i: int, round_level: int) -> None:
-        got = self.phase1_received.get((i, round_level), 0) + 1
-        self.phase1_received[(i, round_level)] = got
-        expected = self._expected_phase1(i, round_level)
-        if got > expected:
-            raise RuntimeError(
-                f"node {self.nodes[i]!r}: too many phase1({round_level}) messages"
-            )
-        if got == expected:
-            if self.level[i] == 0:
-                self._round_complete(round_level)
-            else:
-                self._route(i, self.quad_parent_idx[i], "phase1", self._fire_phase1,
-                            self.quad_parent_idx[i], round_level)
-
-    def _round_complete(self, round_level: int) -> None:
-        if round_level >= self.max_level:
-            self.protocol_done.append(self.kernel.now)
-            return
-        self._act_on_phase2(self.root_i, round_level)
-
-    def _act_on_phase2(self, i: int, round_level: int) -> None:
-        if self.level[i] == round_level:
-            for c in self.quad_children_idx[i]:
-                self._route(i, c, "start", self._fire_start, c)
-        else:
-            subtree_max = self.subtree_max
-            for c in self.quad_children_idx[i]:
-                if subtree_max[c] >= round_level:
-                    self._route(i, c, "phase2", self._fire_phase2, c, round_level)
-
-    def _fire_phase2(self, i: int, round_level: int) -> None:
-        self._act_on_phase2(i, round_level)
 
     # ------------------------------------------------------------------
     # the run
     # ------------------------------------------------------------------
     def run(self) -> FinalState:
         """Post the start signals, drain the kernel; the final node state."""
-        config = self.config
-        network = self.network
         kernel = self.kernel
         n = self.n
         depth = self.quadtree.depth
 
-        if config.signalling == "implicit":
-            starts = implicit_schedule(n, depth, config.gamma)
-            now = kernel.now
-            for level in range(len(self.level_rows)):
-                time = now + max(starts[level] - now, 0.0)
-                kernel.post_at(time, self._fire_starts, level)
-                self._tails[time] = _OPAQUE
-        else:
-            time = kernel.now
-            kernel.post_at(time, self._fire_start_root)
-            self._tails[time] = _OPAQUE
+        starts = implicit_schedule(n, depth, self.config.gamma)
+        now = kernel.now
+        for level in range(len(self.level_rows)):
+            kernel.post_at(now + max(starts[level] - now, 0.0), self._fire_starts, level)
 
         event_budget = 200 * n * (depth + 2) + 10_000
-        network.run(max_events=event_budget)
+        self.network.run(max_events=event_budget)
 
         return FinalState(
             nodes=self.nodes,
@@ -592,9 +405,5 @@ class _VectorRun:
             features=self.feature_arrays,
             clustered_at=self._view.clustered_at,
             switches=np.frombuffer(self.switches, dtype=np.int64),
-            protocol_done=self.protocol_done,
+            protocol_done=(),
         )
-
-    def _fire_start_root(self) -> None:
-        """Explicit mode's single t=0 start timer on the quadtree root."""
-        self._start_elink(self.root_i)

@@ -78,8 +78,9 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 class Metric:
     """Base class for feature metrics.
 
-    Subclasses implement :meth:`distance`.  ``pairwise`` has a generic
-    fallback; array-based metrics override it with a vectorized version.
+    Subclasses implement :meth:`distance`.  Array-based metrics also
+    override :meth:`pairwise_matrix` with a vectorized version;
+    :meth:`distance_row` has an exact generic loop.
     """
 
     def distance(self, a: FeatureLike, b: FeatureLike) -> float:
@@ -88,16 +89,6 @@ class Metric:
 
     def __call__(self, a: FeatureLike, b: FeatureLike) -> float:
         return self.distance(a, b)
-
-    def pairwise(self, features: Sequence[FeatureLike]) -> np.ndarray:
-        """Return the symmetric matrix of distances between all *features*."""
-        items = require_non_empty(features, "features")
-        n = len(items)
-        out = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = out[j, i] = self.distance(items[i], items[j])
-        return out
 
     def pairwise_matrix(self, matrix: np.ndarray) -> np.ndarray | None:
         """All-pairs distances over the rows of a prebuilt (n, d) matrix.
@@ -176,12 +167,6 @@ class EuclideanMetric(Metric):
                 return np.abs(center[0] - matrix[:, 0])
         return super().distance_row(center, matrix)
 
-    def pairwise(self, features: Sequence[FeatureLike]) -> np.ndarray:
-        """Vectorized all-pairs distance matrix."""
-        items = require_non_empty(features, "features")
-        matrix = np.asarray([as_feature(f) for f in items], dtype=np.float64)
-        return self.pairwise_matrix(matrix)
-
     def pairwise_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Vectorized all-pairs distances over the rows of an (n, d) matrix."""
         diff = matrix[:, None, :] - matrix[None, :, :]
@@ -199,12 +184,6 @@ class ManhattanMetric(Metric):
         va, vb = _coerce_pair(a, b)
         _check_same_dim(va, vb)
         return float(np.sum(np.abs(va - vb)))
-
-    def pairwise(self, features: Sequence[FeatureLike]) -> np.ndarray:
-        """Vectorized all-pairs distance matrix."""
-        items = require_non_empty(features, "features")
-        matrix = np.asarray([as_feature(f) for f in items], dtype=np.float64)
-        return self.pairwise_matrix(matrix)
 
     def pairwise_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Vectorized all-pairs distances over the rows of an (n, d) matrix."""
@@ -254,12 +233,6 @@ class WeightedEuclideanMetric(Metric):
             )
         diff = va - vb
         return math.sqrt(np.dot(self.weights, diff * diff))
-
-    def pairwise(self, features: Sequence[FeatureLike]) -> np.ndarray:
-        """Vectorized all-pairs distance matrix."""
-        items = require_non_empty(features, "features")
-        matrix = np.asarray([as_feature(f) for f in items], dtype=np.float64)
-        return self.pairwise_matrix(matrix)
 
     def pairwise_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Vectorized all-pairs distances over the rows of an (n, d) matrix."""

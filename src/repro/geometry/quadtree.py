@@ -31,7 +31,8 @@ The build keeps each level's sentinels and their quadtree parents as
 position arrays (:attr:`~QuadTreeDecomposition.level_rows`,
 :attr:`~QuadTreeDecomposition.parent_rows`), which the batch ELink engine
 reads directly; the id-keyed maps ``level_of``, ``quad_parent`` and
-``quad_children`` are built from them on first read.
+``quad_children`` are built from them on first read, which only the
+handler engine makes.
 """
 
 from __future__ import annotations

@@ -88,9 +88,9 @@ class QueryContext:
     """Serving structures plus the crash context every query plan reads.
 
     *backbone* may be ``None`` for a context only a path engine reads;
-    the range and k-NN engines walk it.  ``dead`` is the crashed node set
-    and ``root_replacements`` maps a dead root to its re-elected
-    representative; both default empty.
+    the range and k-NN engines walk it and refuse a context without one.
+    ``dead`` is the crashed node set and ``root_replacements`` maps a
+    dead root to its re-elected representative; both default empty.
     """
 
     def __init__(

@@ -60,14 +60,17 @@ class KnnResult:
 class KnnQueryEngine:
     """Best-first k-NN search over one :class:`~repro.queries.context.QueryContext`.
 
-    The context must carry a backbone.  ``dead``, ``root_replacements``
-    and ``metrics`` come from the context: a degraded context switches on
-    the degraded mode described in the module docstring, and its metrics
-    registry, when it has one, receives ``queries.drops.<reason>``
-    counters that agree with each result's ``drops`` total.
+    The context must carry a backbone (``ValueError`` otherwise).
+    ``dead``, ``root_replacements`` and ``metrics`` come from the
+    context: a degraded context switches on the degraded mode described
+    in the module docstring, and its metrics registry, when it has one,
+    receives ``queries.drops.<reason>`` counters that agree with each
+    result's ``drops`` total.
     """
 
     def __init__(self, context: QueryContext):
+        if context.backbone is None:
+            raise ValueError("KnnQueryEngine needs a QueryContext with a backbone")
         self.context = context
 
     def query(self, q: np.ndarray, k: int, initiator: Hashable) -> KnnResult:

@@ -83,8 +83,8 @@ class RangeQueryEngine:
     Two plans share one fan-out: :meth:`query` (the paper's, with
     directional-summary pruning and M-tree descent) and
     :meth:`backbone_query` (the same walk without the index).  The
-    context must carry a backbone; its directional summaries are built
-    here, once, and are not charged.
+    context must carry a backbone (``ValueError`` otherwise); its
+    directional summaries are built here, once, and are not charged.
 
     ``dead``, ``root_replacements`` and ``metrics`` come from the
     context.  After fail-stop crashes (and a backbone repaired with
@@ -106,6 +106,8 @@ class RangeQueryEngine:
     """
 
     def __init__(self, context: QueryContext):
+        if context.backbone is None:
+            raise ValueError("RangeQueryEngine needs a QueryContext with a backbone")
         self.context = context
         # Directional backbone summaries: (src, dst) -> a ball centred on
         # dst's routing feature covering every cluster ball on dst's side of

@@ -4,9 +4,10 @@ Each :class:`IngestStage` pulls readings from its (replayable) source and
 publishes them onto the broker's ``readings`` topic, providing the
 service's resilience envelope around untrusted input:
 
-- **retry/timeout/backoff** — every fetch runs under a timeout;
-  timeouts and :class:`TransientSourceError` are retried with
-  exponential backoff (``serve.source_retries`` counter,
+- **retry/timeout/backoff** — every fetch runs under a timeout
+  (:data:`FETCH_TIMEOUT`); timeouts and :class:`TransientSourceError`
+  are retried up to :data:`MAX_RETRIES` times with exponential backoff
+  from :data:`RETRY_BASE` (``serve.source_retries`` counter,
   ``serve.source_retry`` events).  Exhausted retries crash the stage so
   the supervisor takes over (restart with its own backoff, crash
   budget).
@@ -36,6 +37,13 @@ from repro.serve.supervisor import StageCrash
 #: Broker topic carrying validated readings to the pipeline.
 READINGS_TOPIC = "readings"
 
+#: Seconds one fetch may take before it counts as a failed attempt.
+FETCH_TIMEOUT = 5.0
+#: Failed fetches retried before the stage crashes.
+MAX_RETRIES = 4
+#: Backoff before the first retry, in seconds; it doubles per attempt.
+RETRY_BASE = 0.05
+
 
 class IngestStage:
     """Supervised loop moving one source's readings onto the broker.
@@ -50,9 +58,6 @@ class IngestStage:
         Target aggregate readings/second (0 = as fast as possible).
         Pacing is by global stream position, so sharded sources stay
         roughly aligned.
-    fetch_timeout, max_retries, retry_base:
-        Per-fetch timeout and the retry envelope (backoff doubles per
-        attempt from *retry_base*).
     """
 
     def __init__(
@@ -65,9 +70,6 @@ class IngestStage:
         stop_event: asyncio.Event,
         chaos: ChaosDriver | None = None,
         rate: float = 0.0,
-        fetch_timeout: float = 5.0,
-        max_retries: int = 4,
-        retry_base: float = 0.05,
     ):
         self.source = source
         self.broker = broker
@@ -76,9 +78,6 @@ class IngestStage:
         self.stop_event = stop_event
         self.chaos = chaos
         self.rate = rate
-        self.fetch_timeout = fetch_timeout
-        self.max_retries = max_retries
-        self.retry_base = retry_base
         self.name = f"ingest:{source.name}"
         self.published = 0
         self.malformed = 0
@@ -89,13 +88,13 @@ class IngestStage:
         attempt = 0
         while True:
             try:
-                return await asyncio.wait_for(self.source.next_reading(), self.fetch_timeout)
+                return await asyncio.wait_for(self.source.next_reading(), FETCH_TIMEOUT)
             except (asyncio.TimeoutError, TransientSourceError) as exc:
                 attempt += 1
                 self.ctx.metrics.counter("serve.source_retries").inc()
-                if attempt > self.max_retries:
+                if attempt > MAX_RETRIES:
                     raise StageCrash(f"{self.name}: retries exhausted ({exc!r})") from exc
-                backoff = self.retry_base * 2 ** (attempt - 1)
+                backoff = RETRY_BASE * 2 ** (attempt - 1)
                 self.ctx.emit(
                     "serve.source_retry",
                     self.source.name,

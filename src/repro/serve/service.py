@@ -51,6 +51,11 @@ from repro.sim.faults import FaultPlan
 EXIT_OK = 0
 EXIT_FAILED = 1
 
+#: Coverage below this flips health to ``degraded`` and opens a
+#: ``serve.degraded`` window (one stale node of 1,024 reads 0.99902 and
+#: opens none).
+DEGRADED_COVERAGE = 0.999
+
 
 @dataclass
 class ServiceConfig:
@@ -82,9 +87,6 @@ class ServiceConfig:
     crash_budget: int = 5
     backoff_base: float = 0.05
     drain_timeout: float = 30.0
-    #: Source retry envelope.
-    fetch_timeout: float = 5.0
-    source_retries: int = 4
     #: Query staleness bound (maintenance updates) and API port
     #: (None = no API server; 0 = ephemeral port).
     staleness_updates: int = 500
@@ -97,8 +99,6 @@ class ServiceConfig:
     snapshot_out: str | None = None
     #: Seed-deterministic service-level fault plan (chaos testing).
     chaos_plan: FaultPlan | None = field(default=None, repr=False)
-    #: Coverage below this flips health to ``degraded``.
-    degraded_coverage: float = 0.999
 
 
 class ClusteringService:
@@ -172,7 +172,7 @@ class ClusteringService:
     def health(self) -> dict[str, Any]:
         """The ``/healthz`` degradation summary."""
         coverage = self.pipeline.coverage()
-        degraded = coverage < self.config.degraded_coverage or any(
+        degraded = coverage < DEGRADED_COVERAGE or any(
             spec.failed for spec in self.supervisor.stages.values()
         )
         return {
@@ -258,7 +258,7 @@ class ClusteringService:
         self.ctx.metrics.series("serve.coverage.series").observe(
             round(self.ctx.now(), 4), coverage
         )
-        degraded = coverage < self.config.degraded_coverage
+        degraded = coverage < DEGRADED_COVERAGE
         if degraded and not self._was_degraded:
             self.ctx.emit("serve.degraded", coverage=round(coverage, 6))
         elif self._was_degraded and not degraded:
@@ -302,8 +302,6 @@ class ClusteringService:
                 stop_event=self._stop_intake,
                 chaos=self.chaos,
                 rate=cfg.rate,
-                fetch_timeout=cfg.fetch_timeout,
-                max_retries=cfg.source_retries,
             )
             self.supervisor.add(stage.name, stage.run)
             ingest_names.append(stage.name)

@@ -269,8 +269,11 @@ def old_result_fields(end, dead, clustering) -> tuple:
 
 
 @pytest.mark.parametrize("topology_kind", ["grid", "geometric"])
-@pytest.mark.parametrize("signalling", ["implicit", "explicit"])
-@pytest.mark.parametrize("handlers", [False, True], ids=["batch", "handlers"])
+@pytest.mark.parametrize(
+    ("handlers", "signalling"),
+    [(False, "implicit"), (True, "implicit"), (True, "explicit")],
+    ids=["batch-implicit", "handlers-implicit", "handlers-explicit"],
+)
 def test_engine_equivalence_scenarios(topology_kind, signalling, handlers):
     topology = test_engine_equivalence._topology(topology_kind)
     with recorded_assemblies(handlers) as runs:

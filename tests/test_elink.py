@@ -1,5 +1,7 @@
 """Tests for the ELink clustering protocol (paper §3–§5)."""
 
+import json
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -163,6 +165,29 @@ def test_explicit_protocol_time_recorded(random_topology, random_features):
         ELinkConfig(delta=1.0, signalling="explicit"),
     )
     assert result.protocol_time >= result.completion_time > 0
+
+
+@pytest.mark.parametrize(
+    ("signalling", "engine"), [("implicit", "batch"), ("explicit", "handlers")]
+)
+def test_result_fields_are_python_numbers(signalling, engine, monkeypatch):
+    """Counts are ints and times floats on either engine, so a result's
+    fields serialise as JSON."""
+    from tests.test_engine_equivalence import _final_state_spy
+
+    returned = _final_state_spy(monkeypatch)
+    topology = grid_topology(5, 5)
+    features = {v: np.array([(x + 2 * y) / 5.0]) for v, (x, y) in topology.positions.items()}
+    result = run_elink(
+        topology, features, EuclideanMetric(), ELinkConfig(delta=0.6, signalling=signalling)
+    )
+    assert (returned[0] is not None) == (engine == "batch")
+    assert type(result.repaired_components) is int
+    assert type(result.total_switches) is int
+    assert type(result.completion_time) is float
+    assert type(result.protocol_time) is float
+    fields = ("repaired_components", "total_switches", "completion_time", "protocol_time")
+    json.dumps({name: getattr(result, name) for name in fields})
 
 
 def test_zero_switch_budget_still_valid(random_topology, random_features):

@@ -4,8 +4,9 @@ Golden trace digests pin the network's delivery order, stats totals and
 trace streams — fault-injected runs included, where cohort batching and
 CSR patching are under the most pressure — to the bytes the per-message
 reference engine produced before it was folded into :class:`Network`.
-The vectorised round processor is diffed against the per-message
-handlers, and chaos and traced runs must fall back to those handlers.
+The vectorised round processor, which runs implicit signalling only, is
+diffed against the per-message handlers; explicit, unordered, chaos and
+traced runs must fall back to those handlers.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ from repro.geometry.quadtree import QuadTreeDecomposition
 from repro.obs.trace import Tracer
 from repro.sim import Network
 from repro.sim.faults import FaultInjector, FaultPlan
+from repro.sim.stats import MessageStats
 from repro.verify.harness import ScenarioSpec, build_scenario, run_scenario
 from repro.verify.replay import replay_check
 from repro.verify.runtime import verification
@@ -260,7 +262,7 @@ def _spy_vectorizer(monkeypatch):
 
 
 @pytest.mark.parametrize("topology_kind", ["grid", "geometric"])
-@pytest.mark.parametrize("signalling", ["implicit", "explicit"])
+@pytest.mark.parametrize("signalling", ["implicit"])
 def test_vectorized_rounds_identical_to_handlers(topology_kind, signalling, monkeypatch):
     topology = _topology(topology_kind)
     handler = _on_handlers(monkeypatch, lambda: _vec_run(topology, signalling))
@@ -268,6 +270,22 @@ def test_vectorized_rounds_identical_to_handlers(topology_kind, signalling, monk
     batched = _vec_run(topology, signalling)
     assert engaged == [True]  # the batch path really ran, not a fallback
     assert _vec_summary(handler) == _vec_summary(batched)
+
+
+@pytest.mark.parametrize("signalling", ["explicit", "unordered"])
+def test_batch_engine_declines_all_but_implicit_signalling(signalling):
+    """Explicit and unordered runs are handler runs: the gate declines
+    them before queueing a kernel entry or charging a message."""
+    topology = _topology("grid")
+    network = Network(topology.graph)
+    declined = elink_vec.try_run_vectorized(
+        topology, _features(topology), EuclideanMetric(),
+        ELinkConfig(delta=0.6, signalling=signalling),
+        quadtree=QuadTreeDecomposition(topology), network=network, injector=None,
+    )
+    assert declined is None
+    assert network.kernel.pending == 0 and network.kernel.pushes == 0
+    assert network.stats == MessageStats()
 
 
 def test_chaos_falls_back_to_handler_path_identically(monkeypatch):
@@ -340,7 +358,7 @@ _FEATURE_FORMS = {
 }
 
 
-@pytest.mark.parametrize("signalling", ["implicit", "explicit"])
+@pytest.mark.parametrize("signalling", ["implicit"])
 @pytest.mark.parametrize("form", list(_FEATURE_FORMS))
 def test_batch_engine_accepts_1d_feature_forms(form, signalling, monkeypatch):
     topology = _topology("geometric")

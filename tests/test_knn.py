@@ -7,9 +7,15 @@ from hypothesis import strategies as st
 
 from repro.core import ELinkConfig, run_elink
 from repro.features import EuclideanMetric
-from repro.geometry import random_geometric_topology
+from repro.geometry import grid_topology, random_geometric_topology
 from repro.index import build_backbone, build_mtree
-from repro.queries import KnnQueryEngine, QueryContext, brute_force_knn
+from repro.queries import (
+    KnnQueryEngine,
+    PathQueryEngine,
+    QueryContext,
+    RangeQueryEngine,
+    brute_force_knn,
+)
 
 
 def _engine_for(topology, features, delta=1.5):
@@ -19,6 +25,20 @@ def _engine_for(topology, features, delta=1.5):
     backbone = build_backbone(topology.graph, clustering)
     context = QueryContext(clustering, features, metric, mtree, backbone)
     return KnnQueryEngine(context), metric
+
+
+def test_engines_that_walk_the_backbone_refuse_a_context_without_one():
+    topology = grid_topology(4, 4)
+    features = {v: np.array([x + 0.5 * y]) for v, (x, y) in topology.positions.items()}
+    metric = EuclideanMetric()
+    clustering = run_elink(topology, features, metric, ELinkConfig(delta=1.0)).clustering
+    context = QueryContext(clustering, features, metric, build_mtree(clustering, features, metric))
+    for engine in (RangeQueryEngine, KnnQueryEngine):
+        with pytest.raises(ValueError, match="backbone"):
+            engine(context)
+    # The path plans never walk the backbone, so the same context serves them.
+    result = PathQueryEngine(context, topology.graph).query(0, 15, np.array([100.0]), gamma=1.0)
+    assert result.path is not None and result.path[0] == 0 and result.path[-1] == 15
 
 
 def test_knn_matches_brute_force(random_topology, random_features):

@@ -130,18 +130,15 @@ def test_weighted_euclidean_axioms_property(data):
 
 
 def test_pairwise_matches_distance():
-    metric = WeightedEuclideanMetric([0.5, 0.5])
     rng = np.random.default_rng(1)
-    sample = [rng.normal(size=2) for _ in range(5)]
-    matrix = metric.pairwise(sample)
-    for i in range(5):
-        for j in range(5):
-            assert matrix[i, j] == pytest.approx(metric.distance(sample[i], sample[j]))
-
-
-def test_pairwise_empty_rejected():
-    with pytest.raises(ValueError):
-        EuclideanMetric().pairwise([])
+    sample = rng.normal(size=(5, 2))
+    for metric in (EuclideanMetric(), ManhattanMetric(), WeightedEuclideanMetric([0.5, 0.5])):
+        matrix = metric.pairwise_matrix(sample)
+        for i in range(5):
+            for j in range(5):
+                assert matrix[i, j] == pytest.approx(metric.distance(sample[i], sample[j]))
+    # Node-id features have no vectorised form: callers fall back to distance.
+    assert MatrixMetric({("a", "b"): 1.0}).pairwise_matrix(np.zeros((2, 1))) is None
 
 
 # ----------------------------------------------------------------------

@@ -38,3 +38,23 @@ def test_explicit_mode_on_800_node_synthetic():
     assert result.sync_messages > 0
     # Theorem 3: explicit packets stay linear-ish in N (generous bound).
     assert result.stats.total_packets < 40 * 800
+
+
+def test_explicit_2500_node_synthetic_pinned(monkeypatch):
+    """Explicit signalling at fig13's first rung (seed 3, δ = 0.05) runs on
+    the handler engine; its clustering, messages and timing are pinned."""
+    from repro.datasets import generate_synthetic_dataset
+    from tests.test_engine_equivalence import _final_state_spy
+
+    returned = _final_state_spy(monkeypatch)
+    dataset = generate_synthetic_dataset(2500, seed=3, readings=200)
+    result = run_elink(
+        dataset.topology,
+        dataset.features,
+        dataset.metric(),
+        ELinkConfig(delta=0.05, signalling="explicit"),
+    )
+    assert returned == [None]  # the gate declined: a handler run
+    assert (result.num_clusters, result.total_messages) == (2_054, 110_980)
+    assert (result.completion_time, result.protocol_time) == (5013.0, 5282.5)
+    assert result.total_switches == 1
