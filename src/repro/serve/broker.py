@@ -38,7 +38,8 @@ _POLICIES = (POLICY_BLOCK, POLICY_SHED_OLDEST)
 class Subscription:
     """One subscriber's bounded queue on a topic.
 
-    Created by :meth:`Broker.subscribe`; consumers call :meth:`get`.
+    Created by :meth:`Broker.subscribe`; consumers call :meth:`get` until
+    it returns ``None`` after :meth:`close`.
     """
 
     def __init__(self, topic: str, name: str, maxsize: int, policy: str, ctx: ServeContext):
@@ -58,9 +59,21 @@ class Subscription:
         self._not_full.set()
         self._shed_episode = 0  # consecutive sheds in the current burst
         self._blocked_episode = False
+        self._closed = False
 
     def __len__(self) -> int:
         return len(self._items)
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` was called."""
+        return self._closed
+
+    def close(self) -> None:
+        """End the stream: queued items still come out, then :meth:`get`
+        returns ``None``, waking a consumer already waiting."""
+        self._closed = True
+        self._not_empty.set()
 
     async def put(self, item: Any) -> None:
         """Enqueue *item* under this subscription's overflow policy."""
@@ -86,9 +99,12 @@ class Subscription:
         self._not_empty.set()
 
     async def get(self) -> Any:
-        """Dequeue the next item, waiting until one is available."""
+        """Dequeue the next item, waiting until one is available; ``None``
+        once the subscription is closed and empty."""
         while not self._items:
             self._flush_shed_episode()
+            if self._closed:
+                return None
             self._not_empty.clear()
             await self._not_empty.wait()
         item = self._items.popleft()
@@ -143,7 +159,3 @@ class Broker:
     def depth(self, topic: str) -> int:
         """Total queued items across *topic*'s subscriptions."""
         return sum(len(sub) for sub in self._topics.get(topic, ()))
-
-    def drained(self, topic: str) -> bool:
-        """True when every subscription on *topic* is empty."""
-        return self.depth(topic) == 0

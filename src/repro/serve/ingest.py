@@ -5,7 +5,9 @@ publishes them onto the broker's ``readings`` topic, providing the
 service's resilience envelope around untrusted input:
 
 - **retry/timeout/backoff** — every fetch runs under a timeout
-  (:data:`FETCH_TIMEOUT`); timeouts and :class:`TransientSourceError`
+  (:data:`FETCH_TIMEOUT`, through ``asyncio.timeout``, so no task wraps
+  the fetch; ``asyncio.wait_for`` on Python 3.10, which lacks it);
+  timeouts and :class:`TransientSourceError`
   are retried up to :data:`MAX_RETRIES` times with exponential backoff
   from :data:`RETRY_BASE` (``serve.source_retries`` counter,
   ``serve.source_retry`` events).  Exhausted retries crash the stage so
@@ -20,7 +22,10 @@ service's resilience envelope around untrusted input:
   stage at exact stream positions, all seed-deterministically.
 
 The stage keeps no state of its own beyond the source cursor, so a
-supervisor restart resumes exactly where the crash happened.
+supervisor restart resumes exactly where the crash happened.  It yields
+to the event loop once per published reading: a fetch from an in-memory
+source never suspends, so without the yield one stage would fill the
+pipeline's queue before the pipeline applied a reading.
 """
 
 from __future__ import annotations
@@ -43,6 +48,17 @@ FETCH_TIMEOUT = 5.0
 MAX_RETRIES = 4
 #: Backoff before the first retry, in seconds; it doubles per attempt.
 RETRY_BASE = 0.05
+
+
+if hasattr(asyncio, "timeout"):
+
+    async def _within(awaitable, seconds: float):
+        """Await *awaitable* in the caller's task, or raise TimeoutError."""
+        async with asyncio.timeout(seconds):
+            return await awaitable
+
+else:  # Python 3.10 has no asyncio.timeout; drop this path with 3.10
+    _within = asyncio.wait_for
 
 
 class IngestStage:
@@ -88,7 +104,7 @@ class IngestStage:
         attempt = 0
         while True:
             try:
-                return await asyncio.wait_for(self.source.next_reading(), FETCH_TIMEOUT)
+                return await _within(self.source.next_reading(), FETCH_TIMEOUT)
             except (asyncio.TimeoutError, TransientSourceError) as exc:
                 attempt += 1
                 self.ctx.metrics.counter("serve.source_retries").inc()
@@ -187,6 +203,7 @@ class IngestStage:
             await self._pace(reading)
             await self.broker.publish(READINGS_TOPIC, reading)
             self.published += 1
+            await asyncio.sleep(0)  # the pipeline applies it before the next fetch
         self.ctx.emit(
             "serve.source_end",
             self.source.name,

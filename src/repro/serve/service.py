@@ -150,7 +150,6 @@ class ClusteringService:
         self.exit_code: int | None = None
         self.drain_reason: str | None = None
         self._stop_intake = asyncio.Event()
-        self._pipeline_stop = asyncio.Event()
         self._drain = asyncio.Event()
         self._sub = None
         self._last_ckpt_time = 0.0
@@ -189,34 +188,20 @@ class ClusteringService:
     # stages
     # ------------------------------------------------------------------
     async def _pipeline_stage(self) -> None:
-        # The queue wait uses a persistent task + asyncio.wait rather than
-        # wait_for: 3.11's wait_for can swallow an external cancellation
-        # that races its timeout, leaving this loop unkillable; wait never
-        # cancels the get, so it also re-arms for free on timeout.
-        get_task: asyncio.Task | None = None
-        try:
-            while True:
-                if get_task is None:
-                    get_task = asyncio.ensure_future(self._sub.get())
-                done, _ = await asyncio.wait({get_task}, timeout=0.05)
-                if not done:
-                    if self._pipeline_stop.is_set() and len(self._sub) == 0:
-                        return
-                    continue
-                reading = get_task.result()
-                get_task = None
-                if self.chaos is not None and self.chaos.stage_crashes("pipeline", reading.seq):
-                    raise StageCrash(f"pipeline: injected crash at seq {reading.seq}")
-                self.pipeline.apply(reading)
-        finally:
-            if get_task is not None:
-                get_task.cancel()
+        # Awaits the queue itself: no task and no timer per reading.  The
+        # drain ends the stage by closing the subscription (get() then
+        # returns the readings queued before the close, then None); on the
+        # crash-budget path Supervisor.cancel() ends it instead.
+        while (reading := await self._sub.get()) is not None:
+            if self.chaos is not None and self.chaos.stage_crashes("pipeline", reading.seq):
+                raise StageCrash(f"pipeline: injected crash at seq {reading.seq}")
+            self.pipeline.apply(reading)
 
     async def _checkpoint_stage(self) -> None:
         cfg = self.config
         self._last_ckpt_time = self.ctx.now()
         self._last_ckpt_applied = self.pipeline.applied_total
-        while not self._pipeline_stop.is_set():
+        while not self._sub.closed:
             await asyncio.sleep(0.05)
             due_time = (
                 cfg.checkpoint_every_s is not None
@@ -355,8 +340,8 @@ class ClusteringService:
                 await asyncio.sleep(0.02)
 
         await _await_cond(lambda: self.supervisor.all_done(ingest_names))
-        await _await_cond(lambda: self.broker.drained(READINGS_TOPIC))
-        self._pipeline_stop.set()
+        # The pipeline applies what is still queued, then its get() returns None.
+        self._sub.close()
         await _await_cond(lambda: self.supervisor.all_done(["pipeline"]))
         await self.supervisor.cancel()
         self.write_checkpoint()

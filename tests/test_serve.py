@@ -1,7 +1,8 @@
-"""Unit tests for the serve layer: sources, broker backpressure policies,
-atomic checkpoints, the supervisor's restart/budget envelope, the chaos
-driver, the clustering pipeline's checkpoint round-trip, the query
-service, and the snapshot equivalence differ."""
+"""Unit tests for the serve layer: sources, broker backpressure policies
+and close, the ingest retry/timeout envelope, atomic checkpoints, the
+supervisor's restart/budget envelope, the chaos driver, the clustering
+pipeline's checkpoint round-trip, the query service, and the snapshot
+equivalence differ."""
 
 import asyncio
 import json
@@ -28,7 +29,9 @@ from repro.serve import (
     StageCrash,
     Supervisor,
 )
-from repro.serve.readings import FileSource
+from repro.serve import ingest
+from repro.serve.ingest import READINGS_TOPIC, IngestStage
+from repro.serve.readings import FileSource, TransientSourceError
 from repro.sim.faults import FaultPlan
 from repro.verify.serve_check import diff_snapshots
 
@@ -151,6 +154,148 @@ def test_block_policy_backpressures_publisher():
     assert got == [0, 1, 2, 3]  # nothing lost under block policy
     assert sub.shed_total == 0
     assert any(e.type == "serve.backpressure" for e in ctx.tracer.events())
+
+
+def test_close_drains_queued_items_then_returns_none():
+    ctx = _ctx()
+
+    async def scenario():
+        broker = Broker(ctx)
+        sub = broker.subscribe("t", name="q", maxsize=4)
+        for i in range(3):
+            await broker.publish("t", i)
+        sub.close()
+        return sub, [await sub.get() for _ in range(5)]
+
+    sub, got = asyncio.run(scenario())
+    assert sub.closed
+    assert got == [0, 1, 2, None, None]  # FIFO first, then end of stream
+
+
+def test_close_wakes_a_waiting_get():
+    ctx = _ctx()
+
+    async def scenario():
+        sub = Broker(ctx).subscribe("t", name="q", maxsize=4)
+        waiter = asyncio.create_task(sub.get())
+        for _ in range(3):
+            await asyncio.sleep(0)
+        parked = not waiter.done()  # waiting on the empty queue
+        sub.close()
+        return parked, await asyncio.wait_for(waiter, timeout=1.0)
+
+    parked, got = asyncio.run(scenario())
+    assert parked
+    assert got is None
+
+
+# ----------------------------------------------------------------------
+# ingest retry envelope
+# ----------------------------------------------------------------------
+class _ScriptedSource:
+    """A replay source whose fetches first fail as scripted.
+
+    ``failures`` fetches raise :class:`TransientSourceError`, then
+    ``stall`` makes every fetch sleep that many seconds before serving.
+    """
+
+    def __init__(self, stream, *, failures=0, stall=0.0):
+        self._inner = ReplaySource(stream, name="scripted")
+        self.name = self._inner.name
+        self.failures = failures
+        self.stall = stall
+        self.attempts = 0
+        self.fetching = asyncio.Event()
+
+    @property
+    def exhausted(self):
+        return self._inner.exhausted
+
+    async def next_reading(self):
+        self.attempts += 1
+        self.fetching.set()
+        if self.attempts <= self.failures:
+            raise TransientSourceError(f"attempt {self.attempts}")
+        if self.stall:
+            await asyncio.sleep(self.stall)
+        return await self._inner.next_reading()
+
+
+@pytest.fixture
+def quick_retries(monkeypatch):
+    monkeypatch.setattr(ingest, "FETCH_TIMEOUT", 0.05)
+    monkeypatch.setattr(ingest, "RETRY_BASE", 0.001)
+
+
+def _ingest(stream, source, ctx):
+    broker = Broker(ctx)
+    sub = broker.subscribe(READINGS_TOPIC, name="pipeline", maxsize=stream.total_readings)
+    stage = IngestStage(
+        source, broker, ctx, known_nodes=stream.nodes, stop_event=asyncio.Event()
+    )
+    return stage, sub
+
+
+def _retry_events(ctx):
+    return [e.data for e in ctx.tracer.events() if e.type == "serve.source_retry"]
+
+
+def test_ingest_retries_transient_errors_then_publishes_everything(quick_retries):
+    stream, ctx = _stream(n=4, rounds=3), _ctx()
+
+    async def scenario():
+        source = _ScriptedSource(stream, failures=2)
+        stage, sub = _ingest(stream, source, ctx)
+        await stage.run()
+        return stage, [(await sub.get()).seq for _ in range(len(sub))]
+
+    stage, seqs = asyncio.run(scenario())
+    assert stage.published == stream.total_readings
+    assert seqs == list(range(stream.total_readings))
+    assert ctx.metrics.counter("serve.source_retries").value == 2
+    assert [e["attempt"] for e in _retry_events(ctx)] == [1, 2]
+    assert all("TransientSourceError" in e["error"] for e in _retry_events(ctx))
+
+
+def test_ingest_crashes_after_max_retries_of_timed_out_fetches(quick_retries):
+    stream, ctx = _stream(n=4, rounds=3), _ctx()
+
+    async def scenario():
+        source = _ScriptedSource(stream, stall=60.0)  # outlives every timeout
+        stage, _ = _ingest(stream, source, ctx)
+        with pytest.raises(StageCrash, match="retries exhausted") as crash:
+            await asyncio.wait_for(stage.run(), timeout=10.0)
+        return source, stage, crash.value
+
+    source, stage, crash = asyncio.run(scenario())
+    assert isinstance(crash.__cause__, asyncio.TimeoutError)
+    assert source.attempts == ingest.MAX_RETRIES + 1 == 5
+    assert [e["attempt"] for e in _retry_events(ctx)] == [1, 2, 3, 4]
+    assert stage.published == 0
+
+
+def test_cancelling_a_stage_in_a_slow_fetch_is_not_retried(quick_retries, monkeypatch):
+    monkeypatch.setattr(ingest, "FETCH_TIMEOUT", 5.0)  # the cancel lands first
+    stream, ctx = _stream(n=4, rounds=3), _ctx()
+
+    async def scenario():
+        source = _ScriptedSource(stream, stall=60.0)
+        stage, _ = _ingest(stream, source, ctx)
+        task = asyncio.create_task(stage.run())
+        await source.fetching.wait()
+        await asyncio.sleep(0)
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+        await asyncio.sleep(0.02)  # a retry would have started by now
+        return source, task
+
+    source, task = asyncio.run(scenario())
+    assert task.cancelled()
+    assert source.attempts == 1
+    assert "serve.source_retries" not in ctx.metrics
+    assert _retry_events(ctx) == []
+    assert not any(e.type == "serve.source_end" for e in ctx.tracer.events())
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,15 @@ The three lifecycle guarantees CI certifies:
    source stalls injected, the service restarts its stages within the
    crash budget, surfaces the degraded coverage window as trace events,
    recovers, and still exits 0.
+
+Below them: how the stages wait.  Ingest and pipeline alternate one
+reading at a time, a reading costs no asyncio task, and the drain (or,
+on the crash-budget path, cancellation) ends a pipeline stage that is
+waiting on its queue.
 """
 
 import asyncio
+import collections
 import json
 import os
 import pathlib
@@ -26,7 +32,8 @@ import time
 import pytest
 
 from repro.serve import ClusteringService, ServiceConfig, snapshots_equal
-from repro.serve.broker import POLICY_SHED_OLDEST
+from repro.serve.broker import POLICY_BLOCK, POLICY_SHED_OLDEST
+from repro.serve.ingest import READINGS_TOPIC
 from repro.sim.faults import FaultPlan
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -212,6 +219,99 @@ def test_crash_budget_exhaustion_fails_fast(tmp_path):
     assert service.run() == 1
     assert service.supervisor.stages["pipeline"].failed
     assert any(e.type == "serve.stage_giveup" for e in service.ctx.tracer.events())
+
+
+def test_crash_budget_cancels_a_pipeline_stage_waiting_on_its_queue(tmp_path):
+    # The ingest stage dies for good at reading 41 while the pipeline,
+    # having applied readings 0-39, waits on the empty queue.
+    plan = FaultPlan()
+    plan.stage_crash(40, "ingest:src-0").stage_crash(41, "ingest:src-0")
+    service = ClusteringService(
+        _base_config(tmp_path, crash_budget=1, backoff_base=0.01, chaos_plan=plan)
+    )
+    assert service.run() == 1
+    pipeline = service.supervisor.stages["pipeline"]
+    assert pipeline.task.cancelled() and not pipeline.done
+    assert service.pipeline.applied_total == 40
+    types = [e.type for e in service.ctx.tracer.events()]
+    assert "serve.drain" not in types  # the crash-budget path skips the drain
+
+
+def test_drain_close_ends_a_pipeline_stage_waiting_on_its_queue(tmp_path):
+    service = ClusteringService(_base_config(tmp_path))
+    readings = [service.stream.reading(seq) for seq in range(8)]
+
+    async def scenario():
+        service._sub = service.broker.subscribe(READINGS_TOPIC, name="pipeline")
+        service.supervisor.add("pipeline", service._pipeline_stage)
+        service.supervisor.start()
+        for reading in readings[:5]:
+            await service.broker.publish(READINGS_TOPIC, reading)
+        while service.pipeline.applied_total < 5:
+            await asyncio.sleep(0)
+        waiting = not service.supervisor.all_done(["pipeline"])
+        for reading in readings[5:]:  # queued when the drain closes the queue
+            await service.broker.publish(READINGS_TOPIC, reading)
+        await service._drain_epilogue([])
+        return waiting
+
+    assert asyncio.run(scenario())
+    spec = service.supervisor.stages["pipeline"]
+    assert service._sub.closed
+    assert spec.done and not spec.task.cancelled()  # it returned, was not cancelled
+    assert service.pipeline.applied_total == 8
+
+
+#: Snapshot digest of the unpaced 1,024-node replay (seed 3, 16 rounds)
+#: when every reading is applied in stream order.
+REPLAY_1024_DIGEST = "fae1e96b605cf3a4073726b89efc4ac5a91896980b297c0bd5d6ca4a89d3bfcd"
+
+
+def _replay_1024(rounds, **overrides):
+    """Run the unpaced 1,024-node seed-3 replay in-process.
+
+    Returns the service and the tasks created while it ran, counted by
+    the ``__qualname__`` of the coroutine each one wraps.
+    """
+    service = ClusteringService(ServiceConfig(n=1024, seed=3, rounds=rounds, **overrides))
+    tasks = collections.Counter()
+
+    def factory(loop, coro, **kwargs):
+        tasks[coro.__qualname__] += 1
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def main():
+        asyncio.get_running_loop().set_task_factory(factory)
+        return await service.run_async()
+
+    assert asyncio.run(main()) == 0
+    return service, tasks
+
+
+@pytest.mark.parametrize("policy", [POLICY_BLOCK, POLICY_SHED_OLDEST])
+def test_unpaced_replay_interleaves_ingest_and_pipeline(policy):
+    """Ingest yields once per published reading, so the pipeline applies
+    each reading before the next one is queued: an unpaced replay never
+    fills the 1,024-slot queue, sheds nothing and never blocks."""
+    service, _ = _replay_1024(16, backpressure=policy)
+    assert service.pipeline.applied_total == 16_384
+    assert service.pipeline.snapshot()["digest"] == REPLAY_1024_DIGEST
+    assert "serve.shed_total" not in service.ctx.metrics
+    assert "serve.backpressure_episodes" not in service.ctx.metrics
+
+
+def test_serve_readings_create_no_tasks():
+    """A reading costs no asyncio task: the pipeline awaits its queue, and
+    ingest fetches under ``asyncio.timeout`` where that exists."""
+    _, short = _replay_1024(14)
+    _, long = _replay_1024(28)
+    assert "Subscription.get" not in short + long
+    fetches = [name for name in long if name.endswith(".next_reading")]
+    if hasattr(asyncio, "timeout"):
+        assert fetches == []
+    for name in fetches:  # Python 3.10 fetches through wait_for's task
+        del short[name], long[name]
+    assert short == long, (short, long)
 
 
 # ----------------------------------------------------------------------
